@@ -20,7 +20,8 @@ from pathlib import Path
 
 from xmhd.controllers import ControllerMode
 from xmhd.harness import (CSV_COLUMNS, RunConfig, _row, divb_series,
-                          make_reference, run, work_precision)
+                          make_reference, require_error_estimate, run,
+                          work_precision)
 from xmhd.integrators import Scheme
 from xmhd.mhd import write_checkpoint
 from xmhd.scenarios import make_scenario
@@ -112,6 +113,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         scenario = _scenario_from_args(args)
+        if not args.make_reference:
+            # the reference run uses its own integrator
+            require_error_estimate(_INTEGRATORS[args.integrator])
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Experiment driver: adaptive time-stepping loop, references, sweeps, CSV.
 
-A run advances a scenario from t = 0 to t_final.  Per step: refresh the
-cached spectral estimate when it expires, take one scheme step, accept or
-reject on the embedded error, update the step-size controller, record a
+A run advances a scenario from t = 0 to t_final.  Per step: for an
+exponential scheme, freeze the linearization and refresh the cached
+spectral estimate when it expires; take one scheme step, accept or reject
+on the embedded error, update the step-size controller, record a
 StepRecord.  phi non-convergence halves dt, an error excess re-tries with
 the traditional proposal; ten consecutive rejections abort the run.  Runs
 are deterministic for a fixed config and seed.
@@ -120,8 +121,20 @@ def _checksum(flat):
     return hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8").tobytes()).hexdigest()
 
 
+def require_error_estimate(scheme):
+    """Raise ValueError for a scheme without an embedded error estimate.
+
+    The adaptive loop would accept every step of such a scheme and grow dt
+    whatever the tolerance.
+    """
+    if scheme.embedded_order is None:
+        raise ValueError(f"integrator {scheme.value} has no embedded error "
+                         "estimate and cannot run under adaptive step control")
+
+
 def run(config):
     """Advance the configured scenario to t_final and return a RunReport."""
+    require_error_estimate(config.scheme)
     spec = config.scenario
     params = spec.params
     state0 = initialize(spec)
@@ -130,7 +143,7 @@ def run(config):
     rng = np.random.default_rng(config.rng_seed)
     consts = ControllerConstants()
     mode = config.controller
-    p_ctrl = config.scheme.embedded_order or config.scheme.order
+    p_ctrl = config.scheme.embedded_order
 
     u = state0.flat().copy()
     report = RunReport()
@@ -159,10 +172,12 @@ def run(config):
         dt = min(dt, t_final - t)
 
         step_calls_start = rhs_op.calls
-        lin = FrozenLinearization(rhs_op, u)
-        before_spec = rhs_op.calls
-        est = estimate_alpha(lin, est, interval=config.spectrum_interval, rng=rng)
-        report.spectrum_rhs_evals += rhs_op.calls - before_spec
+        lin = None
+        if config.scheme.is_exponential:
+            lin = FrozenLinearization(rhs_op, u)
+            before_spec = rhs_op.calls
+            est = estimate_alpha(lin, est, interval=config.spectrum_interval, rng=rng)
+            report.spectrum_rhs_evals += rhs_op.calls - before_spec
 
         # attempt loop: phi non-convergence halves dt, error excess uses the
         # traditional proposal; bookkeeping only advances on acceptance
@@ -293,8 +308,10 @@ def _row(config, report, global_error):
 def work_precision(base, tols, schemes, methods, reference, out_csv):
     """Run the (tol, scheme, method) grid and append one CSV row per cell.
 
-    A cell that fails (non-convergence, budget) is recorded with
-    status=failed and a NaN error; the sweep itself never aborts.
+    A cell that fails (non-convergence, budget, an exception) is recorded
+    with a NaN error; its RunReport status names the failure, with the
+    exception type and message, and its CSV status reads failed.  The sweep
+    itself never aborts.
     """
     reference = Path(reference)
     if not reference.exists():
@@ -313,8 +330,8 @@ def work_precision(base, tols, schemes, methods, reference, out_csv):
                         err = error_norm(report.final_state.flat(), ref_flat)
                     else:
                         err = float("nan")
-                except Exception:
-                    report = RunReport(status="failed: exception")
+                except Exception as exc:
+                    report = RunReport(status=f"failed: {type(exc).__name__}: {exc}")
                     err = float("nan")
                 rows.append(_row(cfg, report, err))
     rows.sort(key=lambda r: (r["scheme"], r["method"], float(r["tol"])))

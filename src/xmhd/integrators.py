@@ -14,10 +14,9 @@ from enum import Enum
 
 import numpy as np
 
-from xmhd.leja import apply_phi_leja, shift_and_scale
+from xmhd.leja import NewtonTable, apply_phi_leja, shift_and_scale
 from xmhd.krylov import apply_phi_krylov
-from xmhd.linearize import (FrozenLinearization, RhsBlowupError, SpectralEstimate,
-                            jvp, remainder)
+from xmhd.linearize import FrozenLinearization, RhsBlowupError, SpectralEstimate, jvp
 
 
 class Scheme(Enum):
@@ -101,7 +100,8 @@ class _PhiBroker:
 
     One broker lives for one step attempt; the degenerate (zero) spectrum is
     short-circuited to phi_l(0) v = v / l! here so both engines only ever see
-    a positive interval.
+    a positive interval.  For the Leja engine it holds one NewtonTable per
+    stage fraction c, shared by every phi order applied at that c.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -113,6 +113,7 @@ class _PhiBroker:
         self.applications = 0
         self.iterations = 0
         self.failed = False
+        self._tables = {}
 
     def _matvec(self, w):
         return jvp(self.lin, w)
@@ -124,8 +125,11 @@ class _PhiBroker:
             return vec / math.factorial(l)
         dt_eff = c * self.dt
         if self.method == "leja":
-            shift = shift_and_scale(self.alpha * dt_eff)
-            res = apply_phi_leja(l, self._matvec, vec, dt_eff, shift, self.tol)
+            table = self._tables.get(c)
+            if table is None:
+                table = self._tables[c] = NewtonTable(shift_and_scale(self.alpha * dt_eff))
+            res = apply_phi_leja(l, self._matvec, vec, dt_eff, table.shift, self.tol,
+                                 table=table)
         elif self.method == "krylov":
             res = apply_phi_krylov(l, self._matvec, vec, dt_eff, self.tol)
         else:

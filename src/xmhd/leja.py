@@ -1,15 +1,18 @@
 """Real Leja points on [-2, 2] and phi-function actions by Newton interpolation.
 
 The interpolation uses only matrix-vector products with the (scaled, shifted)
-operator; the divided differences of phi_l on the transplanted node sequence
-are obtained from the stable bidiagonal route in :mod:`xmhd.phi`.
+operator.  Its Newton coefficients come from a NewtonTable: one pass of the
+stable bidiagonal route in :mod:`xmhd.phi` gives the divided differences of
+every phi order on the transplanted node sequence, so all actions on one
+interval share one table (Caliari, Kandolf, Ostermann & Rainer 2016).  The
+caller owns the table; the module keeps no coefficient cache.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from xmhd.phi import _check_order, _phi_divided_diffs
+from xmhd.phi import MAX_ORDER, _check_order, _phi_divided_diffs
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
@@ -18,7 +21,6 @@ LEJA_MAX = 500
 _GRID_SIZE = 10001
 
 _sequence_cache = None
-_coeff_cache = {}
 
 
 def _build_sequence(count):
@@ -81,26 +83,37 @@ class PhiApplyResult:
     residual: float
 
 
-def _newton_coeffs(l, q, theta, count):
-    """Divided differences of xi -> phi_l(q + theta xi) at the Leja points.
+#: table sizes tried in turn; an interpolation that needs more terms than
+#: the current table holds rebuilds it at the next size
+_TABLE_SIZES = (64, 128, 256, LEJA_MAX)
 
-    Cached per (l, q, theta): within one integrator step several stages share
-    the same scaled operator.
+
+class NewtonTable:
+    """Newton coefficients of xi -> phi_l(q + theta xi) at the Leja points.
+
+    One table serves every order l = 0..MAX_ORDER of one interval: a single
+    divided-difference pass yields all rows.  It starts at 64 terms and is
+    rebuilt at the next size of 64 -> 128 -> 256 -> LEJA_MAX when an
+    interpolation runs past its end.  A table belongs to its caller (the
+    phi broker keeps one per step attempt and stage fraction); nothing is
+    cached at module level.
     """
-    key = (l, q, theta)
-    hit = _coeff_cache.get(key)
-    if hit is not None and hit.size >= count:
-        return hit
-    xi = leja_points(LEJA_MAX)[:count]
-    col = _phi_divided_diffs(l, q + theta * xi, subdiag=theta)
-    coeffs = col / theta ** l
-    if len(_coeff_cache) > 64:
-        _coeff_cache.pop(next(iter(_coeff_cache)))
-    _coeff_cache[key] = coeffs
-    return coeffs
+
+    def __init__(self, shift):
+        self.shift = shift
+        self._rows = np.empty((MAX_ORDER + 1, 0))
+
+    def coeffs(self, l, count=1):
+        """Row l of the table, holding at least `count` coefficients."""
+        if count > self._rows.shape[1]:
+            size = next(n for n in _TABLE_SIZES if n >= count)
+            xi = leja_points(size)
+            self._rows = _phi_divided_diffs(self.shift.q + self.shift.theta * xi,
+                                            subdiag=self.shift.theta)
+        return self._rows[l]
 
 
-def apply_phi_leja(l, matvec, v, dt, shift, tol):
+def apply_phi_leja(l, matvec, v, dt, shift, tol, table=None):
     """Approximate phi_l(J dt) v with J available only through `matvec`.
 
     Newton terms are added one at a time (one extra matvec each); the
@@ -108,36 +121,45 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol):
     max(1, ||result||) for two consecutive terms, or signals non-convergence
     after LEJA_MAX terms / on overflow of the Newton basis.  Non-convergence
     is reported, not raised: the caller rejects the step and retries with a
-    smaller dt.
+    smaller dt.  `table` may carry the NewtonTable of `shift` from an earlier
+    action on the same interval; without it a fresh one is built.
     """
     _check_order(l)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if table is None:
+        table = NewtonTable(shift)
+    elif table.shift != shift:
+        raise ValueError("the Newton table was built for another interval")
     xi = leja_points(LEJA_MAX)
     q, theta = shift.q, shift.theta
 
-    chunk = 64
-    coeffs = _newton_coeffs(l, q, theta, chunk)
+    coeffs = table.coeffs(l)
     y = np.array(v, dtype=float, copy=True)
     blowup = 1e120 * max(1.0, np.linalg.norm(y))
     p = coeffs[0] * y
+    buf = np.empty_like(y)
     matvecs = 0
     residual = np.inf
     small_prev = False
     for m in range(1, LEJA_MAX):
         if m >= coeffs.size:
-            chunk = min(2 * chunk, LEJA_MAX)
-            coeffs = _newton_coeffs(l, q, theta, chunk)
+            coeffs = table.coeffs(l, m + 1)
         w = matvec(y)
         matvecs += 1
-        y = (dt * w - q * y) / theta - xi[m - 1] * y
+        # y <- (dt w - q y) / theta - xi_{m-1} y, without temporaries; w is
+        # read before y changes in case matvec hands y back
+        np.multiply(w, dt / theta, out=buf)
+        y *= -(q / theta + xi[m - 1])
+        y += buf
         norm_y = np.linalg.norm(y)
         if not np.isfinite(norm_y) or norm_y > blowup:
             # the Newton basis only explodes like this when the spectrum
             # escaped the interpolation interval; report non-convergence
             return PhiApplyResult(vector=p, iterations=matvecs, converged=False,
                                   residual=np.inf)
-        p = p + coeffs[m] * y
+        np.multiply(y, coeffs[m], out=buf)
+        p += buf
         residual = abs(coeffs[m]) * norm_y / max(1.0, np.linalg.norm(p))
         if residual <= tol:
             if small_prev:

@@ -259,8 +259,12 @@ def write_checkpoint(path, state, time):
 
 def read_checkpoint(path):
     """Read a checkpoint written by write_checkpoint; returns (StateGrid, time)."""
+    header_size = struct.calcsize("<4sIIIIddd")
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIIIddd"))
+        header = fh.read(header_size)
+        if len(header) != header_size:
+            raise ValueError(f"truncated checkpoint header: expected {header_size} "
+                             f"bytes, got {len(header)}")
         magic, version, nx, ny, nvar, time, dx, dy = struct.unpack("<4sIIIIddd", header)
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
@@ -268,6 +272,11 @@ def read_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         if nvar != NVAR:
             raise ValueError(f"expected {NVAR} fields, file has {nvar}")
-        raw = np.frombuffer(fh.read(nvar * ny * nx * 8), dtype="<f8")
+        payload_size = nvar * ny * nx * 8
+        payload = fh.read(payload_size)
+        if len(payload) != payload_size:
+            raise ValueError(f"truncated checkpoint payload: expected {payload_size} "
+                             f"bytes for {nvar}x{ny}x{nx} fields, got {len(payload)}")
+        raw = np.frombuffer(payload, dtype="<f8")
     data = raw.reshape(nvar, ny, nx).astype(float)
     return StateGrid(nx=nx, ny=ny, dx=dx, dy=dy, data=data), time

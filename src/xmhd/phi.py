@@ -96,27 +96,36 @@ class DividedDiffTable:
     order: int
 
 
-def _phi_divided_diffs(l, nodes, subdiag=1.0):
-    """First column of phi_l of the bidiagonal node matrix.
+def _phi_divided_diffs(nodes, subdiag=1.0):
+    """Divided differences of phi_0 .. phi_MAX_ORDER at `nodes`, in one pass.
+
+    Row l of the returned (MAX_ORDER + 1, n) array holds
+    sigma^k phi_l[x_0..x_k], k = 0..n-1, with sigma = `subdiag`; with the
+    Leja transplant x = q + theta xi and sigma = theta these are the Newton
+    coefficients of xi -> phi_l(q + theta xi).
 
     Exploits the identity  phi_l[x_0..x_k] = exp[0,..,0, x_0..x_k]  (l zeros
-    prepended), so only the first column of the exponential of a
-    lower-bidiagonal matrix Z is needed.  With a constant subdiagonal entry
-    sigma, entry (l+k, 0) of exp(Z) equals sigma^(l+k) * phi_l[x_0..x_k];
-    the caller rescales.
+    prepended).  With MAX_ORDER zeros prepended to the nodes and Z the
+    lower-bidiagonal matrix with that diagonal and constant subdiagonal
+    sigma, entry (MAX_ORDER + k, MAX_ORDER - l) of exp(Z) equals
+    sigma^(l+k) phi_l[x_0..x_k], so the first MAX_ORDER + 1 columns of
+    exp(Z) carry every order at once.
 
-    The column is computed by time substepping: exp(Z) e_1 equals 2^s
-    sequential applications of exp(Z / 2^s), each evaluated as a short
-    Taylor series (cheap bidiagonal matvecs).  The substep count keeps the
-    scaled norm at or below one, which bounds both the per-entry truncation
-    and the cancellation from mixed-sign nodes; it also guarantees reach,
-    since a degree-d polynomial of a bidiagonal matrix is zero beyond
-    subdiagonal offset d, so the substeps together must span the dimension.
-    Divided differences of exp at real nodes are positive, so repeated
-    application loses no relative accuracy to cancellation.
+    The columns are computed by time substepping: exp(Z) equals the 2^s-th
+    power of the substep operator E = exp(Z / 2^s), which is built once as
+    a dense lower-triangular matrix from a 60-term Taylor series.  BLAS
+    products then apply E^(2^s) to the block of columns; E is first squared
+    as often as a squaring costs fewer flops than the block products it
+    saves, so small tables square and large ones mostly multiply.  The
+    substep count keeps the scaled norm at or below one, which bounds both
+    the per-entry truncation and the cancellation from mixed-sign nodes; it
+    also guarantees reach, since E has bandwidth 59 and the substeps
+    together must span the dimension.  Divided differences of exp at real
+    nodes are positive, so E and every product of its powers have no
+    negative entries and lose no relative accuracy to cancellation.
     """
     nodes = np.asarray(nodes, dtype=float)
-    ext = np.concatenate([np.zeros(l), nodes])
+    ext = np.concatenate([np.zeros(MAX_ORDER), nodes])
     dim = ext.size
     # 60 terms per substep: entries near the reach edge of a substep keep a
     # wide enough truncation margin for full relative accuracy
@@ -124,24 +133,51 @@ def _phi_divided_diffs(l, nodes, subdiag=1.0):
     scale = max(np.max(np.abs(ext)), abs(subdiag), 1e-30)
     s = max(0, int(math.ceil(math.log2(scale))),
             int(math.ceil(math.log2((dim + terms) / terms))))
-    diag = ext / 2.0 ** s
     sub = subdiag / 2.0 ** s
 
-    def matvec(w):
-        out = diag * w
-        out[1:] += sub * w[:-1]
-        return out
+    # E = exp(Z / 2^s) by Horner's rule on the Taylor series, factorials
+    # folded in (G <- (Z / 2^s) G + I / (k-1)!, ending at G = E), kept by
+    # diagonal: band[d, j] is entry (j + d, j); slots with j + d >= dim lie
+    # outside the matrix
+    width = min(terms, dim)
+    padded = np.concatenate([ext, np.zeros(width)]) / 2.0 ** s
+    diag = np.lib.stride_tricks.sliding_window_view(padded, dim)[:width]
+    band = np.zeros((width, dim))
+    band[0] = 1.0 / math.factorial(terms - 1)
+    lower = np.empty((width - 1, dim))
+    for k in range(terms - 1, 0, -1):
+        # (Z G)[i, j] = diag[i] G[i, j] + sub G[i - 1, j], where G is
+        # nonzero on diagonals 0 .. terms - k only
+        top = min(terms + 1 - k, width)
+        np.multiply(band[:top - 1], sub, out=lower[:top - 1])
+        band[:top] *= diag[:top]
+        band[1:top] += lower[:top - 1]
+        band[0] += 1.0 / math.factorial(k - 1)
+    # scatter the diagonals through a strided view whose element (d, j) is
+    # entry (j + d, j); the padding rows absorb the outside slots
+    padded_op = np.zeros((dim + width, dim))
+    row, col = padded_op.strides
+    np.lib.stride_tricks.as_strided(padded_op, shape=band.shape,
+                                    strides=(row, row + col))[...] = band
+    step_op = padded_op[:dim]
 
-    col = np.zeros(dim)
-    col[0] = 1.0
-    for _ in range(2 ** s):
-        term = col.copy()
-        new = col.copy()
-        for k in range(1, terms):
-            term = matvec(term) / k
-            new += term
-        col = new
-    return col[l:]
+    # Far-tail entries sink below the normal range, where the products run
+    # many times slower; flushing them to zero moves no entry above ~1e-290.
+    tiny = np.finfo(float).tiny
+    step_op[np.abs(step_op) < tiny] = 0.0
+    # E^(2^s) on the block e_0..e_MAX_ORDER: square E while one squaring
+    # (dim^3 flops) costs less than the half of the block products it saves
+    products = 2 ** s
+    while products > 1 and 2 * dim < (MAX_ORDER + 1) * products:
+        step_op = step_op @ step_op
+        step_op[np.abs(step_op) < tiny] = 0.0
+        products //= 2
+    block = np.eye(dim, MAX_ORDER + 1)
+    for _ in range(products):
+        block = step_op @ block
+        block[np.abs(block) < tiny] = 0.0
+    orders = np.arange(MAX_ORDER + 1)
+    return np.ascontiguousarray(block[MAX_ORDER:, ::-1].T) / subdiag ** orders[:, None]
 
 
 def divided_differences(l, nodes):
@@ -157,7 +193,7 @@ def divided_differences(l, nodes):
         raise ValueError("divided_differences requires a nonempty 1-d node sequence")
     if nodes.size > 512:
         raise ValueError("node sequence longer than the 512-node oracle scale")
-    coeffs = _phi_divided_diffs(l, nodes, subdiag=1.0)
+    coeffs = _phi_divided_diffs(nodes)[l]
     return DividedDiffTable(nodes=nodes, coeffs=coeffs, order=l)
 
 

@@ -88,3 +88,19 @@ def test_numerical_abort_exit_code(tmp_path):
                  "--tf", "5.0", "--tol", "1e-6", "--max-steps", "3",
                  "--output", str(tmp_path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("integrator", ["exp-euler", "ros-euler"])
+def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
+                                                           monkeypatch, integrator):
+    import xmhd.cli
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(xmhd.cli, "run", no_stepping)
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
+                 "--integrator", integrator, "--output", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,46 @@ def test_work_precision_records_failures_as_data(tmp_path):
                           tmp_path / "wp.csv")
     assert rows[0]["status"] == "failed"
     assert np.isnan(float(rows[0]["global_error"]))
+
+
+def test_work_precision_records_exception_type_and_message(tmp_path, monkeypatch):
+    import xmhd.harness
+    ref = tmp_path / "ref.chk"
+    make_reference(small_khi(t_final=0.001), ref)
+
+    def broken(config):
+        raise RuntimeError("solver exploded")
+
+    statuses = []
+    original_row = xmhd.harness._row
+
+    def recording_row(config, report, global_error):
+        statuses.append(report.status)
+        return original_row(config, report, global_error)
+
+    monkeypatch.setattr(xmhd.harness, "run", broken)
+    monkeypatch.setattr(xmhd.harness, "_row", recording_row)
+    rows = work_precision(small_khi(), [1e-4], [Scheme.EXPRB43], ["leja"], ref,
+                          tmp_path / "wp.csv")
+    assert statuses == ["failed: RuntimeError: solver exploded"]
+    assert rows[0]["status"] == "failed"
+    with open(tmp_path / "wp.csv") as fh:
+        assert next(csv.DictReader(fh))["status"] == "failed"
+
+
+def test_explicit_scheme_spends_only_stage_evaluations():
+    # no frozen linearization or spectral estimate for DOPRI54: seven rhs
+    # evaluations per attempt and nothing else
+    rep = run(replace(small_khi(t_final=0.02), scheme=Scheme.DOPRI54))
+    assert rep.status == "ok" and rep.accepted > 0
+    assert rep.spectrum_rhs_evals == 0
+    assert rep.rhs_evals == 7 * (rep.accepted + rep.rejected)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EXP_EULER, Scheme.ROS_EULER])
+def test_run_refuses_schemes_without_error_estimate(scheme):
+    with pytest.raises(ValueError, match="no embedded error estimate"):
+        run(replace(small_khi(), scheme=scheme))
 
 
 def test_divb_series_sampling(tmp_path):

@@ -160,3 +160,23 @@ def test_exprb43_embedded_difference_slope():
         diffs.append(res.error_estimate * np.linalg.norm(res.new_state))
     slope = observed_order(dts, diffs, floor=1e-14)
     assert abs(slope - 4.0) <= 0.4
+
+
+def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch):
+    # five phi actions at c = 1/2 and c = 1 share two tables per attempt, and
+    # the next attempt starts afresh
+    import xmhd.leja
+    builds = []
+    original = xmhd.leja._phi_divided_diffs
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs", counted)
+    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
+    u = np.array([0.5, 0.8, 1.1])
+    for attempt in (1, 2):
+        res = step(Scheme.EXPRB43, op, u, 0.05, alpha=2.0, tol=1e-10)
+        assert res.converged and res.phi_applications == 5
+        assert len(builds) == 2 * attempt

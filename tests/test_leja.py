@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from xmhd.leja import (LEJA_MAX, PhiApplyResult, apply_phi_leja, leja_points,
-                       shift_and_scale)
+from xmhd.leja import (LEJA_MAX, NewtonTable, PhiApplyResult, apply_phi_leja,
+                       leja_points, shift_and_scale)
 from xmhd.phi import phi_dense, phi_scalar
 from tests._problems import random_negative_spectrum
 
@@ -146,3 +146,51 @@ def test_converged_residual_below_tolerance():
     assert isinstance(res, PhiApplyResult)
     assert res.converged
     assert res.residual <= 1e-9
+
+
+def test_results_do_not_depend_on_earlier_calls():
+    # A runs on B's interval until its Newton coefficients underflow, well
+    # past 128 terms; a table cached across calls would hand B coefficients
+    # of a different build depending on whether A ran first
+    rng = np.random.default_rng(12)
+    a = random_negative_spectrum(rng, 32) / 10.0
+    v, w = rng.standard_normal(32), rng.standard_normal(32)
+    shift = shift_and_scale(4.0)
+
+    def call_a():
+        return apply_phi_leja(1, lambda u: a @ u, v, 1.0, shift, 1e-300)
+
+    def call_b():
+        return apply_phi_leja(1, lambda u: a @ u, w, 1.0, shift, 1e-8)
+
+    b_first = call_b()
+    a_after_b = call_a()
+    b_after_a = call_b()
+    a_after_a = call_a()
+    assert a_after_b.iterations > 128 and b_first.iterations < 64
+    assert np.array_equal(b_first.vector, b_after_a.vector)
+    assert np.array_equal(a_after_b.vector, a_after_a.vector)
+
+
+def test_shared_table_serves_every_order():
+    # one table per interval gives the same action as a fresh one per call
+    rng = np.random.default_rng(13)
+    a = random_negative_spectrum(rng, 24)
+    v = rng.standard_normal(24)
+    shift = shift_and_scale(25.0)
+    table = NewtonTable(shift)
+    for l in range(5):
+        shared = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10, table=table)
+        fresh = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10)
+        assert np.array_equal(shared.vector, fresh.vector)
+    with pytest.raises(ValueError, match="another interval"):
+        apply_phi_leja(1, lambda u: a @ u, v, 1.0, shift_and_scale(5.0), 1e-10,
+                       table=table)
+
+
+def test_identity_matvec_may_return_its_argument():
+    # the in-place Newton update must read the product before changing y
+    v = np.array([1.0, -2.0, 0.5])
+    res = apply_phi_leja(1, lambda w: w, v, -1.0, shift_and_scale(1.0), 1e-12)
+    assert res.converged
+    assert np.allclose(res.vector, phi_scalar(1, -1.0) * v, rtol=1e-10)

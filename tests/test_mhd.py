@@ -257,3 +257,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(ValueError):
         read_checkpoint(path)
+
+
+def test_checkpoint_rejects_short_header(tmp_path):
+    path = tmp_path / "short.chk"
+    path.write_bytes(b"XMHD" + bytes(10))
+    with pytest.raises(ValueError, match="expected 44 bytes, got 14"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_payload(tmp_path):
+    g = random_state(np.random.default_rng(38), nx=6, ny=5, dx=0.1, dy=0.2)
+    path = tmp_path / "cut.chk"
+    write_checkpoint(path, g, 0.5)
+    path.write_bytes(path.read_bytes()[:-8])
+    expected = 8 * 5 * 6 * 8
+    with pytest.raises(ValueError, match=f"expected {expected} bytes .* got {expected - 8}"):
+        read_checkpoint(path)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from xmhd.leja import leja_points
-from xmhd.phi import (DividedDiffTable, divided_differences, newton_eval,
-                      phi_dense, phi_scalar)
+from xmhd.phi import (MAX_ORDER, DividedDiffTable, _phi_divided_diffs,
+                      divided_differences, newton_eval, phi_dense, phi_scalar)
 
 
 def test_phi_scalar_at_zero():
@@ -130,3 +130,45 @@ def test_newton_polynomial_reproduces_phi_at_nodes(l):
     vals = newton_eval(table, nodes)
     exact = np.array([phi_scalar(l, z) for z in nodes])
     assert np.all(np.abs(vals - exact) <= 1e-9 * np.abs(exact))
+
+
+def _mp_phi(l, z):
+    if z == 0:
+        return 1 / mp.factorial(l)
+    head = sum(z ** j / mp.factorial(j) for j in range(l))
+    return (mp.e ** z - head) / z ** l
+
+
+@pytest.mark.parametrize("alpha_dt", [5.0, 93.0, 400.0])
+def test_all_orders_table_matches_per_order_and_oracle(alpha_dt):
+    # one pass on the Leja transplant x = q + theta xi of [-alpha_dt, 0]:
+    # row l holds theta^k phi_l[x_0..x_k]; the oracle is a 3000-bit
+    # recursive difference table
+    theta, q = alpha_dt / 4.0, -alpha_dt / 2.0
+    xs = q + theta * np.asarray(leja_points(64))
+    table = _phi_divided_diffs(xs, subdiag=theta)
+    assert table.shape == (MAX_ORDER + 1, xs.size)
+    powers = theta ** np.arange(xs.size)
+    with mp.workprec(3000):
+        mpnodes = [mp.mpf(float(x)) for x in xs]
+        for l in range(MAX_ORDER + 1):
+            per_order = divided_differences(l, xs).coeffs * powers
+            assert np.all(np.abs(table[l] - per_order) <= 1e-12 * np.abs(per_order)), l
+            cur = [_mp_phi(l, x) for x in mpnodes]
+            oracle = [cur[0]]
+            for j in range(1, xs.size):
+                cur = [(cur[i + 1] - cur[i]) / (mpnodes[i + j] - mpnodes[i])
+                       for i in range(len(cur) - 1)]
+                oracle.append(cur[0])
+            oracle = np.array([float(c * mp.mpf(theta) ** k) for k, c in enumerate(oracle)])
+            assert np.all(oracle > 0)
+            assert np.all(np.abs(table[l] - oracle) <= 1e-12 * oracle), l
+
+
+def test_table_prefix_does_not_depend_on_its_length():
+    # a table rebuilt for more nodes keeps the coefficients it had
+    theta, q = 23.25, -46.5
+    xs = q + theta * np.asarray(leja_points(256))
+    short = _phi_divided_diffs(xs[:64], subdiag=theta)
+    long = _phi_divided_diffs(xs, subdiag=theta)
+    assert np.all(np.abs(long[:, :64] - short) <= 1e-12 * np.abs(short))
