@@ -24,7 +24,7 @@ from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import RhsOperator, FrozenLinearization, jvp, remainder, estimate_alpha
 from xmhd.integrators import Scheme, step, error_norm
 from xmhd.controllers import ControllerConstants, traditional_next, cost_next, combine, accept
-from xmhd.mhd import StateGrid, MHDParams, Boundary, mhd_rhs, discrete_div_b, conserved_totals, apply_bc
+from xmhd.mhd import StateGrid, MHDParams, Boundary, RhsWorkspace, mhd_rhs, discrete_div_b, conserved_totals, apply_bc
 from xmhd.scenarios import make_scenario, initialize
 from xmhd.harness import RunConfig, run, make_reference, work_precision, divb_series
 

@@ -10,7 +10,6 @@ are deterministic for a fixed config and seed.
 """
 
 import csv
-import ctypes
 import hashlib
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -19,31 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-
-def _tune_allocator():
-    """Stop glibc from trimming/re-faulting the heap on every rhs evaluation.
-
-    The solver churns through ~100 few-hundred-kB temporaries per right-hand
-    side; with the default 128 kB trim/mmap thresholds glibc returns them to
-    the kernel each time and the next evaluation pays the page faults again
-    (measured 5x slowdown at 64^2).  Harmless no-op on non-glibc platforms.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(-1, 512 * 1024 * 1024)   # M_TRIM_THRESHOLD
-        libc.mallopt(-3, 64 * 1024 * 1024)    # M_MMAP_THRESHOLD
-    except (OSError, AttributeError):
-        pass
-
-
-_tune_allocator()
-
 from xmhd.controllers import (ControllerConstants, ControllerMode, accept,
                               combine, cost_next, traditional_next)
 from xmhd.integrators import Scheme, error_norm, step
 from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
-from xmhd.mhd import BX, BY, BZ, EN, MX, MY, MZ, RHO, discrete_div_b, mhd_rhs, \
-    conserved_totals, read_checkpoint, write_checkpoint
+from xmhd.mhd import BX, BY, BZ, EN, MX, MY, MZ, RHO, RhsWorkspace, discrete_div_b, \
+    mhd_rhs, conserved_totals, read_checkpoint, write_checkpoint
 from xmhd.scenarios import initialize
 
 #: CSV column order of every report row
@@ -139,7 +119,8 @@ def run(config):
     params = spec.params
     state0 = initialize(spec)
     geometry = state0
-    rhs_op = RhsOperator(lambda flat: mhd_rhs(geometry.with_flat(flat), params))
+    work = RhsWorkspace(state0.nx, state0.ny)
+    rhs_op = RhsOperator(lambda flat: mhd_rhs(geometry.with_flat(flat), params, work))
     rng = np.random.default_rng(config.rng_seed)
     consts = ControllerConstants()
     mode = config.controller

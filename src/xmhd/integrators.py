@@ -271,17 +271,31 @@ _TABLEAUS = {
 }
 
 
+def _weighted_sum(u, dt, weights, stages, scratch):
+    """u + dt * sum(w_j k_j), accumulated in place from zero as sum() does."""
+    acc = np.zeros_like(u)
+    for wj, kj in zip(weights, stages):
+        if wj != 0.0:
+            acc += np.multiply(kj, wj, out=scratch)
+    acc *= dt
+    acc += u
+    return acc
+
+
 def _step_explicit(scheme, rhs, u, dt):
     a, b, bhat = _TABLEAUS[scheme]
     stages = []
+    scratch = np.empty_like(u)
     for row in a:
         ui = u
         for coeff, kj in zip(row, stages):
             if coeff != 0.0:
-                ui = ui + dt * coeff * kj
+                if ui is u:
+                    ui = u.copy()
+                ui += np.multiply(kj, dt * coeff, out=scratch)
         stages.append(np.asarray(rhs(ui), dtype=float))
-    unew = u + dt * sum(bi * ki for bi, ki in zip(b, stages) if bi != 0.0)
-    ulow = u + dt * sum(bi * ki for bi, ki in zip(bhat, stages) if bi != 0.0)
+    unew = _weighted_sum(u, dt, b, stages, scratch)
+    ulow = _weighted_sum(u, dt, bhat, stages, scratch)
     return unew, error_norm(ulow, unew)
 
 

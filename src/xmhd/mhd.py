@@ -85,24 +85,36 @@ def _reflect_signs(axis):
     return signs.reshape(NVAR, 1, 1)
 
 
-def _pad(data, ghosts, params):
-    """Extend (8, ny, nx) field data by `ghosts` cells per side according to bc."""
+_SIGNS_X = _reflect_signs("x")
+_SIGNS_Y = _reflect_signs("y")
+
+
+def _pad(data, ghosts, params, out=None):
+    """Extend (8, ny, nx) field data by `ghosts` cells per side according to bc.
+
+    The result is written into `out` (shape (8, ny + 2g, nx + 2g)), or into
+    a new array when `out` is None.  x ghosts are filled first, so the
+    corners are the y-extension of the x-extended rows.
+    """
     g = ghosts
+    _, ny, nx = data.shape
+    if out is None:
+        out = np.empty((NVAR, ny + 2 * g, nx + 2 * g))
+    rows = out[:, g:g + ny]
+    rows[:, :, g:g + nx] = data
     if params.bc_x is Boundary.PERIODIC:
-        data = np.concatenate([data[:, :, -g:], data, data[:, :, :g]], axis=2)
+        rows[:, :, :g] = data[:, :, nx - g:]
+        rows[:, :, g + nx:] = data[:, :, :g]
     else:
-        s = _reflect_signs("x")
-        left = s * data[:, :, g - 1::-1]
-        right = s * data[:, :, :-g - 1:-1]
-        data = np.concatenate([left, data, right], axis=2)
+        np.multiply(data[:, :, g - 1::-1], _SIGNS_X, out=rows[:, :, :g])
+        np.multiply(data[:, :, :-g - 1:-1], _SIGNS_X, out=rows[:, :, g + nx:])
     if params.bc_y is Boundary.PERIODIC:
-        data = np.concatenate([data[:, -g:, :], data, data[:, :g, :]], axis=1)
+        out[:, :g] = out[:, ny:ny + g]
+        out[:, g + ny:] = out[:, g:2 * g]
     else:
-        s = _reflect_signs("y")
-        bottom = s * data[:, g - 1::-1, :]
-        top = s * data[:, :-g - 1:-1, :]
-        data = np.concatenate([bottom, data, top], axis=1)
-    return data
+        np.multiply(out[:, 2 * g - 1:g - 1:-1], _SIGNS_Y, out=out[:, :g])
+        np.multiply(out[:, g + ny - 1:ny - 1:-1], _SIGNS_Y, out=out[:, g + ny:])
+    return out
 
 
 def apply_bc(state, params):
@@ -110,21 +122,92 @@ def apply_bc(state, params):
     return _pad(state.data, 1, params)
 
 
-def _ddx(a, dx):
-    """Centered x-derivative; shrinks the array by one ring."""
-    return (a[..., 1:-1, 2:] - a[..., 1:-1, :-2]) / (2.0 * dx)
+def _ddx(a, dx, out):
+    """Centered x-derivative of `a` into `out`, which is one ring smaller."""
+    np.subtract(a[..., 1:-1, 2:], a[..., 1:-1, :-2], out=out)
+    return np.divide(out, 2.0 * dx, out=out)
 
 
-def _ddy(a, dy):
-    """Centered y-derivative; shrinks the array by one ring."""
-    return (a[..., 2:, 1:-1] - a[..., :-2, 1:-1]) / (2.0 * dy)
+def _ddy(a, dy, out):
+    """Centered y-derivative of `a` into `out`, which is one ring smaller."""
+    np.subtract(a[..., 2:, 1:-1], a[..., :-2, 1:-1], out=out)
+    return np.divide(out, 2.0 * dy, out=out)
 
 
 def _trim(a):
     return a[..., 1:-1, 1:-1]
 
 
-def mhd_rhs(state, params):
+# Rows of the padded cube once mhd_rhs has turned it into primitive
+# variables: each keeps the index of the conserved field it replaces.
+_VX, _VY, _VZ = MX, MY, MZ
+_TEMP, _B2 = RHO, EN
+
+
+class RhsWorkspace:
+    """Scratch arrays of mhd_rhs for one grid shape, reused across calls.
+
+    One block holds, with (ny+4, nx+4) "padded" and (ny+2, nx+2) "ring"
+    planes:
+
+    * ``pad``, 8 padded planes: the state with two ghost cells per side,
+      then the primitive variables in place (velocity over momentum,
+      temperature over density, B.B over energy);
+    * ``scalar``, 9 padded planes: pointwise products of the ideal terms;
+      once the last ideal flux is built, ``deriv`` reuses them as the
+      (8, ny, nx) scratch of the stencils;
+    * ``flux``, 8 padded planes: the flux cube of one direction, ideal and
+      then (as ``dflux``, 8 ring planes) diffusive;
+    * ``grad``, 2 x 8 ring planes: x and y derivatives of the primitives;
+    * ``tau``, 4 ring planes: one stress row and (2/3) div v.
+
+    A workspace carries nothing from one evaluation to the next.
+    """
+
+    def __init__(self, nx, ny):
+        self.nx, self.ny = nx, ny
+        padded = (ny + 4) * (nx + 4)
+        ring = (ny + 2) * (nx + 2)
+        pad, scalar, flux, grad, tau = np.split(
+            np.empty(25 * padded + 20 * ring),
+            np.cumsum([8 * padded, 9 * padded, 8 * padded, 16 * ring]))
+        self.pad = pad.reshape(NVAR, ny + 4, nx + 4)
+        self.scalar = scalar.reshape(9, ny + 4, nx + 4)
+        self.deriv = scalar[:NVAR * ny * nx].reshape(NVAR, ny, nx)
+        self.flux = flux.reshape(NVAR, ny + 4, nx + 4)
+        self.dflux = flux[:NVAR * ring].reshape(NVAR, ny + 2, nx + 2)
+        self.grad = grad.reshape(2, NVAR, ny + 2, nx + 2)
+        self.tau = tau.reshape(4, ny + 2, nx + 2)
+
+
+def _ideal_flux(d, f, p, s, mu0):
+    """Ideal flux of every field along direction d (0: x, 1: y) into f.
+
+    p is the primitive cube; s holds P_tot, E + P_tot, B.v and the shared
+    z-EMF in rows 1, 3, 4 and 5, and rows 6..8 are scratch.
+    """
+    ptot, e_ptot, bdotv, emf = s[1], s[3], s[4], s[5]
+    vel, mag, bb = p[_VX:_VZ + 1], p[BX:BZ + 1], s[6:9]
+    np.multiply(vel[d], p[RHO], out=f[RHO])                   # rho v_d
+    np.multiply(f[RHO], vel, out=f[MX:MZ + 1])                # rho v_d v_k
+    np.add(f[MX + d], ptot, out=f[MX + d])
+    np.divide(np.multiply(mag, mag[d], out=bb), mu0, out=bb)  # b_k b_d / mu0
+    np.subtract(f[MX:MZ + 1], bb, out=f[MX:MZ + 1])
+    # one shared z-EMF product, so the mixed divergence of the induction
+    # rows cancels exactly in the divergence of B
+    f[BX + d] = 0.0
+    if d == 0:
+        np.negative(emf, out=f[BY])
+    else:
+        np.copyto(f[BX], emf)
+    np.multiply(vel[d], mag[2], out=f[BZ])                    # v_d bz - b_d vz
+    np.subtract(f[BZ], np.multiply(mag[d], vel[2], out=bb[0]), out=f[BZ])
+    np.multiply(vel[d], e_ptot, out=f[EN])
+    np.multiply(mag[d], bdotv, out=bb[0])
+    np.subtract(f[EN], np.divide(bb[0], mu0, out=bb[0]), out=f[EN])
+
+
+def mhd_rhs(state, params, work=None):
     """Right-hand side dU/dt of the resistive MHD equations, as a flat vector.
 
     Ideal fluxes: momentum  rho v (x) v + (P + B^2/2 mu0) I - B (x) B / mu0,
@@ -134,93 +217,108 @@ def mhd_rhs(state, params):
     eta (grad(x)B - (grad(x)B)^T), and the energy row
     mu tau . v + mu kappa gamma/(gamma-1) grad T + eta (grad(B.B)/2 - (B.grad) B),
     with temperature T = P / rho.
+
+    `work` is an RhsWorkspace for the state's grid shape; without one a
+    fresh workspace is built.  The returned vector is always a new array.
     """
+    if work is None:
+        work = RhsWorkspace(state.nx, state.ny)
+    elif (work.nx, work.ny) != (state.nx, state.ny):
+        raise ValueError(f"workspace built for a {work.nx}x{work.ny} grid, "
+                         f"state is {state.nx}x{state.ny}")
     dx, dy = state.dx, state.dy
     gamma, mu0 = params.gamma, params.mu0
     mu, eta, kap = params.mu, params.eta, params.kappa
+    diffusive = mu != 0.0 or eta != 0.0 or kap != 0.0
 
     with np.errstate(all="ignore"):
-        p = _pad(state.data, 2, params)
-        rho = p[RHO]
-        vel = p[MX:MZ + 1] / rho                      # (3, .., ..)
-        vx, vy, vz = vel
-        bx, by, bz = p[BX], p[BY], p[BZ]
-        b2 = bx * bx + by * by + bz * bz
-        kin = 0.5 * rho * (vx * vx + vy * vy + vz * vz)
-        pres = (gamma - 1.0) * (p[EN] - kin - 0.5 * b2 / mu0)
-        ptot = pres + 0.5 * b2 / mu0
-        bdotv = bx * vx + by * vy + bz * vz
-        # single shared z-EMF product so the mixed divergence of the
-        # induction rows cancels exactly in the divergence of B
-        emf_z = vy * bx - by * vx
+        # each sum and product keeps the grouping of the formula it computes,
+        # e.g. ((E - kin) - B^2/2 mu0) (gamma - 1): adaptive runs follow
+        # last-bit roundoff, so neither reassociate nor turn a division into
+        # a multiplication by the reciprocal
+        p = _pad(state.data, 2, params, out=work.pad)
+        rho, en = p[RHO], p[EN]
+        np.divide(p[MX:MZ + 1], rho, out=p[_VX:_VZ + 1])
+        vx, vy, vz = p[_VX:_VZ + 1]
+        bx, by, bz = p[BX:BZ + 1]
+        s = work.scalar
+        b2, ptot, pres, e_ptot, bdotv, emf, tmp = s[:7]
+        np.multiply(bx, bx, out=b2)
+        np.add(b2, np.multiply(by, by, out=tmp), out=b2)
+        np.add(b2, np.multiply(bz, bz, out=tmp), out=b2)
+        kin = ptot
+        np.multiply(vx, vx, out=kin)
+        np.add(kin, np.multiply(vy, vy, out=tmp), out=kin)
+        np.add(kin, np.multiply(vz, vz, out=tmp), out=kin)
+        np.multiply(kin, np.multiply(rho, 0.5, out=tmp), out=kin)
+        np.subtract(en, kin, out=pres)
+        half_b2 = np.divide(np.multiply(b2, 0.5, out=e_ptot), mu0, out=e_ptot)
+        np.subtract(pres, half_b2, out=pres)
+        np.multiply(pres, gamma - 1.0, out=pres)
+        np.add(pres, half_b2, out=ptot)
+        np.add(en, ptot, out=e_ptot)
+        if diffusive:
+            np.divide(pres, rho, out=pres)                    # temperature
+        np.multiply(bx, vx, out=bdotv)
+        np.add(bdotv, np.multiply(by, vy, out=tmp), out=bdotv)
+        np.add(bdotv, np.multiply(bz, vz, out=tmp), out=bdotv)
+        np.multiply(vy, bx, out=emf)
+        np.subtract(emf, np.multiply(by, vx, out=tmp), out=emf)
 
-        # ideal fluxes, assembled as one cube per direction and
-        # differentiated in a single fused stencil application each
-        flux_x = np.empty_like(p)
-        flux_y = np.empty_like(p)
-        flux_x[RHO] = rho * vx
-        flux_y[RHO] = rho * vy
-        flux_x[MX] = rho * vx * vx + ptot - bx * bx / mu0
-        flux_y[MX] = rho * vy * vx - by * bx / mu0
-        flux_x[MY] = rho * vx * vy - bx * by / mu0
-        flux_y[MY] = rho * vy * vy + ptot - by * by / mu0
-        flux_x[MZ] = rho * vx * vz - bx * bz / mu0
-        flux_y[MZ] = rho * vy * vz - by * bz / mu0
-        flux_x[BX] = 0.0
-        flux_y[BX] = emf_z
-        flux_x[BY] = -emf_z
-        flux_y[BY] = 0.0
-        flux_x[BZ] = vx * bz - bx * vz
-        flux_y[BZ] = vy * bz - by * vz
-        flux_x[EN] = (p[EN] + ptot) * vx - bx * bdotv / mu0
-        flux_y[EN] = (p[EN] + ptot) * vy - by * bdotv / mu0
-        out = -_ddx(_trim(flux_x), dx)
-        out -= _ddy(_trim(flux_y), dy)
+        # ideal fluxes, one direction at a time, each differentiated in a
+        # single fused stencil application
+        f = work.flux
+        out = np.empty((NVAR, state.ny, state.nx))
+        _ideal_flux(0, f, p, s, mu0)
+        np.negative(_ddx(_trim(f), dx, out), out=out)
+        _ideal_flux(1, f, p, s, mu0)
+        if diffusive:
+            np.copyto(p[_TEMP], pres)
+            np.copyto(p[_B2], b2)
+        # from here on the scalar planes are free: work.deriv overlays them
+        np.subtract(out, _ddy(_trim(f), dy, work.deriv), out=out)
 
         # diffusive fluxes (first derivatives live on the level-1 ring)
-        if mu != 0.0 or eta != 0.0 or kap != 0.0:
-            dvel_dx = _ddx(vel, dx)
-            dvel_dy = _ddy(vel, dy)
-            divv = dvel_dx[0] + dvel_dy[1]
-            tau_xx = 2.0 * dvel_dx[0] - (2.0 / 3.0) * divv
-            tau_yy = 2.0 * dvel_dy[1] - (2.0 / 3.0) * divv
-            tau_xy = dvel_dy[0] + dvel_dx[1]
-            tau_xz = dvel_dx[2]
-            tau_yz = dvel_dy[2]
-
-            # the shared z-current keeps the divergence of B exact again
-            curl_z = eta * (_ddx(by, dx) - _ddy(bx, dy))
-            dbz_dx = _ddx(bz, dx)
-            dbz_dy = _ddy(bz, dy)
-
-            vx1, vy1, vz1 = _trim(vx), _trim(vy), _trim(vz)
+        if diffusive:
+            grad = work.grad
+            gx, gy = grad
+            _ddx(p, dx, gx)
+            _ddy(p, dy, gy)
+            p1 = _trim(p)
+            tau, divv = work.tau[:3], work.tau[3]
+            np.add(gx[_VX], gy[_VY], out=divv)
+            np.multiply(divv, 2.0 / 3.0, out=divv)
             cond = mu * kap * gamma / (gamma - 1.0)
-            temp = pres / rho
-            bx1, by1 = _trim(bx), _trim(by)
-            dbx_dx, dbx_dy = _ddx(bx, dx), _ddy(bx, dy)
-            dby_dx, dby_dy = _ddx(by, dx), _ddy(by, dy)
-
-            n1y, n1x = tau_xx.shape
-            gx = np.zeros((NVAR, n1y, n1x))
-            gy = np.zeros((NVAR, n1y, n1x))
-            gx[MX] = mu * tau_xx
-            gy[MX] = mu * tau_xy
-            gx[MY] = mu * tau_xy
-            gy[MY] = mu * tau_yy
-            gx[MZ] = mu * tau_xz
-            gy[MZ] = mu * tau_yz
-            gy[BX] = -curl_z
-            gx[BY] = curl_z
-            gx[BZ] = eta * dbz_dx
-            gy[BZ] = eta * dbz_dy
-            gx[EN] = (mu * (tau_xx * vx1 + tau_xy * vy1 + tau_xz * vz1)
-                      + cond * _ddx(temp, dx)
-                      + eta * (0.5 * _ddx(b2, dx) - (bx1 * dbx_dx + by1 * dbx_dy)))
-            gy[EN] = (mu * (tau_xy * vx1 + tau_yy * vy1 + tau_yz * vz1)
-                      + cond * _ddy(temp, dy)
-                      + eta * (0.5 * _ddy(b2, dy) - (bx1 * dby_dx + by1 * dby_dy)))
-            out += _ddx(gx, dx)
-            out += _ddy(gy, dy)
+            g = work.dflux
+            g[RHO] = 0.0
+            for d, stencil, h in ((0, _ddx, dx), (1, _ddy, dy)):
+                # stress row d: (tau_dx, tau_dy, tau_dz)
+                np.multiply(grad[d, _VX + d], 2.0, out=tau[d])
+                np.subtract(tau[d], divv, out=tau[d])
+                np.add(gy[_VX], gx[_VY], out=tau[1 - d])
+                np.copyto(tau[2], grad[d, _VZ])
+                np.multiply(tau, mu, out=g[MX:MZ + 1])
+                # the shared z-current keeps the divergence of B exact again
+                g[BX + d] = 0.0
+                curl_z = g[BY - d]
+                np.subtract(gx[BY], gy[BX], out=curl_z)
+                np.multiply(curl_z, eta, out=curl_z)
+                if d == 1:
+                    np.negative(curl_z, out=curl_z)
+                np.multiply(grad[d, BZ], eta, out=g[BZ])
+                # energy: mu tau_d.v + cond d_d T + eta (d_d(B.B)/2 - (B.grad) b_d)
+                gen = g[EN]
+                np.multiply(tau, p1[_VX:_VZ + 1], out=tau)
+                np.add(tau[0], tau[1], out=gen)
+                np.add(gen, tau[2], out=gen)
+                np.multiply(gen, mu, out=gen)
+                np.add(gen, np.multiply(grad[d, _TEMP], cond, out=tau[0]), out=gen)
+                np.multiply(gx[BX + d], p1[BX], out=tau[0])
+                np.add(tau[0], np.multiply(gy[BX + d], p1[BY], out=tau[1]), out=tau[0])
+                np.multiply(grad[d, _B2], 0.5, out=tau[1])
+                np.subtract(tau[1], tau[0], out=tau[1])
+                np.add(gen, np.multiply(tau[1], eta, out=tau[1]), out=gen)
+                np.add(out, stencil(g, h, work.deriv), out=out)
 
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))

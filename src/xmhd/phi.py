@@ -52,9 +52,12 @@ def _expm_taylor(a):
     norm = np.linalg.norm(a, 1)
     s = int(math.ceil(math.log2(max(1.0, norm / _TAYLOR_RADIUS))))
     b = a / (2.0 ** s)
-    f = np.eye(a.shape[0])
+    m = a.shape[0]
+    f = np.eye(m)
     for k in range(_TAYLOR_DEGREE, 0, -1):
-        f = np.eye(a.shape[0]) + (b @ f) / k
+        f = b @ f
+        f /= k
+        f.reshape(-1)[::m + 1] += 1.0    # f = I + (b @ f) / k
     for _ in range(s):
         f = f @ f
     return f

@@ -253,6 +253,7 @@ def test_criterion_8_spectrum_caching():
               f"(<= {10*tol:.0e}); power-iteration share {100*frac:.2f}% < 5%")
 
 
+@pytest.mark.slow
 def test_criterion_9_tolerance_fidelity(khi64, tmp_path):
     cfg, ref_path = khi64
     tols = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xmhd.integrators import (EPIRK5P1_COEFFS, Scheme, error_norm, step)
+from xmhd.integrators import (_TABLEAUS, EPIRK5P1_COEFFS, Scheme, error_norm,
+                               step)
 from xmhd.linearize import RhsOperator
 from xmhd.phi import phi_dense
 from tests._problems import (observed_order, random_negative_spectrum,
@@ -49,6 +50,27 @@ def test_error_norm_matches_componentwise_oracle():
     num = np.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
     den = np.sqrt(sum(y ** 2 for y in b))
     assert error_norm(a, b) == pytest.approx(num / den, rel=1e-14)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RK43, Scheme.DOPRI54])
+def test_explicit_step_matches_generator_sum_reference(scheme):
+    # the in-place stage sums must keep the arithmetic of the plain sums
+    a, b, bhat = _TABLEAUS[scheme]
+    f = lambda u: np.sin(3.0 * u) - 0.5 * u * u * u
+    u = np.random.default_rng(9).standard_normal(50)
+    dt = 0.07
+    stages = []
+    for row in a:
+        ui = u
+        for coeff, kj in zip(row, stages):
+            if coeff != 0.0:
+                ui = ui + dt * coeff * kj
+        stages.append(f(ui))
+    unew = u + dt * sum(bi * ki for bi, ki in zip(b, stages) if bi != 0.0)
+    ulow = u + dt * sum(bi * ki for bi, ki in zip(bhat, stages) if bi != 0.0)
+    res = step(scheme, RhsOperator(f), u, dt)
+    assert res.new_state.tobytes() == unew.tobytes()
+    assert res.error_estimate == error_norm(ulow, unew)
 
 
 def test_rosenbrock_euler_exact_on_linear():

@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xmhd.linearize import RhsBlowupError
 from xmhd.mhd import (BX, BY, BZ, EN, MX, MY, MZ, NVAR, RHO, Boundary,
-                      MHDParams, StateGrid, apply_bc, conserved_totals,
-                      discrete_div_b, mhd_rhs, read_checkpoint,
-                      write_checkpoint)
+                      MHDParams, RhsWorkspace, StateGrid, apply_bc,
+                      conserved_totals, discrete_div_b, mhd_rhs,
+                      read_checkpoint, write_checkpoint)
 
 
 def uniform_state(nx=16, ny=12, dx=0.1, dy=0.15):
@@ -117,6 +120,96 @@ def test_rhs_preserves_discrete_div_b_identity():
     div_rate = discrete_div_b(gdot, params)
     scale = max(np.abs(out[BX]).max(), np.abs(out[BY]).max()) / 0.1
     assert np.abs(div_rate).max() <= 1e-12 * max(1.0, scale)
+
+
+IDEAL = (0.0, 0.0, 0.0)
+RESISTIVE = (0.01, 0.02, 0.5)
+
+
+@pytest.mark.parametrize("bc_x", list(Boundary))
+@pytest.mark.parametrize("bc_y", list(Boundary))
+def test_workspace_reuse_is_stateless(bc_x, bc_y):
+    # A, B, A through one workspace: the second A must not see B's ghost
+    # cells or scratch, and the first result must not alias the workspace
+    params = MHDParams(*RESISTIVE, bc_x=bc_x, bc_y=bc_y)
+    a = random_state(np.random.default_rng(41), nx=12, ny=10, dy=0.15)
+    b = random_state(np.random.default_rng(43), nx=12, ny=10, dy=0.15)
+    b.data *= 3.0
+    ideal = MHDParams(*IDEAL, bc_x=bc_x, bc_y=bc_y)
+    expect = mhd_rhs(a, params)
+    work = RhsWorkspace(12, 10)
+    first = mhd_rhs(a, params, work)
+    assert mhd_rhs(b, params, work).tobytes() == mhd_rhs(b, params).tobytes()
+    assert mhd_rhs(b, ideal, work).tobytes() == mhd_rhs(b, ideal).tobytes()
+    again = mhd_rhs(a, params, work)
+    assert first.tobytes() == expect.tobytes()
+    assert again.tobytes() == expect.tobytes()
+
+
+def test_workspace_for_another_grid_is_refused():
+    g = random_state(np.random.default_rng(47), nx=12, ny=10)
+    params = MHDParams(*IDEAL)
+    with pytest.raises(ValueError, match="10x12"):
+        mhd_rhs(g, params, RhsWorkspace(10, 12))
+    mhd_rhs(g, params, RhsWorkspace(12, 10))
+
+
+# sha256 of the rhs bytes, recorded from the implementation that allocated
+# every temporary per call.  The rhs uses only correctly rounded + - * /,
+# so these hold on any IEEE-754 platform; a change of operation order
+# breaks them, and adaptive runs drift with last-bit differences.
+RHS_SHA256 = {
+    ("periodic", IDEAL): "b1929b9b27b8484119e259ec21b926cdf97e424874ddf3a97d0d808ae3db2160",
+    ("periodic", RESISTIVE): "7e3abe20c4d9a7a5b2659b8251b1b9ab5b3cd8b0509dd447840d4944f3c87312",
+    ("reflecting", IDEAL): "523854de4dc1556f6677f4b58276886ad3c16c71fd3ece8004c2c7c8511c51c8",
+    ("reflecting", RESISTIVE): "acef6b5ca619d11f5efe31a80bb03e44914d4c602c5e2de7d6ec450dccf23ec1",
+}
+
+
+@pytest.mark.parametrize("bc,coeffs", list(RHS_SHA256))
+def test_rhs_golden_hash(bc, coeffs):
+    bc = Boundary(bc)
+    g = random_state(np.random.default_rng(7), nx=12, ny=10, dx=0.1, dy=0.15)
+    out = mhd_rhs(g, MHDParams(*coeffs, bc_x=bc, bc_y=bc))
+    digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
+    assert digest == RHS_SHA256[(bc.value, coeffs)]
+
+
+rhs_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "nx": st.integers(4, 20),
+    "ny": st.integers(4, 20),
+    "dx": st.floats(0.01, 1.0),
+    "dy": st.floats(0.01, 1.0),
+    "bc_x": st.sampled_from(list(Boundary)),
+    "bc_y": st.sampled_from(list(Boundary)),
+    "coeffs": st.tuples(*[st.sampled_from([0.0, 1e-3, 0.05]) for _ in range(3)]),
+})
+
+
+def _random_case(case):
+    g = random_state(np.random.default_rng(case["seed"]), case["nx"], case["ny"],
+                     case["dx"], case["dy"])
+    params = MHDParams(*case["coeffs"], bc_x=case["bc_x"], bc_y=case["bc_y"])
+    return g, params, mhd_rhs(g, params).reshape(NVAR, case["ny"], case["nx"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rhs_cases)
+def test_rhs_induction_rows_keep_div_b(case):
+    g, params, out = _random_case(case)
+    rate = StateGrid.zeros(g.nx, g.ny, g.dx, g.dy)
+    rate.data[BX], rate.data[BY] = out[BX], out[BY]
+    div_rate = discrete_div_b(rate, params)
+    scale = max(np.abs(out[BX]).max(), np.abs(out[BY]).max()) / min(g.dx, g.dy)
+    assert np.abs(div_rate).max() <= 1e-13 * max(1.0, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rhs_cases)
+def test_rhs_total_mass_flux_vanishes(case):
+    _, _, out = _random_case(case)
+    assert abs(out[RHO].sum()) <= 1e-13 * max(1.0, np.abs(out[RHO]).sum())
 
 
 def test_conserved_totals():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from xmhd.leja import leja_points
-from xmhd.phi import (MAX_ORDER, DividedDiffTable, _phi_divided_diffs,
+from xmhd.phi import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, MAX_ORDER,
+                      DividedDiffTable, _expm_taylor, _phi_divided_diffs,
                       divided_differences, newton_eval, phi_dense, phi_scalar)
 
 
@@ -78,6 +79,23 @@ def test_phi_dense_commutes_with_argument():
         f = phi_dense(l, a)
         comm = np.linalg.norm(a @ f - f @ a)
         assert comm <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(f)
+
+
+def test_expm_taylor_matches_identity_building_reference():
+    # the Horner loop adds 1 to the diagonal in place; the reference builds
+    # a fresh identity per term and must give the same values
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 7, 40):
+        for scale in (0.01, 1.0, 30.0, 400.0):
+            a = scale * rng.standard_normal((m, m)) / np.sqrt(m)
+            s = int(math.ceil(math.log2(max(1.0, np.linalg.norm(a, 1) / _TAYLOR_RADIUS))))
+            b = a / (2.0 ** s)
+            f = np.eye(m)
+            for k in range(_TAYLOR_DEGREE, 0, -1):
+                f = np.eye(m) + (b @ f) / k
+            for _ in range(s):
+                f = f @ f
+            assert np.array_equal(_expm_taylor(a), f)
 
 
 def test_divided_differences_single_node():
