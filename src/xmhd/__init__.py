@@ -21,7 +21,7 @@ The package bundles three layers:
 from xmhd.phi import phi_scalar, phi_dense, divided_differences
 from xmhd.leja import leja_points, shift_and_scale, apply_phi_leja
 from xmhd.krylov import apply_phi_krylov
-from xmhd.linearize import RhsOperator, FrozenLinearization, jvp, remainder, estimate_alpha
+from xmhd.linearize import RhsOperator, FrozenLinearization, jvp, estimate_alpha
 from xmhd.integrators import Scheme, step, error_norm
 from xmhd.controllers import ControllerConstants, traditional_next, cost_next, combine, accept
 from xmhd.mhd import StateGrid, MHDParams, Boundary, RhsWorkspace, mhd_rhs, discrete_div_b, conserved_totals, apply_bc

@@ -4,6 +4,7 @@ The cost controller descends the logarithmic cost-per-unit-time surface by a
 finite-difference gradient step, with the saturation/dead-zone constants of
 the cost-minimizing controller literature; the combined mode takes the
 minimum of the two proposals so the error requirement always wins.
+ControllerState applies the chosen mode over one run.
 """
 
 import math
@@ -34,10 +35,34 @@ class ControllerMode(Enum):
 
 @dataclass
 class ControllerState:
-    """Previous accepted step's size and cost proxy (i^{n-1} / dt^{n-1})."""
+    """The step-size policy of one run.
+
+    Holds the mode, the tolerance, the embedded order p of the scheme and the
+    previous accepted step's size and cost proxy (i^{n-1} / dt^{n-1}).  The
+    first accepted step has no predecessor, so every mode takes the
+    traditional proposal there.
+    """
+    mode: ControllerMode
+    tol: float
+    p: int
     dt_prev: float | None = None
     cost_prev: float | None = None
-    mode: ControllerMode = ControllerMode.COMBINED
+
+    def after_reject(self, dt, err):
+        """Step size for another attempt after the error estimate exceeded tol."""
+        return traditional_next(dt, err, self.tol, self.p)
+
+    def after_accept(self, dt, err, cost):
+        """Step size after an accepted step of size dt, error err and cost proxy cost."""
+        dt_trad = traditional_next(dt, err, self.tol, self.p)
+        if self.mode is ControllerMode.TRADITIONAL or self.dt_prev is None:
+            dt_next = dt_trad
+        else:
+            dt_cost = cost_next(dt, self.dt_prev, cost, self.cost_prev)
+            dt_next = dt_cost if self.mode is ControllerMode.COST \
+                else combine(dt_cost, dt_trad)
+        self.dt_prev, self.cost_prev = dt, cost
+        return dt_next
 
 
 def traditional_next(dt, err, tol, p, consts=DEFAULT_CONSTANTS):

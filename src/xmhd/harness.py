@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from xmhd.controllers import (ControllerConstants, ControllerMode, accept,
-                              combine, cost_next, traditional_next)
+from xmhd.controllers import ControllerMode, ControllerState, accept
 from xmhd.integrators import Scheme, error_norm, step
 from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.mhd import BX, BY, BZ, EN, MX, MY, MZ, RHO, RhsWorkspace, discrete_div_b, \
@@ -79,8 +78,6 @@ class RunReport:
     max_divb: float = 0.0
     mass_drift: float = 0.0
     divb_series: list = field(default_factory=list)
-    initial_totals: dict = field(default_factory=dict)
-    final_totals: dict = field(default_factory=dict)
 
 
 def _initial_dt(state, params):
@@ -122,13 +119,11 @@ def run(config):
     work = RhsWorkspace(state0.nx, state0.ny)
     rhs_op = RhsOperator(lambda flat: mhd_rhs(geometry.with_flat(flat), params, work))
     rng = np.random.default_rng(config.rng_seed)
-    consts = ControllerConstants()
-    mode = config.controller
-    p_ctrl = config.scheme.embedded_order
+    controller = ControllerState(config.controller, config.tol, config.scheme.embedded_order)
 
     u = state0.flat().copy()
     report = RunReport()
-    report.initial_totals = conserved_totals(state0)
+    mass0 = conserved_totals(state0)["rho"]
     report.max_divb = float(np.max(np.abs(discrete_div_b(state0, params))))
     if config.divb_every > 0:
         report.divb_series.append((0.0, report.max_divb))
@@ -139,8 +134,6 @@ def run(config):
     t_final = spec.t_final
     dt = min(_initial_dt(state0, params), t_final) if t_final > 0 else 0.0
     est = None
-    dt_prev = cost_prev = None
-    consecutive_rejects = 0
     started = _time.perf_counter()
 
     while t < t_final - 1e-14 * max(1.0, t_final):
@@ -160,47 +153,33 @@ def run(config):
             est = estimate_alpha(lin, est, interval=config.spectrum_interval, rng=rng)
             report.spectrum_rhs_evals += rhs_op.calls - before_spec
 
-        # attempt loop: phi non-convergence halves dt, error excess uses the
-        # traditional proposal; bookkeeping only advances on acceptance
-        while True:
-            calls_before = rhs_op.calls
+        # attempt loop: phi non-convergence halves dt, an error excess retries
+        # with the traditional proposal
+        for _ in range(MAX_CONSECUTIVE_REJECTIONS):
+            attempt_start = rhs_op.calls
             res = step(config.scheme, rhs_op, u, dt, method=config.method,
                        alpha=est, tol=config.tol, lin=lin)
-            spent = rhs_op.calls - calls_before
-            if res.converged and accept(res.error_estimate, config.tol):
+            ok = bool(res.converged and accept(res.error_estimate, config.tol))
+            # an accepted step's cost proxy counts every rhs evaluation the step
+            # needed (base evaluation, spectral refresh, rejected attempts included)
+            spent = rhs_op.calls - (step_calls_start if ok else attempt_start)
+            rec = StepRecord(t=t + dt if ok else t, dt=dt, error=res.error_estimate,
+                             rhs_calls=spent, phi_iterations=res.phi_iterations,
+                             phi_applications=res.phi_applications, accepted=ok,
+                             cost=spent / dt)
+            report.steps.append(rec)
+            if ok:
                 break
             report.rejected += 1
-            consecutive_rejects += 1
-            report.steps.append(StepRecord(t=t, dt=dt, error=res.error_estimate,
-                                           rhs_calls=spent,
-                                           phi_iterations=res.phi_iterations,
-                                           phi_applications=res.phi_applications,
-                                           accepted=False, cost=spent / dt))
-            if consecutive_rejects >= MAX_CONSECUTIVE_REJECTIONS:
-                report.status = "failed: too many consecutive rejections"
-                break
-            if not res.converged:
-                dt = 0.5 * dt
-            else:
-                dt = traditional_next(dt, res.error_estimate, config.tol,
-                                      p_ctrl, consts)
-        if report.status != "ok":
+            dt = controller.after_reject(dt, rec.error) if res.converged else 0.5 * dt
+        else:
+            report.status = "failed: too many consecutive rejections"
             break
 
-        # accepted; the cost proxy counts every rhs evaluation the step needed
-        # (base evaluation, spectral refresh, rejected attempts included)
-        consecutive_rejects = 0
-        t = t + dt
+        t = rec.t
         u = res.new_state
-        err = res.error_estimate
-        i_n = rhs_op.calls - step_calls_start
-        cost = i_n / dt
         report.accepted += 1
         report.phi_iterations += res.phi_iterations
-        report.steps.append(StepRecord(t=t, dt=dt, error=err, rhs_calls=i_n,
-                                       phi_iterations=res.phi_iterations,
-                                       phi_applications=res.phi_applications,
-                                       accepted=True, cost=cost))
 
         state = geometry.with_flat(u)
         divb = float(np.max(np.abs(discrete_div_b(state, params))))
@@ -215,17 +194,7 @@ def run(config):
                              state, t)
             next_checkpoint += config.checkpoint_every
 
-        # controller proposals for the next step
-        dt_trad = traditional_next(dt, err, config.tol, p_ctrl, consts)
-        if mode is ControllerMode.TRADITIONAL or dt_prev is None:
-            dt_next = dt_trad
-        else:
-            dt_cost = cost_next(dt, dt_prev, cost, cost_prev, consts)
-            dt_next = dt_cost if mode is ControllerMode.COST \
-                else combine(dt_cost, dt_trad)
-        dt_prev, cost_prev = dt, cost
-        dt = dt_next
-
+        dt = controller.after_accept(dt, rec.error, rec.cost)
         if not np.all(np.isfinite(u)):
             report.status = "failed: non-finite state"
             break
@@ -236,9 +205,8 @@ def run(config):
     final_state = geometry.with_flat(u)
     report.final_state = final_state
     report.checksum = _checksum(u)
-    report.final_totals = conserved_totals(final_state)
-    m0 = report.initial_totals["rho"]
-    report.mass_drift = abs(report.final_totals["rho"] - m0) / abs(m0) if m0 else 0.0
+    mass = conserved_totals(final_state)["rho"]
+    report.mass_drift = abs(mass - mass0) / abs(mass0) if mass0 else 0.0
     if report.status != "ok" and config.output_dir is not None:
         config.output_dir.mkdir(parents=True, exist_ok=True)
         write_checkpoint(Path(config.output_dir) / "abort.chk", final_state, t)

@@ -1,16 +1,17 @@
 """Single-step time integrators.
 
-Exponential schemes (exponential/Rosenbrock-Euler, EXPRB43, EXPRB54s4,
-EPIRK5P1) delegate every phi-function action to the Leja or Krylov engine;
-explicit embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince 5(4)) serve
+Exponential schemes (Rosenbrock-Euler, EXPRB43, EXPRB54s4, EPIRK5P1)
+delegate every phi-function action to the Leja or Krylov engine; explicit
+embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince 5(4)) serve
 as baselines and never touch the phi machinery.  A step reports its embedded
-error estimate, rhs-call and phi-action counts, and a converged flag that
-the driver turns into dt-halving retries.
+error estimate, phi-action counts, and a converged flag that the run loop
+turns into dt-halving retries.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from xmhd.linearize import FrozenLinearization, RhsBlowupError, SpectralEstimate
 
 
 class Scheme(Enum):
-    EXP_EULER = "exp-euler"
     ROS_EULER = "ros-euler"
     EXPRB43 = "exprb43"
     EXPRB54S4 = "exprb54s4"
@@ -42,7 +42,6 @@ class Scheme(Enum):
 
 
 _ORDERS = {
-    Scheme.EXP_EULER: (1, None),
     Scheme.ROS_EULER: (2, None),
     Scheme.EXPRB43: (4, 3),
     Scheme.EXPRB54S4: (5, 4),
@@ -78,7 +77,6 @@ EPIRK5P1_COEFFS = Epirk5p1Coefficients()
 class StepResult:
     new_state: np.ndarray
     error_estimate: float
-    rhs_calls: int
     phi_iterations: int
     phi_applications: int
     converged: bool
@@ -226,14 +224,6 @@ def _step_epirk5p1(lin, broker, u, dt, rhs):
     return u5, error_norm(u4, u5)
 
 
-_EXPONENTIAL_STEPS = {
-    Scheme.EXP_EULER: _step_euler,
-    Scheme.ROS_EULER: _step_euler,
-    Scheme.EXPRB43: _step_exprb43,
-    Scheme.EXPRB54S4: _step_exprb54s4,
-    Scheme.EPIRK5P1: _step_epirk5p1,
-}
-
 # Zonneveld's 4(3) pair: classical RK4 plus one extra stage for the
 # third-order companion.
 _RK43_C = np.array([0.0, 0.5, 0.5, 1.0, 0.75])
@@ -282,8 +272,9 @@ def _weighted_sum(u, dt, weights, stages, scratch):
     return acc
 
 
-def _step_explicit(scheme, rhs, u, dt):
-    a, b, bhat = _TABLEAUS[scheme]
+def _step_explicit(tableau, lin, broker, u, dt, rhs):
+    # an explicit pair uses neither the linearization nor the phi broker
+    a, b, bhat = tableau
     stages = []
     scratch = np.empty_like(u)
     for row in a:
@@ -299,6 +290,16 @@ def _step_explicit(scheme, rhs, u, dt):
     return unew, error_norm(ulow, unew)
 
 
+_STEPS = {
+    Scheme.ROS_EULER: _step_euler,
+    Scheme.EXPRB43: _step_exprb43,
+    Scheme.EXPRB54S4: _step_exprb54s4,
+    Scheme.EPIRK5P1: _step_epirk5p1,
+    Scheme.RK43: partial(_step_explicit, _TABLEAUS[Scheme.RK43]),
+    Scheme.DOPRI54: partial(_step_explicit, _TABLEAUS[Scheme.DOPRI54]),
+}
+
+
 def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     """Advance the state u by one step of the given scheme.
 
@@ -311,28 +312,17 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = np.asarray(u, dtype=float)
-    calls_before = rhs.calls
-
-    if not scheme.is_exponential:
-        try:
-            unew, err = _step_explicit(scheme, rhs, u, dt)
-            ok = np.all(np.isfinite(unew)) and np.isfinite(err)
-        except (RhsBlowupError, FloatingPointError):
-            unew, err, ok = u, np.inf, False
-        return StepResult(new_state=unew, error_estimate=err,
-                          rhs_calls=rhs.calls - calls_before,
-                          phi_iterations=0, phi_applications=0, converged=bool(ok))
-
-    mag = alpha.alpha if isinstance(alpha, SpectralEstimate) else float(alpha)
-    if lin is None:
-        lin = FrozenLinearization(rhs, u)
-    broker = _PhiBroker(lin, dt, mag, tol, method)
+    if scheme.is_exponential:
+        alpha = alpha.alpha if isinstance(alpha, SpectralEstimate) else float(alpha)
+        if lin is None:
+            lin = FrozenLinearization(rhs, u)
+    # explicit schemes never apply the broker, so they report zero phi work
+    broker = _PhiBroker(lin, dt, alpha, tol, method)
     try:
-        unew, err = _EXPONENTIAL_STEPS[scheme](lin, broker, u, dt, rhs)
+        unew, err = _STEPS[scheme](lin, broker, u, dt, rhs)
         ok = (not broker.failed) and np.all(np.isfinite(unew)) and np.isfinite(err)
     except (RhsBlowupError, FloatingPointError):
         unew, err, ok = u, np.inf, False
     return StepResult(new_state=unew, error_estimate=err,
-                      rhs_calls=rhs.calls - calls_before,
                       phi_iterations=broker.iterations,
                       phi_applications=broker.applications, converged=bool(ok))

@@ -152,7 +152,9 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, table=None):
         np.multiply(w, dt / theta, out=buf)
         y *= -(q / theta + xi[m - 1])
         y += buf
-        norm_y = np.linalg.norm(y)
+        with np.errstate(over="ignore"):
+            # an escaping basis may overflow the squared norm: inf is caught below
+            norm_y = np.linalg.norm(y)
         if not np.isfinite(norm_y) or norm_y > blowup:
             # the Newton basis only explodes like this when the spectrum
             # escaped the interpolation interval; report non-convergence

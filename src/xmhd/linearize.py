@@ -1,4 +1,4 @@
-"""Matrix-free Jacobian actions, nonlinear remainders, spectral estimates.
+"""Matrix-free Jacobian actions and spectral estimates.
 
 Everything the integrators know about the problem flows through a counted
 right-hand-side operator: Jacobian-vector products are forward finite
@@ -65,14 +65,6 @@ def jvp(lin, w):
         return np.zeros_like(lin.base_state)
     eps = _SQRT_EPS * max(1.0, lin._base_norm) / max(wnorm, 1e-300)
     return (lin.rhs(lin.base_state + eps * w) - lin.base_rhs) / eps
-
-
-def remainder(lin, w, f_w):
-    """Nonlinear remainder f(w) - J w with the Jacobian frozen at the base state.
-
-    The caller supplies f_w so that stages can share rhs evaluations.
-    """
-    return np.asarray(f_w, dtype=float) - jvp(lin, w)
 
 
 @dataclass

@@ -90,7 +90,7 @@ def test_numerical_abort_exit_code(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("integrator", ["exp-euler", "ros-euler"])
+@pytest.mark.parametrize("integrator", ["ros-euler"])
 def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
                                                            monkeypatch, integrator):
     import xmhd.cli

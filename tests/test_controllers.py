@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from xmhd.controllers import (ControllerConstants, accept, combine, cost_next,
-                              traditional_next)
+from xmhd.controllers import (ControllerConstants, ControllerMode, ControllerState,
+                              accept, combine, cost_next, traditional_next)
 
 C = ControllerConstants()
 
@@ -92,3 +92,35 @@ def test_accept_boundary():
     assert accept(0.5e-6, 1e-6)
     assert accept(1e-6, 1e-6)
     assert not accept(2e-6, 1e-6)
+
+
+# accepted steps (dt, err, cost); the combined mode takes the cost proposal
+# after the fifth step and the traditional one after every other
+SEQ = [(0.01, 2e-5, 900.0), (0.013, 8e-5, 760.0), (0.02, 3e-5, 610.0),
+       (0.02, 9e-5, 600.0), (0.015, 1e-6, 700.0), (0.011, 5e-5, 820.0)]
+TOL, P = 1e-4, 3
+
+
+def _expected_proposals():
+    trad = [traditional_next(dt, err, TOL, P, C) for dt, err, _ in SEQ]
+    cost = [cost_next(dt, dt0, c, c0, C) for (dt0, _, c0), (dt, _, c) in zip(SEQ, SEQ[1:])]
+    return {
+        ControllerMode.TRADITIONAL: trad,
+        ControllerMode.COST: trad[:1] + cost,
+        ControllerMode.COMBINED: trad[:1] + [combine(a, b) for a, b in zip(cost, trad[1:])],
+    }
+
+
+@pytest.mark.parametrize("mode", list(ControllerMode))
+def test_controller_state_follows_the_mode_formulas(mode):
+    expected = _expected_proposals()
+    # the sequence tells the three modes apart
+    assert len({tuple(v) for v in expected.values()}) == 3
+    ctrl = ControllerState(mode, TOL, P)
+    proposals = []
+    for dt, err, cost in SEQ:
+        # a rejection proposes the traditional retry and leaves the history alone
+        assert ctrl.after_reject(dt, 16.0 * TOL) == traditional_next(dt, 16.0 * TOL, TOL, P, C)
+        proposals.append(ctrl.after_accept(dt, err, cost))
+    assert proposals == expected[mode]
+    assert (ctrl.dt_prev, ctrl.cost_prev) == (SEQ[-1][0], SEQ[-1][2])

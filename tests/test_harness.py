@@ -69,6 +69,31 @@ def test_combined_controller_never_exceeds_traditional():
         assert nxt.dt <= bound * (1.0 + 1e-12)
 
 
+# golden final checksums and (accepted, rejected, rhs_evals, phi_iters) per
+# controller mode: any change to the controller policy, the attempt loop or
+# the step arithmetic shows here; RK43 rejects steps under every mode
+@pytest.mark.parametrize("mode,scheme,checksum,counts", [
+    (ControllerMode.TRADITIONAL, Scheme.EXPRB43,
+     "7e7abc31a26e06be98c2d47d3ba022cd65ec63c2aa5a330d88a9fc59a89e2ef6", (12, 0, 823, 760)),
+    (ControllerMode.COST, Scheme.EXPRB43,
+     "66d2d12446257504fa22e970c8643c6a0c9ecee662b0ffb2368b70fb3b07ffda", (17, 0, 926, 838)),
+    (ControllerMode.TRADITIONAL, Scheme.RK43,
+     "a745d9d6b769afc083844cc49681af57373befaf4214f78b5042497493b9634e", (22, 3, 125, 0)),
+    (ControllerMode.COST, Scheme.RK43,
+     "e897ea107b81d4f907bcd22e244ef2ee9c7e9aff7026afe86859feab7b6e01dc", (28, 11, 195, 0)),
+    (ControllerMode.COMBINED, Scheme.RK43,
+     "c2a14c024cb5aa5c81882713a490601d04cb6d2a0091d2b02bad5299f6c5c7d9", (25, 2, 135, 0)),
+])
+def test_controller_mode_golden_run(mode, scheme, checksum, counts):
+    rep = run(replace(small_khi(t_final=0.2), scheme=scheme, controller=mode))
+    assert rep.status == "ok"
+    assert rep.checksum == checksum
+    assert (rep.accepted, rep.rejected, rep.rhs_evals, rep.phi_iterations) == counts
+    assert all(type(s.accepted) is bool for s in rep.steps)
+    # an accepted record counts its rejected attempts too, so these cover the run
+    assert sum(s.rhs_calls for s in rep.steps if s.accepted) == rep.rhs_evals
+
+
 def test_invariants_on_small_run():
     cfg = small_khi(t_final=0.2)
     rep = run(cfg)
@@ -167,7 +192,7 @@ def test_explicit_scheme_spends_only_stage_evaluations():
     assert rep.rhs_evals == 7 * (rep.accepted + rep.rejected)
 
 
-@pytest.mark.parametrize("scheme", [Scheme.EXP_EULER, Scheme.ROS_EULER])
+@pytest.mark.parametrize("scheme", [Scheme.ROS_EULER])
 def test_run_refuses_schemes_without_error_estimate(scheme):
     with pytest.raises(ValueError, match="no embedded error estimate"):
         run(replace(small_khi(), scheme=scheme))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from xmhd.integrators import (_TABLEAUS, EPIRK5P1_COEFFS, Scheme, error_norm,
-                               step)
-from xmhd.linearize import RhsOperator
+from xmhd.integrators import (_TABLEAUS, EPIRK5P1_COEFFS, Scheme, _stage_difference,
+                               error_norm, step)
+from xmhd.linearize import FrozenLinearization, RhsOperator
 from xmhd.phi import phi_dense
 from tests._problems import (observed_order, random_negative_spectrum,
                              riccati_l1_error)
@@ -26,8 +26,7 @@ def test_epirk5p1_table_digits():
 
 
 def test_scheme_orders_table():
-    assert Scheme.EXP_EULER.order == 1 and Scheme.EXP_EULER.embedded_order is None
-    assert Scheme.ROS_EULER.order == 2
+    assert Scheme.ROS_EULER.order == 2 and Scheme.ROS_EULER.embedded_order is None
     assert Scheme.EXPRB43.order == 4 and Scheme.EXPRB43.embedded_order == 3
     assert Scheme.EXPRB54S4.order == 5 and Scheme.EXPRB54S4.embedded_order == 4
     assert Scheme.EPIRK5P1.order == 5 and Scheme.EPIRK5P1.embedded_order == 4
@@ -80,14 +79,25 @@ def test_rosenbrock_euler_exact_on_linear():
     assert res.new_state[0] == pytest.approx(np.exp(-0.5), abs=1e-6)
 
 
-def test_exp_euler_coincides_with_ros_euler():
-    # with the linearization frozen at u the two are the same update
-    op1 = RhsOperator(lambda u: np.array([[-1.0, 0.4], [0.0, -2.0]]) @ u)
-    op2 = RhsOperator(lambda u: np.array([[-1.0, 0.4], [0.0, -2.0]]) @ u)
-    u = np.array([1.0, -0.5])
-    r1 = step(Scheme.EXP_EULER, op1, u, 0.3, alpha=2.5, tol=1e-12)
-    r2 = step(Scheme.ROS_EULER, op2, u, 0.3, alpha=2.5, tol=1e-12)
-    assert np.array_equal(r1.new_state, r2.new_state)
+def test_stage_difference_vanishes_for_linear_rhs():
+    a = np.array([[-2.0, 1.0], [0.0, -1.0]])
+    op = RhsOperator(lambda u: a @ u)
+    u = np.array([1.0, -1.0])
+    lin = FrozenLinearization(op, u)
+    diff = _stage_difference(lin, op, np.array([0.4, 0.6]), u, lin.base_rhs)
+    assert np.linalg.norm(diff) <= 1e-6
+
+
+def test_stage_difference_matches_dense_jacobian_oracle():
+    # F(stage) - F(u) = f(stage) - f(u) - J(u) (stage - u), J from the dense oracle
+    a = np.array([[-1.0, 0.3, 0.0], [0.2, -0.7, 0.1], [0.0, 0.4, -1.2]])
+    op = RhsOperator(lambda v: a @ v + 0.5 * v * v)
+    u = np.array([0.9, -0.5, 0.2])
+    stage = np.array([1.2, -0.1, 0.0])
+    lin = FrozenLinearization(op, u)
+    diff = _stage_difference(lin, op, stage, u, lin.base_rhs)
+    oracle = op.fn(stage) - op.fn(u) - (a + np.diag(u)) @ (stage - u)
+    assert np.linalg.norm(diff - oracle) <= 1e-6 * max(1.0, np.linalg.norm(oracle))
 
 
 def test_exprb43_embedded_error_vanishes_on_linear():
@@ -112,7 +122,8 @@ def test_exprb43_linear_exactness():
 
 
 @pytest.mark.parametrize("scheme,expected", [
-    (Scheme.EXPRB43, 5), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 10)])
+    (Scheme.EXPRB43, 5), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 10),
+    (Scheme.RK43, 0), (Scheme.DOPRI54, 0)])
 def test_stage_counts(scheme, expected):
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
     res = step(scheme, op, np.array([0.5, 0.8, 1.1]), 0.05, alpha=2.0, tol=1e-10)
@@ -126,7 +137,7 @@ def test_exprb43_rhs_call_accounting():
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
     res = step(Scheme.EXPRB43, op, np.array([0.5, 0.8, 1.1]), 0.05,
                alpha=2.0, tol=1e-10)
-    assert res.rhs_calls == 5 + res.phi_iterations
+    assert op.calls == 5 + res.phi_iterations
 
 
 def test_linear_invariant_preservation():

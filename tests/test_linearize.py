@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from xmhd.linearize import (FrozenLinearization, RhsOperator, SpectralEstimate,
-                            estimate_alpha, jvp, remainder)
+                            estimate_alpha, jvp)
 
 
 def quad_rhs(u):
     # smooth 3-state quadratic system with dense coupling
     a = np.array([[-1.0, 0.3, 0.0], [0.2, -0.7, 0.1], [0.0, 0.4, -1.2]])
     return a @ u + 0.5 * u * u
-
-
-def quad_jacobian(u):
-    a = np.array([[-1.0, 0.3, 0.0], [0.2, -0.7, 0.1], [0.0, 0.4, -1.2]])
-    return a + np.diag(u)
 
 
 def test_rhs_operator_counts_calls():
@@ -66,24 +61,6 @@ def test_jvp_agrees_with_central_differences():
         eps = 1e-6 * np.linalg.norm(base) / np.linalg.norm(w)
         central = (quad_rhs(base + eps * w) - quad_rhs(base - eps * w)) / (2 * eps)
         assert np.linalg.norm(fwd - central) <= 1e-4 * max(1.0, np.linalg.norm(central))
-
-
-def test_remainder_vanishes_for_linear_rhs():
-    a = np.array([[-2.0, 1.0], [0.0, -1.0]])
-    op = RhsOperator(lambda u: a @ u)
-    lin = FrozenLinearization(op, np.array([1.0, -1.0]))
-    w = np.array([0.4, 0.6])
-    rem = remainder(lin, w, op(w))
-    assert np.linalg.norm(rem) <= 1e-6
-
-
-def test_remainder_matches_dense_jacobian_oracle():
-    base = np.array([0.9, -0.5, 0.2])
-    op = RhsOperator(quad_rhs)
-    lin = FrozenLinearization(op, base)
-    rem = remainder(lin, base, quad_rhs(base))
-    oracle = quad_rhs(base) - quad_jacobian(base) @ base
-    assert np.linalg.norm(rem - oracle) <= 1e-6 * max(1.0, np.linalg.norm(oracle))
 
 
 def test_estimate_alpha_dominant_mode():
