@@ -31,6 +31,8 @@ _CONTROLLERS = {m.value: m for m in ControllerMode}
 
 
 def _build_parser():
+    # run defaults have one owner: the RunConfig fields
+    d = RunConfig(scenario=None)
     p = argparse.ArgumentParser(prog="xmhd", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--problem", choices=["khi", "recon"], required=True)
@@ -39,26 +41,26 @@ def _build_parser():
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--tf", type=float, default=None, help="final simulation time")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--integrator", choices=sorted(_INTEGRATORS), default="exprb43")
-    p.add_argument("--method", choices=["leja", "krylov"], default="leja")
-    p.add_argument("--controller", choices=sorted(_CONTROLLERS), default="combined")
-    p.add_argument("--spectrum-interval", type=int, default=50, metavar="N")
+    p.add_argument("--tol", type=float, default=d.tol)
+    p.add_argument("--integrator", choices=sorted(_INTEGRATORS), default=d.scheme.value)
+    p.add_argument("--method", choices=["leja", "krylov"], default=d.method)
+    p.add_argument("--controller", choices=sorted(_CONTROLLERS), default=d.controller.value)
+    p.add_argument("--spectrum-interval", type=int, default=d.spectrum_interval, metavar="N")
     p.add_argument("--reference", type=Path, default=None, metavar="PATH",
                    help="reference checkpoint for global-error measurement")
     p.add_argument("--output", type=Path, default=None, metavar="DIR")
     p.add_argument("--config", type=Path, default=None, metavar="FILE",
                    help="flat key=value file; command-line flags override it")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--seed", type=int, default=d.rng_seed, metavar="N")
     p.add_argument("--sweep", default=None, metavar="SPEC",
                    help='work-precision sweep, e.g. "tol=1e-3,1e-4,1e-5"')
     p.add_argument("--make-reference", action="store_true",
                    help="store a tol=1e-11 reference checkpoint and exit")
-    p.add_argument("--divb-every", type=float, default=0.0, metavar="T",
+    p.add_argument("--divb-every", type=float, default=d.divb_every, metavar="T",
                    help="emit a (t, max |div B|) CSV sampled every T time units")
-    p.add_argument("--checkpoint-every", type=float, default=0.0, metavar="T")
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--wall-budget", type=float, default=3600.0)
+    p.add_argument("--checkpoint-every", type=float, default=d.checkpoint_every, metavar="T")
+    p.add_argument("--max-steps", type=int, default=d.max_steps)
+    p.add_argument("--wall-budget", type=float, default=d.wall_budget)
     return p
 
 

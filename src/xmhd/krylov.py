@@ -10,10 +10,9 @@ import numpy as np
 from xmhd.phi import _check_order, _expm_taylor
 from xmhd.leja import PhiApplyResult
 
-#: default / hard ceiling on the basis size; beyond this the O(m^2)
-#: orthogonalization cost dominates and the step should be rejected instead
+#: ceiling on the basis size; beyond this the O(m^2) orthogonalization
+#: cost dominates and the step should be rejected instead
 M_DEFAULT = 100
-M_CAP = 200
 
 
 def _phi_e1(l, h):
@@ -30,25 +29,24 @@ def _phi_e1(l, h):
     return _expm_taylor(aug)[:m, dim - 1]
 
 
-def apply_phi_krylov(l, matvec, v, dt, tol, m_max=M_DEFAULT):
+def apply_phi_krylov(l, matvec, v, dt, tol):
     """Approximate phi_l(J dt) v by Arnoldi projection.
 
     The basis grows from v/||v||; after each expansion phi_l(dt H_m) is
     evaluated on the projected Hessenberg matrix and the standard residual
     surrogate  ||v|| * |h_{m+1,m}| * |(phi_l(dt H_m))_{m,1}| * dt  decides
-    convergence.  Happy breakdown counts as exact convergence.
+    convergence.  Happy breakdown counts as exact convergence.  The basis
+    holds at most min(M_DEFAULT, n) vectors.
     """
     _check_order(l)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if m_max > M_CAP:
-        raise ValueError(f"m_max exceeds the cap of {M_CAP}")
     v = np.asarray(v, dtype=float)
     beta = np.linalg.norm(v)
     if beta == 0:
         raise ValueError("cannot build a Krylov space from the zero vector")
     n = v.size
-    m_max = min(m_max, n)
+    m_max = min(M_DEFAULT, n)
 
     # rows are written before they are read, so only the rows an action
     # uses ever become resident

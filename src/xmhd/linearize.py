@@ -72,30 +72,25 @@ class SpectralEstimate:
     """Cached dominant-eigenvalue magnitude with an age counter."""
     alpha: float
     age_steps: int = 0
-    interval: int = DEFAULT_INTERVAL
-    safety: float = DEFAULT_SAFETY
     vector: np.ndarray | None = field(default=None, repr=False)
 
 
-def estimate_alpha(lin, prev=None, interval=DEFAULT_INTERVAL, safety=DEFAULT_SAFETY,
-                   rng=None):
+def estimate_alpha(lin, prev=None, interval=DEFAULT_INTERVAL, rng=None):
     """Return a current spectral estimate, recomputing only when the cache expires.
 
-    A still-fresh `prev` is aged by one step at zero cost.  Otherwise power
-    iteration runs on the Jacobian action, warm-started from the previous
-    dominant vector, until the magnitude estimate changes by less than 2%
-    (or 100 iterations); the result carries the safety factor.
+    A `prev` younger than the `interval` of this call is aged by one step at
+    zero cost.  Otherwise power iteration runs on the Jacobian action,
+    warm-started from the previous dominant vector, until the magnitude
+    estimate changes by less than 2% (or 100 iterations); the result carries
+    the safety factor DEFAULT_SAFETY.
 
     The magnitude is taken from the iterate-norm ratio ||J w|| / ||w||, which
     stays correct for dominant complex-conjugate pairs (advection-dominated
     Jacobians are close to antisymmetric, where a Rayleigh quotient would
     collapse to zero).
     """
-    if prev is not None:
-        interval = prev.interval
-        safety = prev.safety
-        if prev.age_steps + 1 < prev.interval:
-            return replace(prev, age_steps=prev.age_steps + 1)
+    if prev is not None and prev.age_steps + 1 < interval:
+        return replace(prev, age_steps=prev.age_steps + 1)
     n = lin.base_state.size
     if prev is not None and prev.vector is not None and prev.vector.size == n:
         w = prev.vector
@@ -113,8 +108,7 @@ def estimate_alpha(lin, prev=None, interval=DEFAULT_INTERVAL, safety=DEFAULT_SAF
         jw = jvp(lin, w)
         mag = np.linalg.norm(jw)
         if mag < 1e-300 or not np.isfinite(mag):
-            return SpectralEstimate(alpha=0.0, age_steps=0, interval=interval,
-                                    safety=safety, vector=None)
+            return SpectralEstimate(alpha=0.0)
         mags.append(mag)
         w = jw / mag
         # dominant complex pairs make the ratio oscillate with period ~2;
@@ -123,5 +117,4 @@ def estimate_alpha(lin, prev=None, interval=DEFAULT_INTERVAL, safety=DEFAULT_SAF
                                or abs(mag - mags[-3]) <= _POWER_TOL * mag):
             break
     est = max(mags[-3:])
-    return SpectralEstimate(alpha=safety * est, age_steps=0, interval=interval,
-                            safety=safety, vector=w)
+    return SpectralEstimate(alpha=DEFAULT_SAFETY * est, vector=w)

@@ -27,6 +27,9 @@ RHO, MX, MY, MZ, BX, BY, BZ, EN = range(8)
 NVAR = 8
 FIELD_NAMES = ("rho", "mx", "my", "mz", "bx", "by", "bz", "en")
 
+#: ratio of specific heats; the magnetic permeability mu0 is 1 in these units
+GAMMA = 5.0 / 3.0
+
 _MAGIC = b"XMHD"
 _FORMAT_VERSION = 1
 
@@ -38,12 +41,13 @@ class Boundary(Enum):
 
 @dataclass
 class MHDParams:
-    """Dimensionless coefficients: mu = 1/Re, eta = 1/S (Lundquist), kappa = 1/Pr."""
+    """Dimensionless coefficients: mu = 1/Re, eta = 1/S (Lundquist), kappa = 1/Pr.
+
+    The units fix mu0 = 1 and gamma = GAMMA.
+    """
     mu: float
     eta: float
     kappa: float
-    gamma: float = 5.0 / 3.0
-    mu0: float = 1.0
     bc_x: Boundary = Boundary.PERIODIC
     bc_y: Boundary = Boundary.PERIODIC
 
@@ -180,7 +184,7 @@ class RhsWorkspace:
         self.tau = tau.reshape(4, ny + 2, nx + 2)
 
 
-def _ideal_flux(d, f, p, s, mu0):
+def _ideal_flux(d, f, p, s):
     """Ideal flux of every field along direction d (0: x, 1: y) into f.
 
     p is the primitive cube; s holds P_tot, E + P_tot, B.v and the shared
@@ -191,7 +195,7 @@ def _ideal_flux(d, f, p, s, mu0):
     np.multiply(vel[d], p[RHO], out=f[RHO])                   # rho v_d
     np.multiply(f[RHO], vel, out=f[MX:MZ + 1])                # rho v_d v_k
     np.add(f[MX + d], ptot, out=f[MX + d])
-    np.divide(np.multiply(mag, mag[d], out=bb), mu0, out=bb)  # b_k b_d / mu0
+    np.multiply(mag, mag[d], out=bb)                          # b_k b_d
     np.subtract(f[MX:MZ + 1], bb, out=f[MX:MZ + 1])
     # one shared z-EMF product, so the mixed divergence of the induction
     # rows cancels exactly in the divergence of B
@@ -204,19 +208,19 @@ def _ideal_flux(d, f, p, s, mu0):
     np.subtract(f[BZ], np.multiply(mag[d], vel[2], out=bb[0]), out=f[BZ])
     np.multiply(vel[d], e_ptot, out=f[EN])
     np.multiply(mag[d], bdotv, out=bb[0])
-    np.subtract(f[EN], np.divide(bb[0], mu0, out=bb[0]), out=f[EN])
+    np.subtract(f[EN], bb[0], out=f[EN])
 
 
 def mhd_rhs(state, params, work=None):
     """Right-hand side dU/dt of the resistive MHD equations, as a flat vector.
 
-    Ideal fluxes: momentum  rho v (x) v + (P + B^2/2 mu0) I - B (x) B / mu0,
-    induction  v (x) B - B (x) v,  energy  (E + P + B^2/2 mu0) v - B (B.v)/mu0,
+    Ideal fluxes: momentum  rho v (x) v + (P + B^2/2) I - B (x) B,
+    induction  v (x) B - B (x) v,  energy  (E + P + B^2/2) v - B (B.v),
     plus the continuity row div(rho v).  Diffusive fluxes: the viscous stress
     tau = grad v + grad v^T - (2/3) div v I, the resistive induction term
     eta (grad(x)B - (grad(x)B)^T), and the energy row
     mu tau . v + mu kappa gamma/(gamma-1) grad T + eta (grad(B.B)/2 - (B.grad) B),
-    with temperature T = P / rho.
+    with temperature T = P / rho, in units with mu0 = 1 and gamma = GAMMA.
 
     `work` is an RhsWorkspace for the state's grid shape; without one a
     fresh workspace is built.  The returned vector is always a new array.
@@ -227,13 +231,12 @@ def mhd_rhs(state, params, work=None):
         raise ValueError(f"workspace built for a {work.nx}x{work.ny} grid, "
                          f"state is {state.nx}x{state.ny}")
     dx, dy = state.dx, state.dy
-    gamma, mu0 = params.gamma, params.mu0
     mu, eta, kap = params.mu, params.eta, params.kappa
     diffusive = mu != 0.0 or eta != 0.0 or kap != 0.0
 
     with np.errstate(all="ignore"):
         # each sum and product keeps the grouping of the formula it computes,
-        # e.g. ((E - kin) - B^2/2 mu0) (gamma - 1): adaptive runs follow
+        # e.g. ((E - kin) - B^2/2) (gamma - 1): adaptive runs follow
         # last-bit roundoff, so neither reassociate nor turn a division into
         # a multiplication by the reciprocal
         p = _pad(state.data, 2, params, out=work.pad)
@@ -252,9 +255,9 @@ def mhd_rhs(state, params, work=None):
         np.add(kin, np.multiply(vz, vz, out=tmp), out=kin)
         np.multiply(kin, np.multiply(rho, 0.5, out=tmp), out=kin)
         np.subtract(en, kin, out=pres)
-        half_b2 = np.divide(np.multiply(b2, 0.5, out=e_ptot), mu0, out=e_ptot)
+        half_b2 = np.multiply(b2, 0.5, out=e_ptot)
         np.subtract(pres, half_b2, out=pres)
-        np.multiply(pres, gamma - 1.0, out=pres)
+        np.multiply(pres, GAMMA - 1.0, out=pres)
         np.add(pres, half_b2, out=ptot)
         np.add(en, ptot, out=e_ptot)
         if diffusive:
@@ -269,9 +272,9 @@ def mhd_rhs(state, params, work=None):
         # single fused stencil application
         f = work.flux
         out = np.empty((NVAR, state.ny, state.nx))
-        _ideal_flux(0, f, p, s, mu0)
+        _ideal_flux(0, f, p, s)
         np.negative(_ddx(_trim(f), dx, out), out=out)
-        _ideal_flux(1, f, p, s, mu0)
+        _ideal_flux(1, f, p, s)
         if diffusive:
             np.copyto(p[_TEMP], pres)
             np.copyto(p[_B2], b2)
@@ -288,7 +291,7 @@ def mhd_rhs(state, params, work=None):
             tau, divv = work.tau[:3], work.tau[3]
             np.add(gx[_VX], gy[_VY], out=divv)
             np.multiply(divv, 2.0 / 3.0, out=divv)
-            cond = mu * kap * gamma / (gamma - 1.0)
+            cond = mu * kap * GAMMA / (GAMMA - 1.0)
             g = work.dflux
             g[RHO] = 0.0
             for d, stencil, h in ((0, _ddx, dx), (1, _ddy, dy)):

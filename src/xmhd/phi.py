@@ -96,7 +96,6 @@ class DividedDiffTable:
     """Newton divided differences of phi_l at a node sequence."""
     nodes: np.ndarray
     coeffs: np.ndarray
-    order: int
 
 
 def _phi_divided_diffs(nodes, subdiag=1.0):
@@ -197,7 +196,7 @@ def divided_differences(l, nodes):
     if nodes.size > 512:
         raise ValueError("node sequence longer than the 512-node oracle scale")
     coeffs = _phi_divided_diffs(nodes)[l]
-    return DividedDiffTable(nodes=nodes, coeffs=coeffs, order=l)
+    return DividedDiffTable(nodes=nodes, coeffs=coeffs)
 
 
 def newton_eval(table, z):

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from xmhd.mhd import (BX, BY, BZ, EN, MX, MY, MZ, RHO, Boundary, MHDParams,
-                      StateGrid)
+from xmhd.mhd import BX, BY, BZ, EN, GAMMA, MX, RHO, Boundary, MHDParams, StateGrid
 
 # Kelvin-Helmholtz constants: perturbation amplitudes/frequencies, shear
 # width, uniform background.  The shear speed v0 is not tabulated anywhere;
@@ -96,9 +95,8 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def make_scenario(name, nx=None, ny=None, t_final=None, tol=None,
-                  mu=None, eta=None, kappa=None):
-    """A preset scenario ("khi-I" .. "recon-VI") with optional field overrides."""
+def make_scenario(name, nx=None, ny=None, t_final=None, tol=None):
+    """A preset scenario ("khi-I" .. "recon-VI") with optional grid, time and tol overrides."""
     if name not in _PRESETS:
         raise ValueError(f"unknown scenario {name!r}; choose from {PRESET_NAMES}")
     spec = _PRESETS[name]()
@@ -113,15 +111,6 @@ def make_scenario(name, nx=None, ny=None, t_final=None, tol=None,
         updates["tol"] = tol
     if updates:
         spec = replace(spec, **updates)
-    pupd = {}
-    if mu is not None:
-        pupd["mu"] = mu
-    if eta is not None:
-        pupd["eta"] = eta
-    if kappa is not None:
-        pupd["kappa"] = kappa
-    if pupd:
-        spec = replace(spec, params=replace(spec.params, **pupd))
     return spec
 
 
@@ -152,7 +141,6 @@ def init_khi(spec):
         raise ValueError(f"not a KHI scenario: {spec.problem!r}")
     x, y = spec.cell_centers()
     state = StateGrid.zeros(spec.nx, spec.ny, spec.dx, spec.dy)
-    gamma = spec.params.gamma
     lx = spec.x_max - spec.x_min
     ly = spec.y_max - spec.y_min
     vx = khi_velocity_x(x, y, lx, ly)
@@ -162,8 +150,8 @@ def init_khi(spec):
     state.data[BX] = bx
     state.data[BY] = by
     state.data[BZ] = bz
-    state.data[EN] = (KHI_P / (gamma - 1.0) + 0.5 * KHI_RHO * vx ** 2
-                      + 0.5 * (bx ** 2 + by ** 2 + bz ** 2) / spec.params.mu0)
+    state.data[EN] = (KHI_P / (GAMMA - 1.0) + 0.5 * KHI_RHO * vx ** 2
+                      + 0.5 * (bx ** 2 + by ** 2 + bz ** 2))
     return state
 
 
@@ -173,15 +161,13 @@ def init_reconnection(spec, psi0=RECON_PSI0):
         raise ValueError(f"not a reconnection scenario: {spec.problem!r}")
     x, y = spec.cell_centers()
     state = StateGrid.zeros(spec.nx, spec.ny, spec.dx, spec.dy)
-    gamma = spec.params.gamma
     bx, by = recon_field(x, y, half_x=spec.x_max, half_y=spec.y_max, psi0=psi0)
     rho = 1.2 - np.tanh(2.0 * y) ** 2
     pres = 0.5 * rho
     state.data[RHO] = rho
     state.data[BX] = bx
     state.data[BY] = by
-    state.data[EN] = (pres / (gamma - 1.0)
-                      + 0.5 * (bx ** 2 + by ** 2) / spec.params.mu0)
+    state.data[EN] = pres / (GAMMA - 1.0) + 0.5 * (bx ** 2 + by ** 2)
     return state
 
 

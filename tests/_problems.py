@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from xmhd.integrators import Scheme, step
+from xmhd.integrators import step
 from xmhd.linearize import RhsOperator
 
 RICCATI_TF = 0.5

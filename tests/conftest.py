@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 

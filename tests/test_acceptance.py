@@ -17,7 +17,7 @@ from xmhd.integrators import Scheme, error_norm, step
 from xmhd.krylov import apply_phi_krylov
 from xmhd.leja import apply_phi_leja, leja_points, shift_and_scale
 from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
-from xmhd.mhd import discrete_div_b, mhd_rhs, read_checkpoint
+from xmhd.mhd import discrete_div_b, mhd_rhs
 from xmhd.phi import divided_differences, phi_dense, phi_scalar
 from xmhd.scenarios import initialize, make_scenario
 from tests._problems import (observed_order, random_negative_spectrum,

@@ -1,6 +1,5 @@
 import csv
 
-import numpy as np
 import pytest
 
 from xmhd.cli import main

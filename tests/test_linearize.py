@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from xmhd.linearize import (FrozenLinearization, RhsOperator, SpectralEstimate,
-                            estimate_alpha, jvp)
+from xmhd.linearize import (DEFAULT_SAFETY, FrozenLinearization, RhsOperator,
+                            SpectralEstimate, estimate_alpha, jvp)
 
 
 def quad_rhs(u):
@@ -66,7 +66,7 @@ def test_jvp_agrees_with_central_differences():
 def test_estimate_alpha_dominant_mode():
     op = RhsOperator(lambda u: np.array([-4.0, -1.0]) * u)
     lin = FrozenLinearization(op, np.zeros(2))
-    est = estimate_alpha(lin, None, safety=1.25)
+    est = estimate_alpha(lin, None)
     assert est.alpha == pytest.approx(5.0, rel=0.05)
     assert est.age_steps == 0
 
@@ -74,16 +74,16 @@ def test_estimate_alpha_dominant_mode():
 def test_estimate_alpha_identity():
     op = RhsOperator(lambda u: u.copy())
     lin = FrozenLinearization(op, np.zeros(8))
-    est = estimate_alpha(lin, None, safety=1.0)
-    assert est.alpha == pytest.approx(1.0, rel=0.02)
+    est = estimate_alpha(lin, None)
+    assert est.alpha / DEFAULT_SAFETY == pytest.approx(1.0, rel=0.02)
 
 
 def test_estimate_alpha_antisymmetric_operator():
     # dominant pair +-i: a Rayleigh quotient would vanish, the norm ratio not
     op = RhsOperator(lambda u: np.array([u[1], -u[0]]))
     lin = FrozenLinearization(op, np.zeros(2))
-    est = estimate_alpha(lin, None, safety=1.0)
-    assert est.alpha == pytest.approx(1.0, rel=0.02)
+    est = estimate_alpha(lin, None)
+    assert est.alpha / DEFAULT_SAFETY == pytest.approx(1.0, rel=0.02)
 
 
 def test_estimate_alpha_cache_contract():
@@ -103,10 +103,20 @@ def test_estimate_alpha_refreshes_at_interval():
     op = RhsOperator(lambda u: -2.0 * u)
     lin = FrozenLinearization(op, np.zeros(4))
     est = estimate_alpha(lin, None, interval=3)
-    est = estimate_alpha(lin, est)    # age 1
-    est = estimate_alpha(lin, est)    # age 2
+    est = estimate_alpha(lin, est, interval=3)    # age 1
+    est = estimate_alpha(lin, est, interval=3)    # age 2
     calls = op.calls
-    est = estimate_alpha(lin, est)    # expired: recompute
+    est = estimate_alpha(lin, est, interval=3)    # expired: recompute
+    assert est.age_steps == 0
+    assert op.calls > calls
+
+
+def test_estimate_alpha_honours_the_interval_of_each_call():
+    op = RhsOperator(lambda u: -2.0 * u)
+    lin = FrozenLinearization(op, np.zeros(4))
+    est = estimate_alpha(lin, None, interval=50)
+    calls = op.calls
+    est = estimate_alpha(lin, est, interval=1)    # a shorter interval expires it
     assert est.age_steps == 0
     assert op.calls > calls
 
@@ -123,9 +133,9 @@ def test_estimate_alpha_warm_start_uses_previous_vector():
     op = RhsOperator(lambda u: a @ u)
     lin = FrozenLinearization(op, np.zeros(3))
     est = estimate_alpha(lin, None, interval=2)
-    est = estimate_alpha(lin, est)   # age 1
+    est = estimate_alpha(lin, est, interval=2)   # age 1
     calls = op.calls
-    est2 = estimate_alpha(lin, est)  # refresh, warm started
+    est2 = estimate_alpha(lin, est, interval=2)  # refresh, warm started
     assert est2.age_steps == 0
     assert op.calls - calls <= 5     # converges almost immediately from warm start
     assert isinstance(est2, SpectralEstimate)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xmhd.mhd import BX, BY, BZ, EN, MX, MY, MZ, RHO, Boundary, mhd_rhs
+from xmhd.mhd import BX, BY, BZ, EN, GAMMA, MX, MY, MZ, RHO, Boundary, mhd_rhs
 from xmhd.scenarios import (KHI_B, KHI_P, KHI_RHO, Scenario, init_khi,
                             init_reconnection, initialize, khi_velocity_x,
                             make_scenario, recon_field)
@@ -35,9 +35,8 @@ def test_unknown_case_rejected():
 
 
 def test_overrides():
-    spec = make_scenario("khi-III", nx=64, ny=32, t_final=0.5, tol=1e-6, mu=0.3)
+    spec = make_scenario("khi-III", nx=64, ny=32, t_final=0.5, tol=1e-6)
     assert (spec.nx, spec.ny, spec.t_final, spec.tol) == (64, 32, 0.5, 1e-6)
-    assert spec.params.mu == 0.3
     assert spec.params.eta == 1e-4  # untouched
 
 
@@ -50,9 +49,8 @@ def test_khi_uniform_fields():
     assert np.all(state.data[BZ] == KHI_B[2])
     assert np.all(state.data[MY] == 0.0) and np.all(state.data[MZ] == 0.0)
     # recovered pressure equals the tabulated constant
-    gamma = spec.params.gamma
     vx = state.data[MX] / state.data[RHO]
-    pres = (gamma - 1) * (state.data[EN] - 0.5 * KHI_RHO * vx ** 2
+    pres = (GAMMA - 1) * (state.data[EN] - 0.5 * KHI_RHO * vx ** 2
                           - 0.5 * (KHI_B[0] ** 2 + KHI_B[2] ** 2))
     assert np.allclose(pres, KHI_P, atol=1e-12)
 
@@ -98,8 +96,7 @@ def test_reconnection_values():
     # field vanishes identically at the origin; density/pressure maxima there
     bx0, by0 = recon_field(0.0, 0.0)
     assert bx0 == 0.0 and by0 == 0.0
-    gamma = spec.params.gamma
-    pres = (gamma - 1) * (state.data[EN] - 0.5 * (bx ** 2 + by ** 2))
+    pres = (GAMMA - 1) * (state.data[EN] - 0.5 * (bx ** 2 + by ** 2))
     assert np.allclose(pres, 0.5 * rho, atol=1e-13)
     # the closed form at the sheet center: rho = 1.2, P = 0.6
     assert 1.2 - np.tanh(0.0) ** 2 == 1.2
