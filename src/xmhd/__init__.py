@@ -23,9 +23,9 @@ from xmhd.leja import leja_points, shift_and_scale, apply_phi_leja
 from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import RhsOperator, FrozenLinearization, jvp, estimate_alpha
 from xmhd.integrators import Scheme, step, error_norm
-from xmhd.controllers import ControllerConstants, traditional_next, cost_next, combine, accept
+from xmhd.controllers import traditional_next, cost_next, combine, accept
 from xmhd.mhd import StateGrid, MHDParams, Boundary, RhsWorkspace, mhd_rhs, discrete_div_b, conserved_totals, apply_bc
 from xmhd.scenarios import make_scenario, initialize
-from xmhd.harness import RunConfig, run, make_reference, work_precision, divb_series
+from xmhd.harness import RunConfig, run, make_reference, work_precision
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from xmhd.controllers import ControllerMode
-from xmhd.harness import (CSV_COLUMNS, RunConfig, _row, divb_series,
-                          make_reference, require_error_estimate, run,
+from xmhd.harness import (CSV_COLUMNS, RunConfig, _row, make_reference,
+                          require_error_estimate, require_tolerance, run,
                           work_precision)
 from xmhd.integrators import Scheme
 from xmhd.mhd import write_checkpoint
@@ -94,7 +94,10 @@ def _scenario_from_args(args):
 def _parse_sweep(sweep):
     if not sweep.startswith("tol="):
         raise ValueError('sweep spec must look like "tol=1e-3,1e-4,..."')
-    return [float(v) for v in sweep[len("tol="):].split(",") if v]
+    tols = [float(v) for v in sweep[len("tol="):].split(",") if v]
+    for tol in tols:
+        require_tolerance(tol)
+    return tols
 
 
 def main(argv=None):
@@ -115,6 +118,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         scenario = _scenario_from_args(args)
+        require_tolerance(args.tol)
         if not args.make_reference:
             # the reference run uses its own integrator
             require_error_estimate(_INTEGRATORS[args.integrator])
@@ -132,6 +136,7 @@ def main(argv=None):
                        spectrum_interval=args.spectrum_interval,
                        output_dir=args.output,
                        checkpoint_every=args.checkpoint_every,
+                       divb_every=args.divb_every,
                        rng_seed=args.seed,
                        max_steps=args.max_steps,
                        wall_budget=args.wall_budget)
@@ -160,13 +165,17 @@ def main(argv=None):
         print(f"{len(rows)} cells -> {csv_path} ({failed} failed)")
         return 0
 
+    report = run(config)
     if args.divb_every > 0:
         csv_path = out / "divb_series.csv"
-        series, report = divb_series(config, args.divb_every, csv_path)
-        print(f"{len(series)} samples -> {csv_path} (status: {report.status})")
+        out.mkdir(parents=True, exist_ok=True)
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "max_divb"])
+            writer.writerows([(repr(t), repr(v)) for t, v in report.divb_series])
+        print(f"{len(report.divb_series)} samples -> {csv_path} (status: {report.status})")
         return 0 if report.status == "ok" else 3
 
-    report = run(config)
     print(f"status={report.status} t={report.t_reached:.6g} "
           f"steps={report.accepted}(+{report.rejected} rejected) "
           f"rhs={report.rhs_evals} phi_iters={report.phi_iterations} "

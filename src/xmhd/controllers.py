@@ -11,20 +11,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-
-@dataclass(frozen=True)
-class ControllerConstants:
-    # saturation / response / clamp constants of the cost controller
-    alpha_c: float = 0.65241444
-    beta_c: float = 0.26862269
-    lambda_c: float = 1.37412002
-    delta_c: float = 0.64446017
-    # plumbing for the traditional controller
-    safety: float = 0.9
-    growth_cap: float = 2.0
-
-
-DEFAULT_CONSTANTS = ControllerConstants()
+# saturation / response / clamp constants of the cost controller
+ALPHA_C = 0.65241444
+BETA_C = 0.26862269
+LAMBDA_C = 1.37412002
+DELTA_C = 0.64446017
+# plumbing for the traditional controller
+SAFETY = 0.9
+GROWTH_CAP = 2.0
 
 
 class ControllerMode(Enum):
@@ -65,16 +59,16 @@ class ControllerState:
         return dt_next
 
 
-def traditional_next(dt, err, tol, p, consts=DEFAULT_CONSTANTS):
+def traditional_next(dt, err, tol, p):
     """Largest step admitted by the error estimate: safety * dt * (tol/err)^(1/(p+1)).
 
     Growth and shrinkage are both clamped by the growth cap.
     """
-    raw = consts.safety * dt * (tol / max(err, 1e-300)) ** (1.0 / (p + 1))
-    return min(max(raw, dt / consts.growth_cap), dt * consts.growth_cap)
+    raw = SAFETY * dt * (tol / max(err, 1e-300)) ** (1.0 / (p + 1))
+    return min(max(raw, dt / GROWTH_CAP), dt * GROWTH_CAP)
 
 
-def cost_next(dt, dt_prev, cost, cost_prev, consts=DEFAULT_CONSTANTS):
+def cost_next(dt, dt_prev, cost, cost_prev):
     """Cost-gradient proposal dt * s with s = exp(-alpha tanh(beta Delta)).
 
     Delta is the log-log slope of the cost between the last two accepted
@@ -85,13 +79,13 @@ def cost_next(dt, dt_prev, cost, cost_prev, consts=DEFAULT_CONSTANTS):
     """
     dlog = math.log(dt) - math.log(dt_prev)
     if abs(dlog) < 1e-12:
-        return dt * consts.lambda_c
+        return dt * LAMBDA_C
     delta = (math.log(cost) - math.log(cost_prev)) / dlog
-    s = math.exp(-consts.alpha_c * math.tanh(consts.beta_c * delta))
-    if 1.0 <= s < consts.lambda_c:
-        return dt * consts.lambda_c
-    if consts.delta_c <= s < 1.0:
-        return dt * consts.delta_c
+    s = math.exp(-ALPHA_C * math.tanh(BETA_C * delta))
+    if 1.0 <= s < LAMBDA_C:
+        return dt * LAMBDA_C
+    if DELTA_C <= s < 1.0:
+        return dt * DELTA_C
     return dt * s
 
 

@@ -11,6 +11,7 @@ are deterministic for a fixed config and seed.
 
 import csv
 import hashlib
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -109,9 +110,16 @@ def require_error_estimate(scheme):
                          "estimate and cannot run under adaptive step control")
 
 
+def require_tolerance(tol):
+    """Raise ValueError unless the error tolerance is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def run(config):
     """Advance the configured scenario to t_final and return a RunReport."""
     require_error_estimate(config.scheme)
+    require_tolerance(config.tol)
     spec = config.scenario
     params = spec.params
     state0 = initialize(spec)
@@ -146,19 +154,20 @@ def run(config):
         dt = min(dt, t_final - t)
 
         step_calls_start = rhs_op.calls
-        lin = None
+        lin = alpha = None
         if config.scheme.is_exponential:
             lin = FrozenLinearization(rhs_op, u)
             before_spec = rhs_op.calls
             est = estimate_alpha(lin, est, interval=config.spectrum_interval, rng=rng)
             report.spectrum_rhs_evals += rhs_op.calls - before_spec
+            alpha = est.alpha
 
         # attempt loop: phi non-convergence halves dt, an error excess retries
         # with the traditional proposal
         for _ in range(MAX_CONSECUTIVE_REJECTIONS):
             attempt_start = rhs_op.calls
             res = step(config.scheme, rhs_op, u, dt, method=config.method,
-                       alpha=est, tol=config.tol, lin=lin)
+                       alpha=alpha, tol=config.tol, lin=lin)
             ok = bool(res.converged and accept(res.error_estimate, config.tol))
             # an accepted step's cost proxy counts every rhs evaluation the step
             # needed (base evaluation, spectral refresh, rejected attempts included)
@@ -289,17 +298,3 @@ def work_precision(base, tols, schemes, methods, reference, out_csv):
         writer.writerows(rows)
     return rows
 
-
-def divb_series(config, sample_interval, out_csv=None):
-    """(t, max |div B|) samples at fixed simulation-time intervals."""
-    cfg = replace(config, divb_every=sample_interval)
-    report = run(cfg)
-    series = report.divb_series
-    if out_csv is not None:
-        out_csv = Path(out_csv)
-        out_csv.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "max_divb"])
-            writer.writerows([(repr(t), repr(v)) for t, v in series])
-    return series, report

@@ -17,7 +17,7 @@ import numpy as np
 
 from xmhd.leja import NewtonTable, apply_phi_leja, shift_and_scale
 from xmhd.krylov import apply_phi_krylov
-from xmhd.linearize import FrozenLinearization, RhsBlowupError, SpectralEstimate, jvp
+from xmhd.linearize import FrozenLinearization, RhsBlowupError, jvp
 
 
 class Scheme(Enum):
@@ -30,47 +30,33 @@ class Scheme(Enum):
 
     @property
     def order(self):
-        return _ORDERS[self][0]
+        return _SCHEMES[self][0]
 
     @property
     def embedded_order(self):
-        return _ORDERS[self][1]
+        return _SCHEMES[self][1]
 
     @property
     def is_exponential(self):
-        return self not in (Scheme.RK43, Scheme.DOPRI54)
+        return self not in _TABLEAUS
 
 
-_ORDERS = {
-    Scheme.ROS_EULER: (2, None),
-    Scheme.EXPRB43: (4, 3),
-    Scheme.EXPRB54S4: (5, 4),
-    Scheme.EPIRK5P1: (5, 4),
-    Scheme.RK43: (4, 3),
-    Scheme.DOPRI54: (5, 4),
-}
-
-
-@dataclass(frozen=True)
-class Epirk5p1Coefficients:
-    a11: float = 0.35129592695058193092
-    a21: float = 0.84405472011657126298
-    a22: float = 1.6905891609568963624
-    b1: float = 1.0
-    b2: float = 1.2727127317356892397
-    b3: float = 2.271459926542262275
-    g11: float = 0.35129592695058193092
-    g21: float = 0.84405472011657126298
-    g22: float = 0.5
-    g31: float = 1.0
-    g32: float = 0.71111095364366870359
-    g33: float = 0.62378111953371494809
-    # overriding g32, g33 with these reproduces the embedded 4th-order solution
-    g32_embedded: float = 0.5
-    g33_embedded: float = 1.0
-
-
-EPIRK5P1_COEFFS = Epirk5p1Coefficients()
+# EPIRK5P1 coefficients
+EPIRK_A11 = 0.35129592695058193092
+EPIRK_A21 = 0.84405472011657126298
+EPIRK_A22 = 1.6905891609568963624
+EPIRK_B1 = 1.0
+EPIRK_B2 = 1.2727127317356892397
+EPIRK_B3 = 2.271459926542262275
+EPIRK_G11 = 0.35129592695058193092
+EPIRK_G21 = 0.84405472011657126298
+EPIRK_G22 = 0.5
+EPIRK_G31 = 1.0
+EPIRK_G32 = 0.71111095364366870359
+EPIRK_G33 = 0.62378111953371494809
+# replacing G32, G33 with these reproduces the embedded 4th-order solution
+EPIRK_G32_EMBEDDED = 0.5
+EPIRK_G33_EMBEDDED = 1.0
 
 
 @dataclass
@@ -202,31 +188,29 @@ def _step_exprb54s4(lin, broker, u, dt, rhs):
 
 
 def _step_epirk5p1(lin, broker, u, dt, rhs):
-    k = EPIRK5P1_COEFFS
     fu = lin.base_rhs
 
-    a = u + k.a11 * dt * broker.apply(1, k.g11, fu)
+    a = u + EPIRK_A11 * dt * broker.apply(1, EPIRK_G11, fu)
     da = _stage_difference(lin, rhs, a, u, fu)
 
-    b = (u + k.a21 * dt * broker.apply(1, k.g21, fu)
-         + k.a22 * dt * broker.apply(1, k.g22, da))
+    b = (u + EPIRK_A21 * dt * broker.apply(1, EPIRK_G21, fu)
+         + EPIRK_A22 * dt * broker.apply(1, EPIRK_G22, da))
     db = _stage_difference(lin, rhs, b, u, fu)
     # F(u) - 2 F(a) + F(b)
     w = db - 2.0 * da
 
-    phi1_g31_fu = broker.apply(1, k.g31, fu)
-    u5 = (u + k.b1 * dt * phi1_g31_fu + k.b2 * dt * broker.apply(1, k.g32, da)
-          + k.b3 * dt * broker.apply(3, k.g33, w))
-    # embedded 4th-order solution: same structure with g32, g33 overridden
-    u4 = (u + k.b1 * dt * phi1_g31_fu
-          + k.b2 * dt * broker.apply(1, k.g32_embedded, da)
-          + k.b3 * dt * broker.apply(3, k.g33_embedded, w))
+    phi1_g31_fu = broker.apply(1, EPIRK_G31, fu)
+    u5 = (u + EPIRK_B1 * dt * phi1_g31_fu + EPIRK_B2 * dt * broker.apply(1, EPIRK_G32, da)
+          + EPIRK_B3 * dt * broker.apply(3, EPIRK_G33, w))
+    # embedded 4th-order solution: same structure with G32, G33 replaced
+    u4 = (u + EPIRK_B1 * dt * phi1_g31_fu
+          + EPIRK_B2 * dt * broker.apply(1, EPIRK_G32_EMBEDDED, da)
+          + EPIRK_B3 * dt * broker.apply(3, EPIRK_G33_EMBEDDED, w))
     return u5, error_norm(u4, u5)
 
 
 # Zonneveld's 4(3) pair: classical RK4 plus one extra stage for the
 # third-order companion.
-_RK43_C = np.array([0.0, 0.5, 0.5, 1.0, 0.75])
 _RK43_A = [
     [],
     [0.5],
@@ -238,7 +222,6 @@ _RK43_B = np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 0.0])
 _RK43_BHAT = np.array([-0.5, 7.0 / 3.0, 7.0 / 3.0, 13.0 / 6.0, -16.0 / 3.0])
 
 # Dormand-Prince 5(4).
-_DOPRI_C = np.array([0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0])
 _DOPRI_A = [
     [],
     [0.2],
@@ -290,13 +273,14 @@ def _step_explicit(tableau, lin, broker, u, dt, rhs):
     return unew, error_norm(ulow, unew)
 
 
-_STEPS = {
-    Scheme.ROS_EULER: _step_euler,
-    Scheme.EXPRB43: _step_exprb43,
-    Scheme.EXPRB54S4: _step_exprb54s4,
-    Scheme.EPIRK5P1: _step_epirk5p1,
-    Scheme.RK43: partial(_step_explicit, _TABLEAUS[Scheme.RK43]),
-    Scheme.DOPRI54: partial(_step_explicit, _TABLEAUS[Scheme.DOPRI54]),
+#: scheme -> (order, embedded order, step function)
+_SCHEMES = {
+    Scheme.ROS_EULER: (2, None, _step_euler),
+    Scheme.EXPRB43: (4, 3, _step_exprb43),
+    Scheme.EXPRB54S4: (5, 4, _step_exprb54s4),
+    Scheme.EPIRK5P1: (5, 4, _step_epirk5p1),
+    Scheme.RK43: (4, 3, partial(_step_explicit, _TABLEAUS[Scheme.RK43])),
+    Scheme.DOPRI54: (5, 4, partial(_step_explicit, _TABLEAUS[Scheme.DOPRI54])),
 }
 
 
@@ -304,7 +288,7 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     """Advance the state u by one step of the given scheme.
 
     `rhs` must be a counted operator (see RhsOperator); `alpha` is the
-    current SpectralEstimate (or a plain magnitude) for exponential schemes.
+    spectral magnitude (a float) for exponential schemes.
     Returns a StepResult; converged=False means a phi action failed to
     converge or the step produced non-finite values, and the caller should
     retry with a smaller dt.
@@ -312,14 +296,12 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = np.asarray(u, dtype=float)
-    if scheme.is_exponential:
-        alpha = alpha.alpha if isinstance(alpha, SpectralEstimate) else float(alpha)
-        if lin is None:
-            lin = FrozenLinearization(rhs, u)
+    if scheme.is_exponential and lin is None:
+        lin = FrozenLinearization(rhs, u)
     # explicit schemes never apply the broker, so they report zero phi work
     broker = _PhiBroker(lin, dt, alpha, tol, method)
     try:
-        unew, err = _STEPS[scheme](lin, broker, u, dt, rhs)
+        unew, err = _SCHEMES[scheme][2](lin, broker, u, dt, rhs)
         ok = (not broker.failed) and np.all(np.isfinite(unew)) and np.isfinite(err)
     except (RhsBlowupError, FloatingPointError):
         unew, err, ok = u, np.inf, False

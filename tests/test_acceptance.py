@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from xmhd.controllers import (ControllerConstants, ControllerMode, cost_next,
-                              traditional_next)
+from xmhd.controllers import ControllerMode, cost_next, traditional_next
 from xmhd.harness import RunConfig, make_reference, run, work_precision
 from xmhd.integrators import Scheme, error_norm, step
 from xmhd.krylov import apply_phi_krylov
@@ -179,18 +178,17 @@ def test_criterion_4_stage_count_ledger():
 
 
 def test_criterion_5_controller_arithmetic():
-    c = ControllerConstants()
     # worked example 1: flat cost, equal-cost history -> lambda growth
-    out = cost_next(0.1, 0.05, 100.0, 100.0, c)
+    out = cost_next(0.1, 0.05, 100.0, 100.0)
     assert abs(out - 0.1 * 1.37412002) <= 1e-12
     # worked example 2: cost doubling with dt doubling -> delta shrink
-    out = cost_next(0.1, 0.05, 200.0, 100.0, c)
+    out = cost_next(0.1, 0.05, 200.0, 100.0)
     assert abs(out - 0.1 * 0.64446017) <= 1e-12
     # worked example 3: saturated tanh -> raw factor exp(+alpha_c tanh(...))
     delta = (math.log(1e6) - math.log(1.0)) / (math.log(0.1) - math.log(0.2))
     s = math.exp(-0.65241444 * math.tanh(0.26862269 * delta))
     assert s >= 1.37412002
-    out = cost_next(0.1, 0.2, 1e6, 1.0, c)
+    out = cost_next(0.1, 0.2, 1e6, 1.0)
     assert abs(out - 0.1 * s) <= 1e-12
 
     # combined controller never exceeds the traditional proposal on a full
@@ -202,7 +200,7 @@ def test_criterion_5_controller_arithmetic():
     accepted = [r for r in rep.steps if r.accepted]
     p = cfg.scheme.embedded_order
     for prev, nxt in zip(accepted[:-1], accepted[1:]):
-        bound = traditional_next(prev.dt, prev.error, cfg.tol, p, c)
+        bound = traditional_next(prev.dt, prev.error, cfg.tol, p)
         assert nxt.dt <= bound * (1.0 + 1e-12)
     report(5, "cost-controller worked examples reproduced to 1e-12; combined "
               f"dt <= traditional dt on all {len(accepted)} accepted steps")
@@ -285,7 +283,7 @@ def test_criterion_10_cross_engine_agreement():
         op = RhsOperator(lambda f: mhd_rhs(state.with_flat(f), spec.params))
         lin = FrozenLinearization(op, u)
         est = estimate_alpha(lin, None)
-        res = step(Scheme.EXPRB43, op, u, dt, method=method, alpha=est,
+        res = step(Scheme.EXPRB43, op, u, dt, method=method, alpha=est.alpha,
                    tol=tol, lin=lin)
         assert res.converged
         results[method] = res.new_state

@@ -103,3 +103,17 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [
+    ["--tol", "0"],
+    ["--nx", "0"],
+    ["--tf", "-1"],
+    ["--problem", "recon", "--ny", "1"],  # one row between reflecting walls
+], ids=["tol0", "nx0", "tf-1", "recon-ny1"])
+def test_out_of_range_config_is_config_error(tmp_path, capsys, extra):
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
+                 "--output", str(tmp_path), *extra])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from xmhd.controllers import ControllerMode
-from xmhd.harness import (CSV_COLUMNS, RunConfig, divb_series, make_reference,
-                          run, work_precision)
+from xmhd.harness import CSV_COLUMNS, RunConfig, make_reference, run, work_precision
 from xmhd.integrators import Scheme, error_norm
 from xmhd.mhd import read_checkpoint
 from xmhd.scenarios import initialize, make_scenario
@@ -57,15 +56,14 @@ def test_report_totals_match_step_records():
 
 
 def test_combined_controller_never_exceeds_traditional():
-    from xmhd.controllers import ControllerConstants, traditional_next
+    from xmhd.controllers import traditional_next
 
     cfg = small_khi(t_final=0.2)
     rep = run(cfg)
-    consts = ControllerConstants()
     p = cfg.scheme.embedded_order
     accepted = [s for s in rep.steps if s.accepted]
     for prev, nxt in zip(accepted[:-1], accepted[1:]):
-        bound = traditional_next(prev.dt, prev.error, cfg.tol, p, consts)
+        bound = traditional_next(prev.dt, prev.error, cfg.tol, p)
         assert nxt.dt <= bound * (1.0 + 1e-12)
 
 
@@ -198,9 +196,10 @@ def test_run_refuses_schemes_without_error_estimate(scheme):
         run(replace(small_khi(), scheme=scheme))
 
 
-def test_divb_series_sampling(tmp_path):
+def test_divb_series_sampling():
     cfg = small_khi(t_final=0.1)
-    series, report = divb_series(cfg, 0.02, tmp_path / "divb.csv")
+    report = run(replace(cfg, divb_every=0.02))
+    series = report.divb_series
     assert report.status == "ok"
     assert len(series) == int(np.floor(0.1 / 0.02)) + 1
     assert series[0][0] == 0.0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from xmhd.integrators import (_TABLEAUS, EPIRK5P1_COEFFS, Scheme, _stage_difference,
+from xmhd.integrators import (EPIRK_A11, EPIRK_A21, EPIRK_A22, EPIRK_B1, EPIRK_B2,
+                               EPIRK_B3, EPIRK_G11, EPIRK_G21, EPIRK_G22, EPIRK_G31,
+                               EPIRK_G32, EPIRK_G32_EMBEDDED, EPIRK_G33,
+                               EPIRK_G33_EMBEDDED, _TABLEAUS, Scheme, _stage_difference,
                                error_norm, step)
 from xmhd.linearize import FrozenLinearization, RhsOperator
 from xmhd.phi import phi_dense
@@ -10,19 +13,18 @@ from tests._problems import (observed_order, random_negative_spectrum,
 
 
 def test_epirk5p1_table_digits():
-    k = EPIRK5P1_COEFFS
-    assert k.a11 == 0.35129592695058193092
-    assert k.a21 == 0.84405472011657126298
-    assert k.a22 == 1.6905891609568963624
-    assert k.b1 == 1.0
-    assert k.b2 == 1.2727127317356892397
-    assert k.b3 == 2.271459926542262275
-    assert k.g11 == k.a11 and k.g21 == k.a21
-    assert k.g22 == 0.5
-    assert k.g31 == 1.0
-    assert k.g32 == 0.71111095364366870359
-    assert k.g33 == 0.62378111953371494809
-    assert k.g32_embedded == 0.5 and k.g33_embedded == 1.0
+    assert EPIRK_A11 == 0.35129592695058193092
+    assert EPIRK_A21 == 0.84405472011657126298
+    assert EPIRK_A22 == 1.6905891609568963624
+    assert EPIRK_B1 == 1.0
+    assert EPIRK_B2 == 1.2727127317356892397
+    assert EPIRK_B3 == 2.271459926542262275
+    assert EPIRK_G11 == EPIRK_A11 and EPIRK_G21 == EPIRK_A21
+    assert EPIRK_G22 == 0.5
+    assert EPIRK_G31 == 1.0
+    assert EPIRK_G32 == 0.71111095364366870359
+    assert EPIRK_G33 == 0.62378111953371494809
+    assert EPIRK_G32_EMBEDDED == 0.5 and EPIRK_G33_EMBEDDED == 1.0
 
 
 def test_scheme_orders_table():
@@ -32,6 +34,8 @@ def test_scheme_orders_table():
     assert Scheme.EPIRK5P1.order == 5 and Scheme.EPIRK5P1.embedded_order == 4
     assert Scheme.RK43.order == 4 and Scheme.RK43.embedded_order == 3
     assert Scheme.DOPRI54.order == 5 and Scheme.DOPRI54.embedded_order == 4
+    exponential = {s for s in Scheme if s.is_exponential}
+    assert exponential == {Scheme.ROS_EULER, Scheme.EXPRB43, Scheme.EXPRB54S4, Scheme.EPIRK5P1}
 
 
 def test_error_norm_basics():
