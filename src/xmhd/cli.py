@@ -16,12 +16,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical abort.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from xmhd.controllers import ControllerMode
-from xmhd.harness import (CSV_COLUMNS, RunConfig, _row, make_reference,
-                          require_error_estimate, require_tolerance, run,
-                          work_precision)
+from xmhd.harness import CSV_COLUMNS, RunConfig, _row, make_reference, run, work_precision
 from xmhd.integrators import Scheme
 from xmhd.mhd import write_checkpoint
 from xmhd.scenarios import make_scenario
@@ -91,12 +90,13 @@ def _scenario_from_args(args):
                          tol=args.tol)
 
 
-def _parse_sweep(sweep):
+def _parse_sweep(sweep, config):
+    """The sweep's tolerances; each must make a valid `config`."""
     if not sweep.startswith("tol="):
         raise ValueError('sweep spec must look like "tol=1e-3,1e-4,..."')
     tols = [float(v) for v in sweep[len("tol="):].split(",") if v]
     for tol in tols:
-        require_tolerance(tol)
+        replace(config, tol=tol)
     return tols
 
 
@@ -118,28 +118,29 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         scenario = _scenario_from_args(args)
-        require_tolerance(args.tol)
-        if not args.make_reference:
-            # the reference run uses its own integrator
-            require_error_estimate(_INTEGRATORS[args.integrator])
+        # --make-reference ignores --integrator: make_reference sets its own
+        scheme = Scheme.EXPRB43 if args.make_reference else _INTEGRATORS[args.integrator]
+        config = RunConfig(scenario=scenario,
+                           scheme=scheme,
+                           method=args.method,
+                           controller=_CONTROLLERS[args.controller],
+                           tol=args.tol,
+                           spectrum_interval=args.spectrum_interval,
+                           output_dir=args.output,
+                           checkpoint_every=args.checkpoint_every,
+                           divb_every=args.divb_every,
+                           rng_seed=args.seed,
+                           max_steps=args.max_steps,
+                           wall_budget=args.wall_budget)
+        if args.sweep and not args.make_reference:
+            if args.reference is None:
+                raise ValueError("--sweep requires --reference")
+            tols = _parse_sweep(args.sweep, config)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return exc.code
-
-    config = RunConfig(scenario=scenario,
-                       scheme=_INTEGRATORS[args.integrator],
-                       method=args.method,
-                       controller=_CONTROLLERS[args.controller],
-                       tol=args.tol,
-                       spectrum_interval=args.spectrum_interval,
-                       output_dir=args.output,
-                       checkpoint_every=args.checkpoint_every,
-                       divb_every=args.divb_every,
-                       rng_seed=args.seed,
-                       max_steps=args.max_steps,
-                       wall_budget=args.wall_budget)
     out = args.output or Path(".")
 
     if args.make_reference:
@@ -150,32 +151,13 @@ def main(argv=None):
         return 0
 
     if args.sweep:
-        if args.reference is None:
-            print("config error: --sweep requires --reference", file=sys.stderr)
-            return 2
-        try:
-            tols = _parse_sweep(args.sweep)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         csv_path = out / "work_precision.csv"
-        rows = work_precision(config, tols, [config.scheme], [config.method],
-                              args.reference, csv_path)
+        rows = work_precision(config, tols, args.reference, csv_path)
         failed = sum(1 for r in rows if r["status"] != "ok")
         print(f"{len(rows)} cells -> {csv_path} ({failed} failed)")
         return 0
 
     report = run(config)
-    if args.divb_every > 0:
-        csv_path = out / "divb_series.csv"
-        out.mkdir(parents=True, exist_ok=True)
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "max_divb"])
-            writer.writerows([(repr(t), repr(v)) for t, v in report.divb_series])
-        print(f"{len(report.divb_series)} samples -> {csv_path} (status: {report.status})")
-        return 0 if report.status == "ok" else 3
-
     print(f"status={report.status} t={report.t_reached:.6g} "
           f"steps={report.accepted}(+{report.rejected} rejected) "
           f"rhs={report.rhs_evals} phi_iters={report.phi_iterations} "
@@ -190,6 +172,14 @@ def main(argv=None):
             writer.writeheader()
             err = float("nan")
             writer.writerow(_row(config, report, err))
+    if config.divb_every > 0:
+        csv_path = out / "divb_series.csv"
+        out.mkdir(parents=True, exist_ok=True)
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "max_divb"])
+            writer.writerows([(repr(t), repr(v)) for t, v in report.divb_series])
+        print(f"{len(report.divb_series)} div B samples -> {csv_path}")
     return 0 if report.status == "ok" else 3
 
 

@@ -1,12 +1,13 @@
 """Experiment driver: adaptive time-stepping loop, references, sweeps, CSV.
 
 A run advances a scenario from t = 0 to t_final.  Per step: for an
-exponential scheme, freeze the linearization and refresh the cached
-spectral estimate when it expires; take one scheme step, accept or reject
-on the embedded error, update the step-size controller, record a
-StepRecord.  phi non-convergence halves dt, an error excess re-tries with
-the traditional proposal; ten consecutive rejections abort the run.  Runs
-are deterministic for a fixed config and seed.
+exponential scheme, freeze the linearization and, on the steps that start
+after 0, spectrum_interval, 2 spectrum_interval, ... accepted steps,
+refresh the spectral estimate; take one scheme step, accept or reject on
+the embedded error, update the step-size controller, record a StepRecord.
+phi non-convergence halves dt, an error excess re-tries with the
+traditional proposal; ten consecutive rejections abort the run.  Runs are
+deterministic for a fixed config and seed.
 """
 
 import csv
@@ -21,7 +22,7 @@ import numpy as np
 
 from xmhd.controllers import ControllerMode, ControllerState, accept
 from xmhd.integrators import Scheme, error_norm, step
-from xmhd.linearize import DEFAULT_INTERVAL, FrozenLinearization, RhsOperator, estimate_alpha
+from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.mhd import BX, BY, BZ, EN, GAMMA, MX, MY, MZ, RHO, RhsWorkspace, discrete_div_b, \
     mhd_rhs, conserved_totals, read_checkpoint, write_checkpoint
 from xmhd.scenarios import initialize
@@ -42,13 +43,30 @@ class RunConfig:
     method: str = "leja"
     controller: ControllerMode = ControllerMode.COMBINED
     tol: float = 1e-4
-    spectrum_interval: int = DEFAULT_INTERVAL
+    spectrum_interval: int = 50         # accepted steps between spectral refreshes
     output_dir: Path | None = None
     checkpoint_every: float = 0.0       # simulation-time interval; 0 disables
     divb_every: float = 0.0             # sampling interval for divb series
     rng_seed: int = 0
-    max_steps: int = 1_000_000
+    max_steps: int = 1_000_000          # step attempts, rejected ones included
     wall_budget: float = 3600.0
+
+    def __post_init__(self):
+        """Refuse, with ValueError, a config that no run can honour."""
+        if self.scheme.embedded_order is None:
+            # the adaptive loop would accept every step of such a scheme and
+            # grow dt whatever the tolerance
+            raise ValueError(f"integrator {self.scheme.value} has no embedded error "
+                             "estimate and cannot run under adaptive step control")
+        for name, ok, need in (
+                ("tol", 0.0 < self.tol < math.inf, "positive and finite"),
+                ("spectrum_interval", self.spectrum_interval >= 1, "at least 1"),
+                ("max_steps", self.max_steps >= 1, "at least 1"),
+                ("wall_budget", self.wall_budget > 0.0, "positive"),
+                ("checkpoint_every", 0.0 <= self.checkpoint_every < math.inf, "finite and >= 0"),
+                ("divb_every", 0.0 <= self.divb_every < math.inf, "finite and >= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -65,11 +83,9 @@ class StepRecord:
 
 @dataclass
 class RunReport:
+    """A run's outcome; its step and phi-iteration totals derive from `steps`."""
     steps: list = field(default_factory=list)
-    accepted: int = 0
-    rejected: int = 0
     rhs_evals: int = 0
-    phi_iterations: int = 0
     spectrum_rhs_evals: int = 0
     wall_seconds: float = 0.0
     t_reached: float = 0.0
@@ -79,6 +95,18 @@ class RunReport:
     max_divb: float = 0.0
     mass_drift: float = 0.0
     divb_series: list = field(default_factory=list)
+
+    @property
+    def accepted(self):
+        return sum(s.accepted for s in self.steps)
+
+    @property
+    def rejected(self):
+        return len(self.steps) - self.accepted
+
+    @property
+    def phi_iterations(self):
+        return sum(s.phi_iterations for s in self.steps if s.accepted)
 
 
 def _initial_dt(state):
@@ -99,27 +127,8 @@ def _checksum(flat):
     return hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8").tobytes()).hexdigest()
 
 
-def require_error_estimate(scheme):
-    """Raise ValueError for a scheme without an embedded error estimate.
-
-    The adaptive loop would accept every step of such a scheme and grow dt
-    whatever the tolerance.
-    """
-    if scheme.embedded_order is None:
-        raise ValueError(f"integrator {scheme.value} has no embedded error "
-                         "estimate and cannot run under adaptive step control")
-
-
-def require_tolerance(tol):
-    """Raise ValueError unless the error tolerance is positive and finite."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-
-
 def run(config):
     """Advance the configured scenario to t_final and return a RunReport."""
-    require_error_estimate(config.scheme)
-    require_tolerance(config.tol)
     spec = config.scenario
     params = spec.params
     state0 = initialize(spec)
@@ -142,10 +151,11 @@ def run(config):
     t_final = spec.t_final
     dt = min(_initial_dt(state0), t_final) if t_final > 0 else 0.0
     est = None
+    accepted = 0
     started = _time.perf_counter()
 
     while t < t_final - 1e-14 * max(1.0, t_final):
-        if report.accepted + report.rejected >= config.max_steps:
+        if len(report.steps) >= config.max_steps:
             report.status = "failed: step budget exceeded"
             break
         if _time.perf_counter() - started > config.wall_budget:
@@ -157,9 +167,10 @@ def run(config):
         lin = alpha = None
         if config.scheme.is_exponential:
             lin = FrozenLinearization(rhs_op, u)
-            before_spec = rhs_op.calls
-            est = estimate_alpha(lin, est, interval=config.spectrum_interval, rng=rng)
-            report.spectrum_rhs_evals += rhs_op.calls - before_spec
+            if accepted % config.spectrum_interval == 0:
+                before_spec = rhs_op.calls
+                est = estimate_alpha(lin, est, rng=rng)
+                report.spectrum_rhs_evals += rhs_op.calls - before_spec
             alpha = est.alpha
 
         # attempt loop: phi non-convergence halves dt, an error excess retries
@@ -179,7 +190,6 @@ def run(config):
             report.steps.append(rec)
             if ok:
                 break
-            report.rejected += 1
             dt = controller.after_reject(dt, rec.error) if res.converged else 0.5 * dt
         else:
             report.status = "failed: too many consecutive rejections"
@@ -187,8 +197,7 @@ def run(config):
 
         t = rec.t
         u = res.new_state
-        report.accepted += 1
-        report.phi_iterations += res.phi_iterations
+        accepted += 1
 
         state = geometry.with_flat(u)
         divb = float(np.max(np.abs(discrete_div_b(state, params))))
@@ -260,13 +269,14 @@ def _row(config, report, global_error):
     }
 
 
-def work_precision(base, tols, schemes, methods, reference, out_csv):
-    """Run the (tol, scheme, method) grid and append one CSV row per cell.
+def work_precision(base, tols, reference, out_csv):
+    """Run `base` at each tolerance, ascending, and write one CSV row per run.
 
-    A cell that fails (non-convergence, budget, an exception) is recorded
-    with a NaN error; its RunReport status names the failure, with the
-    exception type and message, and its CSV status reads failed.  The sweep
-    itself never aborts.
+    A tolerance that RunConfig refuses raises ValueError before any run.  A
+    run that fails (non-convergence, budget, an exception) is recorded with
+    a NaN error; its RunReport status names the failure, with the exception
+    type and message, and its CSV status reads failed.  The sweep itself
+    never aborts.
     """
     reference = Path(reference)
     if not reference.exists():
@@ -275,21 +285,17 @@ def work_precision(base, tols, schemes, methods, reference, out_csv):
     ref_flat = ref_state.flat()
 
     rows = []
-    for scheme in schemes:
-        for method in methods:
-            for tol in tols:
-                cfg = replace(base, scheme=scheme, method=method, tol=tol)
-                try:
-                    report = run(cfg)
-                    if report.status == "ok":
-                        err = error_norm(report.final_state.flat(), ref_flat)
-                    else:
-                        err = float("nan")
-                except Exception as exc:
-                    report = RunReport(status=f"failed: {type(exc).__name__}: {exc}")
-                    err = float("nan")
-                rows.append(_row(cfg, report, err))
-    rows.sort(key=lambda r: (r["scheme"], r["method"], float(r["tol"])))
+    for cfg in [replace(base, tol=tol) for tol in sorted(tols)]:
+        try:
+            report = run(cfg)
+            if report.status == "ok":
+                err = error_norm(report.final_state.flat(), ref_flat)
+            else:
+                err = float("nan")
+        except Exception as exc:
+            report = RunReport(status=f"failed: {type(exc).__name__}: {exc}")
+            err = float("nan")
+        rows.append(_row(cfg, report, err))
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     with open(out_csv, "w", newline="") as fh:

@@ -296,8 +296,12 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = np.asarray(u, dtype=float)
-    if scheme.is_exponential and lin is None:
-        lin = FrozenLinearization(rhs, u)
+    if scheme.is_exponential:
+        if alpha is None:
+            raise ValueError(f"exponential scheme {scheme.value} needs the spectral "
+                             "magnitude alpha")
+        if lin is None:
+            lin = FrozenLinearization(rhs, u)
     # explicit schemes never apply the broker, so they report zero phi work
     broker = _PhiBroker(lin, dt, alpha, tol, method)
     try:

@@ -3,19 +3,16 @@
 Everything the integrators know about the problem flows through a counted
 right-hand-side operator: Jacobian-vector products are forward finite
 differences of it, and the dominant-eigenvalue magnitude (needed to place
-the Leja interpolation interval) comes from warm-started power iterations
-that are refreshed only every `interval` time steps.
+the Leja interpolation interval) comes from warm-started power iterations.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
-#: default refresh interval (time steps) for the spectral estimate
-DEFAULT_INTERVAL = 50
 #: safety factor applied to the power-iteration estimate
 DEFAULT_SAFETY = 1.25
 
@@ -69,28 +66,25 @@ def jvp(lin, w):
 
 @dataclass
 class SpectralEstimate:
-    """Cached dominant-eigenvalue magnitude with an age counter."""
+    """Dominant-eigenvalue magnitude and the vector that warm-starts the next one."""
     alpha: float
-    age_steps: int = 0
     vector: np.ndarray | None = field(default=None, repr=False)
 
 
-def estimate_alpha(lin, prev=None, interval=DEFAULT_INTERVAL, rng=None):
-    """Return a current spectral estimate, recomputing only when the cache expires.
+def estimate_alpha(lin, prev=None, rng=None):
+    """Estimate the dominant-eigenvalue magnitude of the frozen Jacobian.
 
-    A `prev` younger than the `interval` of this call is aged by one step at
-    zero cost.  Otherwise power iteration runs on the Jacobian action,
-    warm-started from the previous dominant vector, until the magnitude
+    Power iteration runs on the Jacobian action, warm-started from the
+    dominant vector of `prev` (else from an `rng` draw), until the magnitude
     estimate changes by less than 2% (or 100 iterations); the result carries
-    the safety factor DEFAULT_SAFETY.
+    the safety factor DEFAULT_SAFETY.  When to refresh is the caller's
+    decision.
 
     The magnitude is taken from the iterate-norm ratio ||J w|| / ||w||, which
     stays correct for dominant complex-conjugate pairs (advection-dominated
     Jacobians are close to antisymmetric, where a Rayleigh quotient would
     collapse to zero).
     """
-    if prev is not None and prev.age_steps + 1 < interval:
-        return replace(prev, age_steps=prev.age_steps + 1)
     n = lin.base_state.size
     if prev is not None and prev.vector is not None and prev.vector.size == n:
         w = prev.vector

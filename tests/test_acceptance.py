@@ -255,8 +255,7 @@ def test_criterion_8_spectrum_caching():
 def test_criterion_9_tolerance_fidelity(khi64, tmp_path):
     cfg, ref_path = khi64
     tols = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
-    rows = work_precision(cfg, tols, [Scheme.EXPRB43], ["leja"],
-                          ref_path, tmp_path / "wp.csv")
+    rows = work_precision(cfg, tols, ref_path, tmp_path / "wp.csv")
     assert all(r["status"] == "ok" for r in rows)
     got = {float(r["tol"]): (float(r["global_error"]), int(r["rhs_evals"]))
            for r in rows}

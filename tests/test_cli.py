@@ -24,8 +24,10 @@ def test_single_run_writes_outputs(tmp_path, capsys):
 
 
 def test_make_reference_mode(tmp_path, capsys):
+    # the reference run uses its own integrator, whatever --integrator says
     code = main(["--problem", "khi", "--case", "III", "--nx", "16", "--ny", "16",
-                 "--tf", "0.002", "--make-reference", "--output", str(tmp_path)])
+                 "--tf", "0.002", "--make-reference", "--integrator", "ros-euler",
+                 "--output", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "reference-khi-III.chk").exists()
 
@@ -62,6 +64,11 @@ def test_divb_series_mode(tmp_path):
     lines = (tmp_path / "divb_series.csv").read_text().strip().splitlines()
     assert lines[0] == "t,max_divb"
     assert len(lines) == 1 + 5  # t = 0, 0.1, 0.2, 0.3, 0.4
+    # the series comes in addition to the outputs of every single run
+    state, t = read_checkpoint(tmp_path / "final.chk")
+    assert t == pytest.approx(0.4, abs=1e-12)
+    with open(tmp_path / "run.csv") as fh:
+        assert next(csv.DictReader(fh))["status"] == "ok"
 
 
 def test_config_file_with_cli_override(tmp_path, capsys):
@@ -110,7 +117,15 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--nx", "0"],
     ["--tf", "-1"],
     ["--problem", "recon", "--ny", "1"],  # one row between reflecting walls
-], ids=["tol0", "nx0", "tf-1", "recon-ny1"])
+    ["--spectrum-interval", "-3"],
+    ["--spectrum-interval", "0"],
+    ["--max-steps", "0"],
+    ["--wall-budget", "-1"],
+    ["--checkpoint-every", "-1"],
+    ["--divb-every", "-0.5"],
+    ["--sweep", "tol=1e-3,0", "--reference", "missing.chk"],
+], ids=["tol0", "nx0", "tf-1", "recon-ny1", "interval-3", "interval0", "maxsteps0",
+        "wallbudget-1", "checkpoint-1", "divb-0.5", "sweep-tol0"])
 def test_out_of_range_config_is_config_error(tmp_path, capsys, extra):
     code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
                  "--output", str(tmp_path), *extra])

@@ -1,5 +1,10 @@
 import csv
+import json
+import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +60,38 @@ def test_report_totals_match_step_records():
     assert rep.phi_iterations == sum(s.phi_iterations for s in rep.steps if s.accepted)
 
 
+def test_spectrum_refresh_schedule_golden_run(monkeypatch):
+    # run() refreshes alpha on the steps that start after 0, 3, 6, ... accepted
+    # steps: 7 refreshes over 21 accepted steps, all but the first warm-started
+    import xmhd.harness
+    refreshes = []
+    original = xmhd.harness.estimate_alpha
+
+    def counted(lin, prev, rng):
+        refreshes.append(prev is None)
+        return original(lin, prev, rng=rng)
+
+    monkeypatch.setattr(xmhd.harness, "estimate_alpha", counted)
+    rep = run(small_khi(t_final=0.2, spectrum_interval=3))
+    assert rep.status == "ok"
+    assert rep.checksum == "aaa5003457f3f946f17a073e878f0b7517c78066b1738033f730f2a1f314ba35"
+    assert (rep.accepted, rep.rejected, rep.rhs_evals, rep.phi_iterations,
+            rep.spectrum_rhs_evals) == (21, 0, 927, 771, 51)
+    assert refreshes == [True] + [False] * 6
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tol", 0.0), ("tol", -1e-4), ("tol", math.inf), ("tol", math.nan),
+    ("spectrum_interval", 0), ("spectrum_interval", -3),
+    ("max_steps", 0), ("wall_budget", 0.0), ("wall_budget", -1.0),
+    ("wall_budget", math.nan), ("checkpoint_every", -1.0),
+    ("checkpoint_every", math.inf), ("divb_every", -0.5), ("divb_every", math.nan),
+])
+def test_run_config_refuses_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        RunConfig(scenario=None, **{field: value})
+
+
 def test_combined_controller_never_exceeds_traditional():
     from xmhd.controllers import traditional_next
 
@@ -92,6 +129,44 @@ def test_controller_mode_golden_run(mode, scheme, checksum, counts):
     assert sum(s.rhs_calls for s in rep.steps if s.accepted) == rep.rhs_evals
 
 
+# signature of each benchmark workload at rng seed 0: checksum prefix,
+# accepted, rejected, rhs_evals, phi_iterations, spectrum_rhs_evals, div B
+# samples and checkpoint names; a refactor that claims no numerical change
+# must leave every one as it is
+_WORKLOAD_SIGNATURE = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from perfbench.run import WORKLOADS, load_xmhd, make_config  # pins BLAS threads first
+load_xmhd()
+from xmhd.harness import run
+with tempfile.TemporaryDirectory() as out:
+    rep = run(make_config(WORKLOADS[sys.argv[2]], 0, Path(out)))
+    names = sorted(p.name for p in Path(out).glob("state_t*.chk"))
+print(json.dumps([rep.status, rep.checksum[:12], rep.accepted, rep.rejected, rep.rhs_evals,
+                  rep.phi_iterations, rep.spectrum_rhs_evals, len(rep.divb_series), names]))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,signature", [
+    ("khi3-leja", ["893bb0b1df46", 22, 0, 1532, 1417, 5, 0, []]),
+    ("recon6-leja-loose", ["35f7c3712404", 65, 0, 2420, 2016, 79, 9,
+                           ["state_t10.617866.chk", "state_t20.024481.chk",
+                            "state_t30.332355.chk", "state_t40.000000.chk"]]),
+    ("khi3-krylov", ["c6d4216fc458", 23, 2, 1308, 1015, 5, 0, []]),
+    ("khi1-dopri-128", ["559e94ce6f20", 36, 4, 280, 0, 0, 0, []]),
+])
+def test_benchmark_workload_signature(name, signature):
+    # a fresh process, so that the benchmark's one-thread BLAS pinning takes
+    # effect before numpy loads: the checksums depend on the BLAS thread count
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _WORKLOAD_SIGNATURE, str(root), name],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == ["ok", *signature]
+
+
 def test_invariants_on_small_run():
     cfg = small_khi(t_final=0.2)
     rep = run(cfg)
@@ -111,8 +186,7 @@ def test_make_reference_and_work_precision(tmp_path):
     assert np.array_equal(state.data, report.final_state.data)
 
     csv_path = tmp_path / "wp.csv"
-    rows = work_precision(cfg, [1e-3, 1e-5], [Scheme.EXPRB43], ["leja"],
-                          ref_path, csv_path)
+    rows = work_precision(cfg, [1e-3, 1e-5], ref_path, csv_path)
     assert len(rows) == 2
     with open(csv_path) as fh:
         parsed = list(csv.DictReader(fh))
@@ -129,8 +203,7 @@ def test_make_reference_and_work_precision(tmp_path):
 def test_work_precision_requires_reference(tmp_path):
     cfg = small_khi()
     with pytest.raises(FileNotFoundError):
-        work_precision(cfg, [1e-4], [Scheme.EXPRB43], ["leja"],
-                       tmp_path / "missing.chk", tmp_path / "out.csv")
+        work_precision(cfg, [1e-4], tmp_path / "missing.chk", tmp_path / "out.csv")
 
 
 def test_work_precision_empty_tolerances(tmp_path):
@@ -138,7 +211,7 @@ def test_work_precision_empty_tolerances(tmp_path):
     ref_path = tmp_path / "ref.chk"
     make_reference(cfg, ref_path)
     csv_path = tmp_path / "empty.csv"
-    rows = work_precision(cfg, [], [Scheme.EXPRB43], ["leja"], ref_path, csv_path)
+    rows = work_precision(cfg, [], ref_path, csv_path)
     assert rows == []
     content = csv_path.read_text().strip().splitlines()
     assert len(content) == 1  # header only
@@ -150,8 +223,7 @@ def test_work_precision_records_failures_as_data(tmp_path):
     cfg = small_khi(t_final=0.1, max_steps=2)
     ref = tmp_path / "ref.chk"
     make_reference(small_khi(t_final=0.001), ref)
-    rows = work_precision(cfg, [1e-4], [Scheme.EXPRB43], ["leja"], ref,
-                          tmp_path / "wp.csv")
+    rows = work_precision(cfg, [1e-4], ref, tmp_path / "wp.csv")
     assert rows[0]["status"] == "failed"
     assert np.isnan(float(rows[0]["global_error"]))
 
@@ -173,8 +245,7 @@ def test_work_precision_records_exception_type_and_message(tmp_path, monkeypatch
 
     monkeypatch.setattr(xmhd.harness, "run", broken)
     monkeypatch.setattr(xmhd.harness, "_row", recording_row)
-    rows = work_precision(small_khi(), [1e-4], [Scheme.EXPRB43], ["leja"], ref,
-                          tmp_path / "wp.csv")
+    rows = work_precision(small_khi(), [1e-4], ref, tmp_path / "wp.csv")
     assert statuses == ["failed: RuntimeError: solver exploded"]
     assert rows[0]["status"] == "failed"
     with open(tmp_path / "wp.csv") as fh:
@@ -226,10 +297,8 @@ def test_csv_determinism(tmp_path):
     cfg = small_khi(t_final=0.02)
     ref = tmp_path / "ref.chk"
     make_reference(cfg, ref)
-    rows_a = work_precision(cfg, [1e-3, 1e-4], [Scheme.EXPRB43], ["leja"],
-                            ref, tmp_path / "a.csv")
-    rows_b = work_precision(cfg, [1e-3, 1e-4], [Scheme.EXPRB43], ["leja"],
-                            ref, tmp_path / "b.csv")
+    rows_a = work_precision(cfg, [1e-3, 1e-4], ref, tmp_path / "a.csv")
+    rows_b = work_precision(cfg, [1e-3, 1e-4], ref, tmp_path / "b.csv")
     # identical except the timestamp column and the (informational) wall clock
     volatile = {"timestamp", "wall_seconds"}
     for ra, rb in zip(rows_a, rows_b):
@@ -251,8 +320,7 @@ def test_global_error_definition_matches_error_norm(tmp_path):
     cfg = small_khi(t_final=0.02)
     ref_path = tmp_path / "ref.chk"
     make_reference(cfg, ref_path)
-    rows = work_precision(cfg, [1e-3], [Scheme.EXPRB43], ["leja"], ref_path,
-                          tmp_path / "wp.csv")
+    rows = work_precision(cfg, [1e-3], ref_path, tmp_path / "wp.csv")
     rep = run(RunConfig(scenario=cfg.scenario, tol=1e-3))
     ref_state, _ = read_checkpoint(ref_path)
     expect = error_norm(rep.final_state.flat(), ref_state.flat())

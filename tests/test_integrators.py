@@ -83,6 +83,14 @@ def test_rosenbrock_euler_exact_on_linear():
     assert res.new_state[0] == pytest.approx(np.exp(-0.5), abs=1e-6)
 
 
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+def test_exponential_step_without_alpha_names_the_scheme(scheme):
+    op = RhsOperator(lambda u: -u)
+    with pytest.raises(ValueError, match=scheme.value):
+        step(scheme, op, np.array([1.0]), 0.5)
+    assert op.calls == 0
+
+
 def test_stage_difference_vanishes_for_linear_rhs():
     a = np.array([[-2.0, 1.0], [0.0, -1.0]])
     op = RhsOperator(lambda u: a @ u)

@@ -68,7 +68,6 @@ def test_estimate_alpha_dominant_mode():
     lin = FrozenLinearization(op, np.zeros(2))
     est = estimate_alpha(lin, None)
     assert est.alpha == pytest.approx(5.0, rel=0.05)
-    assert est.age_steps == 0
 
 
 def test_estimate_alpha_identity():
@@ -87,38 +86,65 @@ def test_estimate_alpha_antisymmetric_operator():
 
 
 def test_estimate_alpha_cache_contract():
-    op = RhsOperator(lambda u: -2.0 * u)
+    # estimate_alpha keeps no cache: every call recomputes alpha for the
+    # linearization it is given, and `prev` only supplies the start vector
+    other = RhsOperator(lambda u: -2.0 * u)
+    prev = estimate_alpha(FrozenLinearization(other, np.zeros(4)), None)
+    prev_vector = prev.vector.copy()
+    op = RhsOperator(lambda u: -7.0 * u)
     lin = FrozenLinearization(op, np.zeros(4))
-    est = estimate_alpha(lin, None, interval=50)
-    aged = est
     calls = op.calls
-    for k in range(1, 12):
-        aged = estimate_alpha(lin, aged, interval=50)
-        assert aged.age_steps == k
-        assert aged.alpha == est.alpha
-    assert op.calls == calls  # aging costs nothing
+    est = estimate_alpha(lin, prev)
+    assert op.calls > calls                       # computed, not reused
+    assert est.alpha / DEFAULT_SAFETY == pytest.approx(7.0, rel=0.02)
+    again = estimate_alpha(lin, prev)
+    assert again.alpha == est.alpha
+    assert np.array_equal(prev.vector, prev_vector)   # prev is left untouched
 
 
-def test_estimate_alpha_refreshes_at_interval():
-    op = RhsOperator(lambda u: -2.0 * u)
-    lin = FrozenLinearization(op, np.zeros(4))
-    est = estimate_alpha(lin, None, interval=3)
-    est = estimate_alpha(lin, est, interval=3)    # age 1
-    est = estimate_alpha(lin, est, interval=3)    # age 2
-    calls = op.calls
-    est = estimate_alpha(lin, est, interval=3)    # expired: recompute
-    assert est.age_steps == 0
-    assert op.calls > calls
+def _refresh_points(monkeypatch, spectrum_interval):
+    """Run a small KHI case; return the report and, per spectral refresh,
+    the number of steps accepted before it."""
+    import xmhd.harness
+    from xmhd.controllers import ControllerMode
+    from xmhd.harness import RunConfig, run
+    from xmhd.integrators import Scheme
+    from xmhd.scenarios import make_scenario
+
+    accepted, points = [], []
+    original_accept, original_estimate = xmhd.harness.accept, xmhd.harness.estimate_alpha
+
+    def counted_accept(err, tol):
+        ok = original_accept(err, tol)
+        accepted.append(bool(ok))
+        return ok
+
+    def counted_estimate(lin, prev, rng):
+        points.append(sum(accepted))
+        return original_estimate(lin, prev, rng=rng)
+
+    monkeypatch.setattr(xmhd.harness, "accept", counted_accept)
+    monkeypatch.setattr(xmhd.harness, "estimate_alpha", counted_estimate)
+    spec = make_scenario("khi-III", nx=24, ny=24, t_final=0.1, tol=1e-4)
+    rep = run(RunConfig(scenario=spec, scheme=Scheme.EXPRB43, method="leja",
+                        controller=ControllerMode.COMBINED, tol=1e-4,
+                        spectrum_interval=spectrum_interval))
+    assert rep.status == "ok"
+    return rep, points
 
 
-def test_estimate_alpha_honours_the_interval_of_each_call():
-    op = RhsOperator(lambda u: -2.0 * u)
-    lin = FrozenLinearization(op, np.zeros(4))
-    est = estimate_alpha(lin, None, interval=50)
-    calls = op.calls
-    est = estimate_alpha(lin, est, interval=1)    # a shorter interval expires it
-    assert est.age_steps == 0
-    assert op.calls > calls
+def test_estimate_alpha_refreshes_at_interval(monkeypatch):
+    # run() refreshes on the steps that start after 0, 3, 6, ... accepted steps
+    rep, points = _refresh_points(monkeypatch, 3)
+    assert rep.accepted > 6
+    assert points == list(range(0, rep.accepted, 3))
+
+
+def test_estimate_alpha_honours_the_interval_of_each_call(monkeypatch):
+    # the interval is each run's own RunConfig.spectrum_interval
+    for interval in (1, 4, 50):
+        rep, points = _refresh_points(monkeypatch, interval)
+        assert points == list(range(0, rep.accepted, interval))
 
 
 def test_estimate_alpha_zero_operator():
@@ -132,10 +158,9 @@ def test_estimate_alpha_warm_start_uses_previous_vector():
     a = np.diag([-6.0, -1.0, -0.5])
     op = RhsOperator(lambda u: a @ u)
     lin = FrozenLinearization(op, np.zeros(3))
-    est = estimate_alpha(lin, None, interval=2)
-    est = estimate_alpha(lin, est, interval=2)   # age 1
+    est = estimate_alpha(lin, None)
     calls = op.calls
-    est2 = estimate_alpha(lin, est, interval=2)  # refresh, warm started
-    assert est2.age_steps == 0
+    est2 = estimate_alpha(lin, est)    # warm started from est.vector
     assert op.calls - calls <= 5     # converges almost immediately from warm start
     assert isinstance(est2, SpectralEstimate)
+    assert est2.alpha == pytest.approx(est.alpha, rel=0.02)
