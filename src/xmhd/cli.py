@@ -21,7 +21,7 @@ from pathlib import Path
 
 from xmhd.controllers import ControllerMode
 from xmhd.harness import CSV_COLUMNS, RunConfig, _row, make_reference, run, work_precision
-from xmhd.integrators import Scheme
+from xmhd.integrators import PHI_METHODS, Scheme
 from xmhd.mhd import write_checkpoint
 from xmhd.scenarios import make_scenario
 
@@ -42,7 +42,7 @@ def _build_parser():
     p.add_argument("--tf", type=float, default=None, help="final simulation time")
     p.add_argument("--tol", type=float, default=d.tol)
     p.add_argument("--integrator", choices=sorted(_INTEGRATORS), default=d.scheme.value)
-    p.add_argument("--method", choices=["leja", "krylov"], default=d.method)
+    p.add_argument("--method", choices=PHI_METHODS, default=d.method)
     p.add_argument("--controller", choices=sorted(_CONTROLLERS), default=d.controller.value)
     p.add_argument("--spectrum-interval", type=int, default=d.spectrum_interval, metavar="N")
     p.add_argument("--reference", type=Path, default=None, metavar="PATH",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from xmhd.controllers import ControllerMode, ControllerState, accept
-from xmhd.integrators import Scheme, error_norm, step
+from xmhd.integrators import PHI_METHODS, Scheme, error_norm, step
 from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.mhd import BX, BY, BZ, EN, GAMMA, MX, MY, MZ, RHO, RhsWorkspace, discrete_div_b, \
     mhd_rhs, conserved_totals, read_checkpoint, write_checkpoint
@@ -59,6 +59,7 @@ class RunConfig:
             raise ValueError(f"integrator {self.scheme.value} has no embedded error "
                              "estimate and cannot run under adaptive step control")
         for name, ok, need in (
+                ("method", self.method in PHI_METHODS, f"one of {', '.join(PHI_METHODS)}"),
                 ("tol", 0.0 < self.tol < math.inf, "positive and finite"),
                 ("spectrum_interval", self.spectrum_interval >= 1, "at least 1"),
                 ("max_steps", self.max_steps >= 1, "at least 1"),

@@ -20,6 +20,10 @@ from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import FrozenLinearization, RhsBlowupError, jvp
 
 
+#: the phi-action engines a step can route to
+PHI_METHODS = ("leja", "krylov")
+
+
 class Scheme(Enum):
     ROS_EULER = "ros-euler"
     EXPRB43 = "exprb43"
@@ -82,10 +86,13 @@ def error_norm(a, b):
 class _PhiBroker:
     """Routes phi-actions to the configured engine and keeps the counters.
 
-    One broker lives for one step attempt; the degenerate (zero) spectrum is
-    short-circuited to phi_l(0) v = v / l! here so both engines only ever see
-    a positive interval.  For the Leja engine it holds one NewtonTable per
-    stage fraction c, shared by every phi order applied at that c.
+    One broker lives for one step attempt.  Each action serves every stage
+    fraction c of one vector from one engine chain: `applications` counts
+    each fraction, `iterations` each matvec of the chain once.  The degenerate
+    (zero) spectrum is short-circuited to phi_l(0) v = v / l! here so both
+    engines only ever see a positive interval.  For the Leja engine it holds
+    one NewtonTable per stage fraction c, shared by every phi order applied
+    at that c; a chain runs on the table of its largest fraction.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -102,33 +109,34 @@ class _PhiBroker:
     def _matvec(self, w):
         return jvp(self.lin, w)
 
-    def apply(self, l, c, vec):
-        """phi_l(c J dt) vec."""
-        self.applications += 1
+    def _table(self, c):
+        table = self._tables.get(c)
+        if table is None:
+            table = self._tables[c] = NewtonTable(shift_and_scale(self.alpha * (c * self.dt)))
+        return table
+
+    def apply(self, l, fractions, vec):
+        """phi_l(c J dt) vec for each c in `fractions`, one vector per fraction."""
+        self.applications += len(fractions)
         if self.alpha < 1e-14:
-            return vec / math.factorial(l)
-        dt_eff = c * self.dt
+            return tuple(vec / math.factorial(l) for _ in fractions)
         if self.method == "leja":
-            table = self._tables.get(c)
-            if table is None:
-                table = self._tables[c] = NewtonTable(shift_and_scale(self.alpha * dt_eff))
-            res = apply_phi_leja(l, self._matvec, vec, dt_eff, table.shift, self.tol,
-                                 table=table)
-        elif self.method == "krylov":
-            res = apply_phi_krylov(l, self._matvec, vec, dt_eff, self.tol)
+            top = max(fractions)
+            res = apply_phi_leja(l, self._matvec, vec, top * self.dt, self._table(top).shift,
+                                 self.tol, tables=[self._table(c) for c in fractions])
         else:
-            raise ValueError(f"unknown phi method {self.method!r}")
+            res = apply_phi_krylov(l, self._matvec, vec, self.dt, self.tol, fractions=fractions)
         self.iterations += res.iterations
         if not res.converged:
             self.failed = True
-        return res.vector
+        return tuple(res.vector)
 
 
 def _step_euler(lin, broker, u, dt, rhs):
     # with the linearization frozen at u this is the Rosenbrock-Euler update;
     # no embedded estimate exists, the error is reported as zero
-    unew = u + dt * broker.apply(1, 1.0, lin.base_rhs)
-    return unew, 0.0
+    (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs)
+    return u + dt * phi1_fu, 0.0
 
 
 def _stage_difference(lin, rhs, stage, u, fu):
@@ -143,34 +151,38 @@ def _stage_difference(lin, rhs, stage, u, fu):
 
 def _step_exprb43(lin, broker, u, dt, rhs):
     fu = lin.base_rhs
+    phi1_half_fu, phi1_fu = broker.apply(1, (0.5, 1.0), fu)
 
-    a = u + 0.5 * dt * broker.apply(1, 0.5, fu)
+    a = u + 0.5 * dt * phi1_half_fu
     da = _stage_difference(lin, rhs, a, u, fu)
 
-    phi1_fu = broker.apply(1, 1.0, fu)
-    b = u + dt * phi1_fu + dt * broker.apply(1, 1.0, da)
+    (phi1_da,) = broker.apply(1, (1.0,), da)
+    b = u + dt * phi1_fu + dt * phi1_da
     db = _stage_difference(lin, rhs, b, u, fu)
 
     # -14 F(u) + 16 F(a) - 2 F(b) and 36 F(u) - 48 F(a) + 12 F(b)
     w3 = 16.0 * da - 2.0 * db
     w4 = -48.0 * da + 12.0 * db
-    u3 = u + dt * phi1_fu + dt * broker.apply(3, 1.0, w3)
-    u4 = u3 + dt * broker.apply(4, 1.0, w4)
+    (phi3_w3,) = broker.apply(3, (1.0,), w3)
+    u3 = u + dt * phi1_fu + dt * phi3_w3
+    (phi4_w4,) = broker.apply(4, (1.0,), w4)
+    u4 = u3 + dt * phi4_w4
     return u4, error_norm(u3, u4)
 
 
 def _step_exprb54s4(lin, broker, u, dt, rhs):
     fu = lin.base_rhs
+    phi1_fu_a, phi1_fu_b, phi1_fu_c, phi1_fu = broker.apply(1, (0.25, 0.5, 0.9, 1.0), fu)
 
-    a = u + 0.25 * dt * broker.apply(1, 0.25, fu)
+    a = u + 0.25 * dt * phi1_fu_a
     da = _stage_difference(lin, rhs, a, u, fu)
 
-    b = (u + 0.5 * dt * broker.apply(1, 0.5, fu)
-         + 4.0 * dt * broker.apply(3, 0.5, da))
+    (phi3_da,) = broker.apply(3, (0.5,), da)
+    b = u + 0.5 * dt * phi1_fu_b + 4.0 * dt * phi3_da
     db = _stage_difference(lin, rhs, b, u, fu)
 
-    c = (u + 0.9 * dt * broker.apply(1, 0.9, fu)
-         + (729.0 / 125.0) * dt * broker.apply(3, 0.9, db))
+    (phi3_db,) = broker.apply(3, (0.9,), db)
+    c = u + 0.9 * dt * phi1_fu_c + (729.0 / 125.0) * dt * phi3_db
     dc = _stage_difference(lin, rhs, c, u, fu)
 
     # the four remainder combinations of the 4th- and 5th-order solutions
@@ -179,33 +191,35 @@ def _step_exprb54s4(lin, broker, u, dt, rhs):
     w3 = 18.0 * db - (250.0 / 81.0) * dc
     w4 = -60.0 * db + (500.0 / 27.0) * dc
 
-    phi1_fu = broker.apply(1, 1.0, fu)
-    u4 = (u + dt * phi1_fu + dt * broker.apply(3, 1.0, w1)
-          + dt * broker.apply(4, 1.0, w2))
-    u5 = (u + dt * phi1_fu + dt * broker.apply(3, 1.0, w3)
-          + dt * broker.apply(4, 1.0, w4))
+    (phi3_w1,) = broker.apply(3, (1.0,), w1)
+    (phi4_w2,) = broker.apply(4, (1.0,), w2)
+    (phi3_w3,) = broker.apply(3, (1.0,), w3)
+    (phi4_w4,) = broker.apply(4, (1.0,), w4)
+    u4 = u + dt * phi1_fu + dt * phi3_w1 + dt * phi4_w2
+    u5 = u + dt * phi1_fu + dt * phi3_w3 + dt * phi4_w4
     return u5, error_norm(u4, u5)
 
 
 def _step_epirk5p1(lin, broker, u, dt, rhs):
     fu = lin.base_rhs
+    phi1_fu_a, phi1_fu_b, phi1_fu = broker.apply(1, (EPIRK_G11, EPIRK_G21, EPIRK_G31), fu)
 
-    a = u + EPIRK_A11 * dt * broker.apply(1, EPIRK_G11, fu)
+    a = u + EPIRK_A11 * dt * phi1_fu_a
     da = _stage_difference(lin, rhs, a, u, fu)
 
-    b = (u + EPIRK_A21 * dt * broker.apply(1, EPIRK_G21, fu)
-         + EPIRK_A22 * dt * broker.apply(1, EPIRK_G22, da))
+    phi1_da_b, phi1_da, phi1_da_emb = broker.apply(
+        1, (EPIRK_G22, EPIRK_G32, EPIRK_G32_EMBEDDED), da)
+    b = u + EPIRK_A21 * dt * phi1_fu_b + EPIRK_A22 * dt * phi1_da_b
     db = _stage_difference(lin, rhs, b, u, fu)
     # F(u) - 2 F(a) + F(b)
     w = db - 2.0 * da
 
-    phi1_g31_fu = broker.apply(1, EPIRK_G31, fu)
-    u5 = (u + EPIRK_B1 * dt * phi1_g31_fu + EPIRK_B2 * dt * broker.apply(1, EPIRK_G32, da)
-          + EPIRK_B3 * dt * broker.apply(3, EPIRK_G33, w))
+    phi3_w, phi3_w_emb = broker.apply(3, (EPIRK_G33, EPIRK_G33_EMBEDDED), w)
+    u5 = (u + EPIRK_B1 * dt * phi1_fu + EPIRK_B2 * dt * phi1_da
+          + EPIRK_B3 * dt * phi3_w)
     # embedded 4th-order solution: same structure with G32, G33 replaced
-    u4 = (u + EPIRK_B1 * dt * phi1_g31_fu
-          + EPIRK_B2 * dt * broker.apply(1, EPIRK_G32_EMBEDDED, da)
-          + EPIRK_B3 * dt * broker.apply(3, EPIRK_G33_EMBEDDED, w))
+    u4 = (u + EPIRK_B1 * dt * phi1_fu + EPIRK_B2 * dt * phi1_da_emb
+          + EPIRK_B3 * dt * phi3_w_emb)
     return u5, error_norm(u4, u5)
 
 
@@ -287,14 +301,17 @@ _SCHEMES = {
 def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     """Advance the state u by one step of the given scheme.
 
-    `rhs` must be a counted operator (see RhsOperator); `alpha` is the
-    spectral magnitude (a float) for exponential schemes.
+    `rhs` must be a counted operator (see RhsOperator); `method` is one of
+    PHI_METHODS, checked before any evaluation; `alpha` is the spectral
+    magnitude (a float) for exponential schemes.
     Returns a StepResult; converged=False means a phi action failed to
     converge or the step produced non-finite values, and the caller should
     retry with a smaller dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if method not in PHI_METHODS:
+        raise ValueError(f"unknown phi method {method!r}")
     u = np.asarray(u, dtype=float)
     if scheme.is_exponential:
         if alpha is None:

@@ -1,8 +1,9 @@
 """Arnoldi/Krylov baseline for phi-function actions.
 
-Plain per-call projections with block classical Gram-Schmidt applied twice
-(CGS2).  No basis recycling across stages: schemes tuned for that (EPIRK)
-run at a known disadvantage here.
+Per-vector projections with block classical Gram-Schmidt applied twice
+(CGS2).  The Arnoldi basis of a vector does not depend on the step size, so
+one basis serves every stage fraction of that vector, as in phipm (Niesen &
+Wright 2012) and KIOPS (Gaudreault, Rainwater & Tokman 2018).
 """
 
 import numpy as np
@@ -29,14 +30,19 @@ def _phi_e1(l, h):
     return _expm_taylor(aug)[:m, dim - 1]
 
 
-def apply_phi_krylov(l, matvec, v, dt, tol):
-    """Approximate phi_l(J dt) v by Arnoldi projection.
+def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
+    """Approximate phi_l(c J dt) v by Arnoldi projection, for one or several
+    fractions c, on one basis.
 
-    The basis grows from v/||v||; after each expansion phi_l(dt H_m) is
-    evaluated on the projected Hessenberg matrix and the standard residual
-    surrogate  ||v|| * |h_{m+1,m}| * |(phi_l(dt H_m))_{m,1}| * dt  decides
-    convergence.  Happy breakdown counts as exact convergence.  The basis
-    holds at most min(M_DEFAULT, n) vectors.
+    The basis grows from v/||v||; after each expansion phi_l(c dt H_m) e1 is
+    evaluated on the projected Hessenberg matrix for every fraction not yet
+    converged, and the standard residual surrogate
+    ||v|| * |h_{m+1,m}| * |(phi_l(c dt H_m))_{m,1}| * c dt  decides that
+    fraction's convergence; a converged column is frozen, so it equals what a
+    call at c dt alone returns.  With `fractions`, row k of `vector` holds
+    fraction fractions[k]; without, the one column is c = 1 and `vector` is
+    1-D.  Happy breakdown counts as exact convergence.  The basis holds at
+    most min(M_DEFAULT, n) vectors.
     """
     _check_order(l)
     if tol <= 0:
@@ -47,15 +53,18 @@ def apply_phi_krylov(l, matvec, v, dt, tol):
         raise ValueError("cannot build a Krylov space from the zero vector")
     n = v.size
     m_max = min(M_DEFAULT, n)
+    steps = [dt] if fractions is None else [c * dt for c in fractions]
 
     # rows are written before they are read, so only the rows an action
     # uses ever become resident
     basis = np.empty((m_max + 1, n))
     hess = np.zeros((m_max + 1, m_max))
     basis[0] = v / beta
+    out = np.empty((len(steps), n))
+    phicols = [None] * len(steps)
+    residual = np.full(len(steps), np.inf)
+    live = list(range(len(steps)))
     matvecs = 0
-    phicol = None
-    residual = np.inf
     for j in range(m_max):
         # a copy: the projections below update w in place
         w = np.array(matvec(basis[j]), dtype=float)
@@ -68,15 +77,17 @@ def apply_phi_krylov(l, matvec, v, dt, tol):
         hnext = np.linalg.norm(w)
         hess[j + 1, j] = hnext
         m = j + 1
-        phicol = _phi_e1(l, dt * hess[:m, :m])
-        residual = beta * hnext * abs(phicol[m - 1]) * dt
         breakdown = hnext <= 1e-14 * max(1.0, np.abs(hess[:m, :m]).max())
-        if breakdown or residual <= tol or m == n:
-            result = beta * (basis[:m].T @ phicol)
-            return PhiApplyResult(vector=result, iterations=matvecs, converged=True,
-                                  residual=0.0 if breakdown else residual)
+        for k in tuple(live):
+            phicols[k] = _phi_e1(l, steps[k] * hess[:m, :m])
+            residual[k] = 0.0 if breakdown else beta * hnext * abs(phicols[k][m - 1]) * steps[k]
+            if breakdown or residual[k] <= tol or m == n:
+                out[k] = beta * (basis[:m].T @ phicols[k])
+                live.remove(k)
+        if not live:
+            break
         basis[j + 1] = w / hnext
-    m = m_max
-    result = beta * (basis[:m].T @ phicol)
-    return PhiApplyResult(vector=result, iterations=matvecs, converged=False,
-                          residual=residual)
+    for k in live:
+        out[k] = beta * (basis[:m_max].T @ phicols[k])
+    return PhiApplyResult(vector=out[0] if fractions is None else out, iterations=matvecs,
+                          converged=not live, residual=float(residual.max()))

@@ -5,7 +5,10 @@ operator.  Its Newton coefficients come from a NewtonTable: one pass of the
 stable bidiagonal route in :mod:`xmhd.phi` gives the divided differences of
 every phi order on the transplanted node sequence, so all actions on one
 interval share one table (Caliari, Kandolf, Ostermann & Rainer 2016).  The
-caller owns the table; the module keeps no coefficient cache.
+normalised operator of the interval of c dt does not depend on the fraction
+c, so one chain of matvecs serves every stage fraction of a vector, each
+reading its own table.  The caller owns the tables; the module keeps no
+coefficient cache.
 """
 
 from dataclasses import dataclass
@@ -76,7 +79,12 @@ def shift_and_scale(alpha):
 
 @dataclass
 class PhiApplyResult:
-    """Outcome of one iterative phi-function action."""
+    """Outcome of one iterative phi-function action.
+
+    `vector` has one row per output column, or is 1-D for a one-column call;
+    `converged` holds when every column converged, and `residual` is the
+    largest column residual.
+    """
     vector: np.ndarray
     iterations: int
     converged: bool
@@ -113,38 +121,51 @@ class NewtonTable:
         return self._rows[l]
 
 
-def apply_phi_leja(l, matvec, v, dt, shift, tol, table=None):
-    """Approximate phi_l(J dt) v with J available only through `matvec`.
+def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
+    """Approximate phi_l(c J dt) v, for one or several fractions c, from one
+    chain of matvecs; J is available only through `matvec`.
 
-    Newton terms are added one at a time (one extra matvec each); the
-    iteration stops once the increment norm falls below tol relative to
-    max(1, ||result||) for two consecutive terms, or signals non-convergence
-    after LEJA_MAX terms / on overflow of the Newton basis.  Non-convergence
-    is reported, not raised: the caller rejects the step and retries with a
-    smaller dt.  `table` may carry the NewtonTable of `shift` from an earlier
-    action on the same interval; without it a fresh one is built.
+    The Newton basis of X = (dt J - q) / theta on `shift`'s interval is built
+    once, one matvec per term, and every output column reads its own
+    NewtonTable.  A table of the interval of c dt (q and theta scaled by c,
+    as shift_and_scale(alpha c dt) gives them) interpolates phi_l(c J dt) on
+    the same X, so a chain built for the largest fraction serves every
+    smaller one.  With `tables`, row k of `vector` approximates
+    phi_l(c_k J dt) v with c_k = tables[k].shift.theta / shift.theta in
+    (0, 1]; without, the one column is phi_l(J dt) v on a fresh table of
+    `shift` and `vector` is 1-D.  The caller owns the tables, so several
+    actions on one interval share one.
+
+    A column stops once its increment norm falls below tol relative to
+    max(1, ||column||) for two consecutive terms and is frozen there, so it
+    equals what a call with its table alone returns; the chain runs until
+    every column has stopped.  LEJA_MAX terms, or overflow of the Newton
+    basis, fail every unfinished column.  Non-convergence is reported, not
+    raised: the caller rejects the step and retries with a smaller dt.
     """
     _check_order(l)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if table is None:
-        table = NewtonTable(shift)
-    elif table.shift != shift:
-        raise ValueError("the Newton table was built for another interval")
+    columns = (NewtonTable(shift),) if tables is None else tuple(tables)
+    for table in columns:
+        if (table.shift.q / table.shift.theta != shift.q / shift.theta
+                or not 0.0 < table.shift.theta <= shift.theta):
+            raise ValueError("the Newton table was built for another interval")
     xi = leja_points(LEJA_MAX)
     q, theta = shift.q, shift.theta
 
-    coeffs = table.coeffs(l)
+    coeffs = [table.coeffs(l) for table in columns]
     y = np.array(v, dtype=float, copy=True)
     blowup = 1e120 * max(1.0, np.linalg.norm(y))
-    p = coeffs[0] * y
+    out = np.empty((len(columns), y.size))
+    for p, c in zip(out, coeffs):
+        np.multiply(y, c[0], out=p)
     buf = np.empty_like(y)
+    residual = np.full(len(columns), np.inf)
+    small_prev = [False] * len(columns)
+    live = list(range(len(columns)))
     matvecs = 0
-    residual = np.inf
-    small_prev = False
     for m in range(1, LEJA_MAX):
-        if m >= coeffs.size:
-            coeffs = table.coeffs(l, m + 1)
         w = matvec(y)
         matvecs += 1
         # y <- (dt w - q y) / theta - xi_{m-1} y, without temporaries; w is
@@ -158,17 +179,18 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, table=None):
         if not np.isfinite(norm_y) or norm_y > blowup:
             # the Newton basis only explodes like this when the spectrum
             # escaped the interpolation interval; report non-convergence
-            return PhiApplyResult(vector=p, iterations=matvecs, converged=False,
-                                  residual=np.inf)
-        np.multiply(y, coeffs[m], out=buf)
-        p += buf
-        residual = abs(coeffs[m]) * norm_y / max(1.0, np.linalg.norm(p))
-        if residual <= tol:
-            if small_prev:
-                return PhiApplyResult(vector=p, iterations=matvecs, converged=True,
-                                      residual=residual)
-            small_prev = True
-        else:
-            small_prev = False
-    return PhiApplyResult(vector=p, iterations=matvecs, converged=False,
-                          residual=residual)
+            residual[live] = np.inf
+            break
+        for k in tuple(live):
+            if m >= coeffs[k].size:
+                coeffs[k] = columns[k].coeffs(l, m + 1)
+            np.multiply(y, coeffs[k][m], out=buf)
+            out[k] += buf
+            residual[k] = abs(coeffs[k][m]) * norm_y / max(1.0, np.linalg.norm(out[k]))
+            if residual[k] <= tol and small_prev[k]:
+                live.remove(k)
+            small_prev[k] = residual[k] <= tol
+        if not live:
+            break
+    return PhiApplyResult(vector=out[0] if tables is None else out, iterations=matvecs,
+                          converged=not live, residual=float(residual.max()))

@@ -76,7 +76,7 @@ def test_spectrum_refresh_schedule_golden_run(monkeypatch):
     assert rep.status == "ok"
     assert rep.checksum == "aaa5003457f3f946f17a073e878f0b7517c78066b1738033f730f2a1f314ba35"
     assert (rep.accepted, rep.rejected, rep.rhs_evals, rep.phi_iterations,
-            rep.spectrum_rhs_evals) == (21, 0, 927, 771, 51)
+            rep.spectrum_rhs_evals) == (21, 0, 794, 638, 51)
     assert refreshes == [True] + [False] * 6
 
 
@@ -86,6 +86,7 @@ def test_spectrum_refresh_schedule_golden_run(monkeypatch):
     ("max_steps", 0), ("wall_budget", 0.0), ("wall_budget", -1.0),
     ("wall_budget", math.nan), ("checkpoint_every", -1.0),
     ("checkpoint_every", math.inf), ("divb_every", -0.5), ("divb_every", math.nan),
+    ("method", "lejaa"),
 ])
 def test_run_config_refuses_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -109,9 +110,9 @@ def test_combined_controller_never_exceeds_traditional():
 # the step arithmetic shows here; RK43 rejects steps under every mode
 @pytest.mark.parametrize("mode,scheme,checksum,counts", [
     (ControllerMode.TRADITIONAL, Scheme.EXPRB43,
-     "7e7abc31a26e06be98c2d47d3ba022cd65ec63c2aa5a330d88a9fc59a89e2ef6", (12, 0, 823, 760)),
+     "7e7abc31a26e06be98c2d47d3ba022cd65ec63c2aa5a330d88a9fc59a89e2ef6", (12, 0, 709, 646)),
     (ControllerMode.COST, Scheme.EXPRB43,
-     "66d2d12446257504fa22e970c8643c6a0c9ecee662b0ffb2368b70fb3b07ffda", (17, 0, 926, 838)),
+     "66d2d12446257504fa22e970c8643c6a0c9ecee662b0ffb2368b70fb3b07ffda", (17, 0, 787, 699)),
     (ControllerMode.TRADITIONAL, Scheme.RK43,
      "a745d9d6b769afc083844cc49681af57373befaf4214f78b5042497493b9634e", (22, 3, 125, 0)),
     (ControllerMode.COST, Scheme.RK43,
@@ -150,11 +151,11 @@ print(json.dumps([rep.status, rep.checksum[:12], rep.accepted, rep.rejected, rep
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,signature", [
-    ("khi3-leja", ["893bb0b1df46", 22, 0, 1532, 1417, 5, 0, []]),
-    ("recon6-leja-loose", ["35f7c3712404", 65, 0, 2420, 2016, 79, 9,
+    ("khi3-leja", ["893bb0b1df46", 22, 0, 1311, 1196, 5, 0, []]),
+    ("recon6-leja-loose", ["85230d506d6f", 63, 0, 1910, 1516, 79, 9,
                            ["state_t10.617866.chk", "state_t20.024481.chk",
-                            "state_t30.332355.chk", "state_t40.000000.chk"]]),
-    ("khi3-krylov", ["c6d4216fc458", 23, 2, 1308, 1015, 5, 0, []]),
+                            "state_t30.323208.chk", "state_t40.000000.chk"]]),
+    ("khi3-krylov", ["816ca4a3f16b", 23, 2, 1072, 808, 5, 0, []]),
     ("khi1-dopri-128", ["559e94ce6f20", 36, 4, 280, 0, 0, 0, []]),
 ])
 def test_benchmark_workload_signature(name, signature):
@@ -165,6 +166,22 @@ def test_benchmark_workload_signature(name, signature):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == ["ok", *signature]
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+def test_benchmark_layer_trace_agrees_with_report(monkeypatch, method):
+    # every phi chain goes through a binding the benchmark traces and counts
+    # its matvecs once, so the per-layer trace agrees with the run report
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import layertrace
+    tracer = layertrace.Tracer()
+    with layertrace.patched(tracer):
+        rep = tracer.wrap(layertrace.RUN, run)(replace(small_khi(), method=method))
+    assert rep.status == "ok"
+    metrics, failures = layertrace.analyse(tracer.spans, rep)
+    assert failures == []
+    assert metrics[f"{method}.apply.iters"] == metrics["phi_iters.all"] > 0
 
 
 def test_invariants_on_small_run():

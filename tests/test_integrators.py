@@ -91,6 +91,14 @@ def test_exponential_step_without_alpha_names_the_scheme(scheme):
     assert op.calls == 0
 
 
+@pytest.mark.parametrize("scheme", [Scheme.EXPRB43, Scheme.RK43])
+def test_step_refuses_unknown_phi_method(scheme):
+    op = RhsOperator(lambda u: -u)
+    with pytest.raises(ValueError, match="unknown phi method"):
+        step(scheme, op, np.array([1.0]), 0.5, method="lejaa", alpha=1.0)
+    assert op.calls == 0
+
+
 def test_stage_difference_vanishes_for_linear_rhs():
     a = np.array([[-2.0, 1.0], [0.0, -1.0]])
     op = RhsOperator(lambda u: a @ u)
@@ -225,3 +233,29 @@ def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch)
         res = step(Scheme.EXPRB43, op, u, 0.05, alpha=2.0, tol=1e-10)
         assert res.converged and res.phi_applications == 5
         assert len(builds) == 2 * attempt
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme,chains,applications", [
+    (Scheme.EXPRB43, 4, 5), (Scheme.EXPRB54S4, 7, 10), (Scheme.EPIRK5P1, 3, 8)])
+def test_one_engine_chain_per_vector(monkeypatch, method, scheme, chains, applications):
+    # every stage fraction of a phi action on one vector shares one chain:
+    # f(u) at all its fractions, then one chain per remainder vector
+    import xmhd.integrators
+    binding = f"apply_phi_{method}"
+    iterations = []
+    original = getattr(xmhd.integrators, binding)
+
+    def counted(*args, **kwargs):
+        res = original(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(xmhd.integrators, binding, counted)
+    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
+    res = step(scheme, op, np.array([0.5, 0.8, 1.1]), 0.05, method=method, alpha=2.0,
+               tol=1e-10)
+    assert res.converged
+    assert len(iterations) == chains
+    assert res.phi_applications == applications
+    assert res.phi_iterations == sum(iterations)

@@ -117,3 +117,57 @@ def test_arnoldi_relation_and_orthonormality():
     col = _phi_e1(2, hess[:m, :m])
     dense_col = phi_dense(2, hess[:m, :m])[:, 0]
     assert np.allclose(col, dense_col, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_one_basis_serves_every_fraction(l):
+    # the Arnoldi basis does not depend on dt: each column is the standalone
+    # action at c dt, bit for bit, and the basis grows to the largest count
+    rng = np.random.default_rng(240 + l)
+    a = random_negative_spectrum(rng, 32)
+    v = rng.standard_normal(32)
+    dt, tol = 1.0, 1e-10
+    fractions = (0.25, 0.5, 0.9, 1.0)
+    calls = [0]
+
+    def counted(w):
+        calls[0] += 1
+        return a @ w
+
+    res = apply_phi_krylov(l, counted, v, dt, tol, fractions=fractions)
+    assert res.converged and res.vector.shape == (len(fractions), v.size)
+    assert calls[0] == res.iterations
+    counts = []
+    for c, col in zip(fractions, res.vector):
+        alone = apply_phi_krylov(l, lambda w: a @ w, v, c * dt, tol)
+        assert alone.converged
+        counts.append(alone.iterations)
+        assert np.array_equal(col, alone.vector)
+        exact = phi_dense(l, c * dt * a) @ v
+        assert np.linalg.norm(col - exact) <= 100 * tol * np.linalg.norm(exact)
+    assert res.iterations == max(counts)
+
+
+def test_repeated_fractions_share_one_basis():
+    rng = np.random.default_rng(245)
+    a = random_negative_spectrum(rng, 24)
+    v = rng.standard_normal(24)
+    res = apply_phi_krylov(2, lambda w: a @ w, v, 1.0, 1e-10, fractions=(0.5, 1.0, 0.5))
+    alone = apply_phi_krylov(2, lambda w: a @ w, v, 0.5, 1e-10)
+    assert res.converged
+    assert np.array_equal(res.vector[0], alone.vector)
+    assert np.array_equal(res.vector[2], alone.vector)
+
+
+def test_shared_basis_that_cannot_converge_fails(monkeypatch):
+    # with a three-vector ceiling the tiny fraction converges, the full one
+    # cannot, and the action reports the failure
+    import xmhd.krylov
+    monkeypatch.setattr(xmhd.krylov, "M_DEFAULT", 3)
+    rng = np.random.default_rng(246)
+    a = random_negative_spectrum(rng, 32)
+    v = rng.standard_normal(32)
+    res = apply_phi_krylov(1, lambda w: a @ w, v, 1.0, 1e-12, fractions=(1e-6, 1.0))
+    tiny = apply_phi_krylov(1, lambda w: a @ w, v, 1e-6, 1e-12)
+    assert not res.converged and res.iterations == 3
+    assert tiny.converged and np.array_equal(res.vector[0], tiny.vector)

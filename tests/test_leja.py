@@ -180,12 +180,13 @@ def test_shared_table_serves_every_order():
     shift = shift_and_scale(25.0)
     table = NewtonTable(shift)
     for l in range(5):
-        shared = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10, table=table)
+        shared = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10, tables=[table])
         fresh = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10)
-        assert np.array_equal(shared.vector, fresh.vector)
+        assert np.array_equal(shared.vector[0], fresh.vector)
+    # a table wider than the chain's interval has no fraction in (0, 1]
     with pytest.raises(ValueError, match="another interval"):
         apply_phi_leja(1, lambda u: a @ u, v, 1.0, shift_and_scale(5.0), 1e-10,
-                       table=table)
+                       tables=[table])
 
 
 def test_identity_matvec_may_return_its_argument():
@@ -194,3 +195,60 @@ def test_identity_matvec_may_return_its_argument():
     res = apply_phi_leja(1, lambda w: w, v, -1.0, shift_and_scale(1.0), 1e-12)
     assert res.converged
     assert np.allclose(res.vector, phi_scalar(1, -1.0) * v, rtol=1e-10)
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_one_chain_serves_every_fraction(l):
+    # each column of a shared chain is the standalone action at its fraction:
+    # bit for bit where it is a power-of-two part of the chain's fraction
+    rng = np.random.default_rng(40 + l)
+    a = random_negative_spectrum(rng, 32)
+    v = rng.standard_normal(32)
+    alpha, dt, tol = 80.0, 0.3, 1e-10
+    fractions = (0.25, 0.5, 0.9, 1.0)
+    tables = [NewtonTable(shift_and_scale(alpha * (c * dt))) for c in fractions]
+    calls = [0]
+
+    def counted(w):
+        calls[0] += 1
+        return a @ w
+
+    res = apply_phi_leja(l, counted, v, dt, tables[-1].shift, tol, tables=tables)
+    assert res.converged and res.vector.shape == (len(fractions), v.size)
+    assert calls[0] == res.iterations
+    counts = []
+    for c, col in zip(fractions, res.vector):
+        alone = apply_phi_leja(l, lambda w: a @ w, v, c * dt,
+                               shift_and_scale(alpha * (c * dt)), tol)
+        assert alone.converged
+        counts.append(alone.iterations)
+        if c == 0.9:
+            assert np.linalg.norm(col - alone.vector) <= 1e-13 * np.linalg.norm(alone.vector)
+        else:
+            assert np.array_equal(col, alone.vector)
+        exact = phi_dense(l, c * dt * a) @ v
+        assert np.linalg.norm(col - exact) <= 100 * tol * np.linalg.norm(exact)
+    assert res.iterations == max(counts)
+
+
+def test_repeated_fractions_share_one_chain():
+    rng = np.random.default_rng(45)
+    a = random_negative_spectrum(rng, 24)
+    v = rng.standard_normal(24)
+    half, full = NewtonTable(shift_and_scale(12.5)), NewtonTable(shift_and_scale(25.0))
+    res = apply_phi_leja(3, lambda w: a @ w, v, 1.0, full.shift, 1e-10,
+                         tables=[half, full, half, NewtonTable(shift_and_scale(12.5))])
+    alone = apply_phi_leja(3, lambda w: a @ w, v, 0.5, shift_and_scale(12.5), 1e-10)
+    assert res.converged
+    for k in (0, 2, 3):
+        assert np.array_equal(res.vector[k], alone.vector)
+
+
+def test_shared_chain_that_cannot_converge_fails():
+    # the spectrum escapes the interval of every fraction
+    a = np.diag([-1000.0, -1.0])
+    tables = [NewtonTable(shift_and_scale(c)) for c in (0.5, 1.0)]
+    res = apply_phi_leja(1, lambda w: a @ w, np.ones(2), 1.0, tables[-1].shift, 1e-10,
+                         tables=tables)
+    assert not res.converged
+    assert res.iterations <= LEJA_MAX and res.vector.shape == (2, 2)
