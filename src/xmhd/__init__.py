@@ -2,12 +2,12 @@
 
 The package bundles three layers:
 
-* matrix-function machinery: scalar/dense/divided-difference evaluation of
-  the phi functions (:mod:`xmhd.phi`), their action on vectors via real Leja
-  interpolation (:mod:`xmhd.leja`) and via Arnoldi/Krylov projection
-  (:mod:`xmhd.krylov`), glued to the problem through finite-difference
-  Jacobian actions and a cached power-iteration spectral estimate
-  (:mod:`xmhd.linearize`);
+* matrix-function machinery: scalar and dense evaluation of the phi
+  functions and their divided differences (:mod:`xmhd.phi`), their action
+  on vectors via real Leja interpolation (:mod:`xmhd.leja`) and via
+  Arnoldi/Krylov projection (:mod:`xmhd.krylov`), glued to the problem
+  through finite-difference Jacobian actions and a power-iteration
+  spectral estimate (:mod:`xmhd.linearize`);
 * time integrators and step-size control: exponential Rosenbrock and EPIRK
   single-step schemes plus explicit embedded Runge-Kutta baselines
   (:mod:`xmhd.integrators`), with traditional, cost-gradient and combined
@@ -18,13 +18,13 @@ The package bundles three layers:
   (:mod:`xmhd.harness`, :mod:`xmhd.cli`).
 """
 
-from xmhd.phi import phi_scalar, phi_dense, divided_differences
+from xmhd.phi import phi_scalar, phi_dense
 from xmhd.leja import leja_points, shift_and_scale, apply_phi_leja
 from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import RhsOperator, FrozenLinearization, jvp, estimate_alpha
 from xmhd.integrators import Scheme, step, error_norm
 from xmhd.controllers import traditional_next, cost_next, combine, accept
-from xmhd.mhd import StateGrid, MHDParams, Boundary, RhsWorkspace, mhd_rhs, discrete_div_b, conserved_totals, apply_bc
+from xmhd.mhd import StateGrid, MHDParams, Boundary, RhsWorkspace, mhd_rhs, discrete_div_b, conserved_totals
 from xmhd.scenarios import make_scenario, initialize
 from xmhd.harness import RunConfig, run, make_reference, work_precision
 

@@ -25,9 +25,6 @@ from xmhd.integrators import PHI_METHODS, Scheme
 from xmhd.mhd import write_checkpoint
 from xmhd.scenarios import make_scenario
 
-_INTEGRATORS = {s.value: s for s in Scheme}
-_CONTROLLERS = {m.value: m for m in ControllerMode}
-
 
 def _build_parser():
     # run defaults have one owner: the RunConfig fields
@@ -41,9 +38,11 @@ def _build_parser():
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--tf", type=float, default=None, help="final simulation time")
     p.add_argument("--tol", type=float, default=d.tol)
-    p.add_argument("--integrator", choices=sorted(_INTEGRATORS), default=d.scheme.value)
+    p.add_argument("--integrator", choices=sorted(s.value for s in Scheme),
+                   default=d.scheme.value)
     p.add_argument("--method", choices=PHI_METHODS, default=d.method)
-    p.add_argument("--controller", choices=sorted(_CONTROLLERS), default=d.controller.value)
+    p.add_argument("--controller", choices=sorted(m.value for m in ControllerMode),
+                   default=d.controller.value)
     p.add_argument("--spectrum-interval", type=int, default=d.spectrum_interval, metavar="N")
     p.add_argument("--reference", type=Path, default=None, metavar="PATH",
                    help="reference checkpoint for global-error measurement")
@@ -119,11 +118,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
         scenario = _scenario_from_args(args)
         # --make-reference ignores --integrator: make_reference sets its own
-        scheme = Scheme.EXPRB43 if args.make_reference else _INTEGRATORS[args.integrator]
+        scheme = Scheme.EXPRB43 if args.make_reference else Scheme(args.integrator)
         config = RunConfig(scenario=scenario,
                            scheme=scheme,
                            method=args.method,
-                           controller=_CONTROLLERS[args.controller],
+                           controller=ControllerMode(args.controller),
                            tol=args.tol,
                            spectrum_interval=args.spectrum_interval,
                            output_dir=args.output,
@@ -132,6 +131,8 @@ def main(argv=None):
                            rng_seed=args.seed,
                            max_steps=args.max_steps,
                            wall_budget=args.wall_budget)
+        if args.checkpoint_every > 0 and args.output is None:
+            raise ValueError("--checkpoint-every requires --output")
         if args.sweep and not args.make_reference:
             if args.reference is None:
                 raise ValueError("--sweep requires --reference")

@@ -211,7 +211,8 @@ def run(config):
             config.output_dir.mkdir(parents=True, exist_ok=True)
             write_checkpoint(Path(config.output_dir) / f"state_t{t:.6f}.chk",
                              state, t)
-            next_checkpoint += config.checkpoint_every
+            while next_checkpoint <= t + 1e-12:
+                next_checkpoint += config.checkpoint_every
 
         dt = controller.after_accept(dt, rec.error, rec.cost)
 

@@ -89,10 +89,11 @@ class _PhiBroker:
     One broker lives for one step attempt.  Each action serves every stage
     fraction c of one vector from one engine chain: `applications` counts
     each fraction, `iterations` each matvec of the chain once.  The degenerate
-    (zero) spectrum is short-circuited to phi_l(0) v = v / l! here so both
-    engines only ever see a positive interval.  For the Leja engine it holds
-    one NewtonTable per stage fraction c, shared by every phi order applied
-    at that c; a chain runs on the table of its largest fraction.
+    (zero) spectrum is short-circuited to phi_l(0) v = v / l! and the zero
+    vector to zero here, so both engines only ever see a positive interval
+    and a nonzero vector.  For the Leja engine it holds one NewtonTable per
+    stage fraction c, shared by every phi order applied at that c; a chain
+    runs on the table of its largest fraction.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -120,6 +121,8 @@ class _PhiBroker:
         self.applications += len(fractions)
         if self.alpha < 1e-14:
             return tuple(vec / math.factorial(l) for _ in fractions)
+        if not vec.any():
+            return tuple(np.zeros_like(vec) for _ in fractions)
         if self.method == "leja":
             top = max(fractions)
             res = apply_phi_leja(l, self._matvec, vec, top * self.dt, self._table(top).shift,

@@ -121,11 +121,6 @@ def _pad(data, ghosts, params, out=None):
     return out
 
 
-def apply_bc(state, params):
-    """Field data with one ghost layer per side filled from the boundary conditions."""
-    return _pad(state.data, 1, params)
-
-
 def _ddx(a, dx, out):
     """Centered x-derivative of `a` into `out`, which is one ring smaller."""
     np.subtract(a[..., 1:-1, 2:], a[..., 1:-1, :-2], out=out)

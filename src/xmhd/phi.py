@@ -7,7 +7,6 @@ iterative (Leja / Krylov) engines.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,13 +88,6 @@ def phi_dense(l, a):
     for k in range(l):
         m[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = eye
     return _expm_taylor(m)[:n, l * n:]
-
-
-@dataclass(frozen=True)
-class DividedDiffTable:
-    """Newton divided differences of phi_l at a node sequence."""
-    nodes: np.ndarray
-    coeffs: np.ndarray
 
 
 def _phi_divided_diffs(nodes, subdiag=1.0):
@@ -180,29 +172,3 @@ def _phi_divided_diffs(nodes, subdiag=1.0):
         block[np.abs(block) < tiny] = 0.0
     orders = np.arange(MAX_ORDER + 1)
     return np.ascontiguousarray(block[MAX_ORDER:, ::-1].T) / subdiag ** orders[:, None]
-
-
-def divided_differences(l, nodes):
-    """Newton divided differences of phi_l at the given real nodes.
-
-    Computed through the bidiagonal-matrix route (Opitz), which keeps full
-    relative accuracy where the naive recursive difference table loses every
-    digit beyond roughly twenty nodes.
-    """
-    _check_order(l)
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size == 0:
-        raise ValueError("divided_differences requires a nonempty 1-d node sequence")
-    if nodes.size > 512:
-        raise ValueError("node sequence longer than the 512-node oracle scale")
-    coeffs = _phi_divided_diffs(nodes)[l]
-    return DividedDiffTable(nodes=nodes, coeffs=coeffs)
-
-
-def newton_eval(table, z):
-    """Evaluate the Newton-form polynomial of a DividedDiffTable at z."""
-    x = table.nodes
-    result = np.full_like(np.asarray(z, dtype=float), table.coeffs[-1])
-    for k in range(x.size - 2, -1, -1):
-        result = result * (z - x[k]) + table.coeffs[k]
-    return result

@@ -61,26 +61,17 @@ class Scenario:
         return np.meshgrid(x, y)
 
 
-def _khi_params(mu, eta, kappa):
-    return MHDParams(mu=mu, eta=eta, kappa=kappa,
-                     bc_x=Boundary.PERIODIC, bc_y=Boundary.PERIODIC)
-
-
-def _recon_params():
-    return MHDParams(mu=5e-2, eta=5e-3, kappa=4e-2,
-                     bc_x=Boundary.PERIODIC, bc_y=Boundary.REFLECTING)
-
-
 def _khi_scenario(case_id, n, t_final, mu, eta, kappa):
     return Scenario(problem="khi", case_id=case_id, nx=n, ny=n, t_final=t_final,
                     x_min=-1.25, x_max=1.25, y_min=-0.5, y_max=0.5,
-                    params=_khi_params(mu, eta, kappa))
+                    params=MHDParams(mu=mu, eta=eta, kappa=kappa))
 
 
 def _recon_scenario(case_id, n, t_final):
     return Scenario(problem="recon", case_id=case_id, nx=n, ny=n, t_final=t_final,
                     x_min=-12.8, x_max=12.8, y_min=-6.4, y_max=6.4,
-                    params=_recon_params())
+                    params=MHDParams(mu=5e-2, eta=5e-3, kappa=4e-2,
+                                     bc_y=Boundary.REFLECTING))
 
 
 _PRESETS = {

@@ -132,3 +132,22 @@ def test_out_of_range_config_is_config_error(tmp_path, capsys, extra):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_every_without_output_is_config_error(tmp_path, capsys, monkeypatch):
+    # the checkpoints would have nowhere to go
+    monkeypatch.chdir(tmp_path)
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.02",
+                 "--checkpoint-every", "0.005"])
+    assert code == 2
+    assert "--checkpoint-every requires --output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_comments_and_flags(tmp_path):
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text("# a reference run\nproblem=khi\n\n  # indented comment\n"
+                   "nx=16\nny=16\ntf=0.002\nmake-reference=true\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "reference-khi-III.chk").exists()

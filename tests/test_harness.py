@@ -342,3 +342,37 @@ def test_global_error_definition_matches_error_norm(tmp_path):
     ref_state, _ = read_checkpoint(ref_path)
     expect = error_norm(rep.final_state.flat(), ref_state.flat())
     assert float(rows[0]["global_error"]) == pytest.approx(expect, rel=1e-12)
+
+
+def test_unreachable_tolerance_fails_after_consecutive_rejections():
+    spec = make_scenario("khi-III", nx=16, ny=16, t_final=0.1)
+    rep = run(RunConfig(scenario=spec, scheme=Scheme.RK43, tol=1e-300))
+    assert rep.status == "failed: too many consecutive rejections"
+    assert rep.accepted == 0 and rep.rejected == 10
+    assert rep.t_reached == 0.0
+
+
+def test_exhausted_wall_budget_fails_before_the_first_step():
+    spec = make_scenario("khi-III", nx=16, ny=16, t_final=0.1)
+    rep = run(RunConfig(scenario=spec, wall_budget=1e-9))
+    assert rep.status == "failed: wall-clock budget exceeded"
+    assert rep.steps == []
+
+
+def test_checkpoints_follow_their_cadence_after_long_steps(tmp_path):
+    # the steps grow past checkpoint_every, and the last one, clipped to the
+    # final time, is shorter than it and crosses no checkpoint time: one file
+    # for each step that crosses a multiple of checkpoint_every, none other
+    every = 0.005
+    spec = make_scenario("khi-III", nx=16, ny=16, t_final=0.2)
+    probe = run(RunConfig(scenario=spec))
+    t_long = [s.t for s in probe.steps if s.accepted][-2]
+    spec = replace(spec, t_final=t_long + 0.1 * every)
+    rep = run(RunConfig(scenario=spec, output_dir=tmp_path, checkpoint_every=every))
+    assert rep.status == "ok"
+    times = [0.0, *(s.t for s in rep.steps if s.accepted)]
+    assert times[-2] == t_long
+    crossing = [t for prev, t in zip(times, times[1:])
+                if math.floor((t + 1e-12) / every) > math.floor((prev + 1e-12) / every)]
+    written = sorted(read_checkpoint(p)[1] for p in tmp_path.glob("state_t*.chk"))
+    assert written == crossing

@@ -6,7 +6,7 @@ from xmhd.integrators import (EPIRK_A11, EPIRK_A21, EPIRK_A22, EPIRK_B1, EPIRK_B
                                EPIRK_G32, EPIRK_G32_EMBEDDED, EPIRK_G33,
                                EPIRK_G33_EMBEDDED, _TABLEAUS, Scheme, _stage_difference,
                                error_norm, step)
-from xmhd.linearize import FrozenLinearization, RhsOperator
+from xmhd.linearize import FrozenLinearization, RhsBlowupError, RhsOperator
 from xmhd.phi import phi_dense
 from tests._problems import (observed_order, random_negative_spectrum,
                              riccati_l1_error)
@@ -259,3 +259,48 @@ def test_one_engine_chain_per_vector(monkeypatch, method, scheme, chains, applic
     assert len(iterations) == chains
     assert res.phi_applications == applications
     assert res.phi_iterations == sum(iterations)
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+def test_steady_state_is_a_fixed_point(scheme, method):
+    # f(u) = 0 with J != 0: every phi action acts on the zero vector, which
+    # the broker answers with zeros and no engine chain
+    a = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 3.0], [0.0, -3.0, -0.5]])
+    u = np.array([0.5, -0.2, 1.0])
+    op = RhsOperator(lambda v: a @ (v - u))
+    res = step(scheme, op, u, 0.1, method=method, alpha=4.0, tol=1e-10)
+    assert res.converged
+    assert np.array_equal(res.new_state, u)
+    assert res.phi_iterations == 0
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+def test_zero_spectrum_gives_the_explicit_euler_update(scheme, method):
+    # a constant rhs has J = 0: with alpha = 0 the broker answers
+    # phi_l(0) v = v / l! and the step is exactly u + dt f
+    f = np.array([1.0, -2.0, 0.25])
+    u = np.array([0.5, -0.2, 1.0])
+    op = RhsOperator(lambda v: f.copy())
+    res = step(scheme, op, u, 0.1, method=method, alpha=0.0, tol=1e-10)
+    assert res.converged
+    assert np.array_equal(res.new_state, u + 0.1 * f)
+    assert res.phi_iterations == 0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_rhs_blowup_inside_a_scheme_fails_the_step(scheme):
+    # the first evaluation (the frozen base of an exponential scheme, the
+    # first stage of an explicit one) succeeds, the next one blows up
+    def blows_up_after_one_call(v):
+        if op.calls > 1:
+            raise RhsBlowupError("non-finite rhs")
+        return -v
+
+    op = RhsOperator(blows_up_after_one_call)
+    u = np.array([1.0, 2.0])
+    res = step(scheme, op, u, 0.1, alpha=1.0, tol=1e-10)
+    assert not res.converged
+    assert np.array_equal(res.new_state, u)
+    assert res.error_estimate == np.inf

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xmhd.linearize import RhsBlowupError
 from xmhd.mhd import (BX, BY, BZ, EN, MX, MY, MZ, NVAR, RHO, Boundary,
-                      MHDParams, RhsWorkspace, StateGrid, apply_bc,
+                      MHDParams, RhsWorkspace, StateGrid, _pad,
                       conserved_totals, discrete_div_b, mhd_rhs,
                       read_checkpoint, write_checkpoint)
 
@@ -228,22 +228,22 @@ def test_conserved_totals():
         assert val == pytest.approx(2.0 * totals[name], rel=1e-13, abs=1e-15)
 
 
-def test_apply_bc_periodic():
+def test_pad_periodic():
     rng = np.random.default_rng(29)
     g = random_state(rng, nx=4, ny=4)
-    padded = apply_bc(g, MHDParams(mu=0, eta=0, kappa=0))
+    padded = _pad(g.data, 1, MHDParams(mu=0, eta=0, kappa=0))
     assert padded.shape == (NVAR, 6, 6)
     assert np.array_equal(padded[:, 1:-1, 0], g.data[:, :, -1])
     assert np.array_equal(padded[:, 1:-1, -1], g.data[:, :, 0])
     assert np.array_equal(padded[:, 0, 1:-1], g.data[:, -1, :])
 
 
-def test_apply_bc_reflecting_parities():
+def test_pad_reflecting_parities():
     rng = np.random.default_rng(31)
     g = random_state(rng, nx=4, ny=4)
     params = MHDParams(mu=0, eta=0, kappa=0,
                        bc_x=Boundary.PERIODIC, bc_y=Boundary.REFLECTING)
-    padded = apply_bc(g, params)
+    padded = _pad(g.data, 1, params)
     inner = g.data
     # wall-normal momentum and field are odd, everything else even
     assert np.array_equal(padded[MY, 0, 1:-1], -inner[MY, 0, :])

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from xmhd.leja import leja_points
-from xmhd.phi import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, MAX_ORDER,
-                      DividedDiffTable, _expm_taylor, _phi_divided_diffs,
-                      divided_differences, newton_eval, phi_dense, phi_scalar)
+from xmhd.phi import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, MAX_ORDER, _expm_taylor,
+                      _phi_divided_diffs, phi_dense, phi_scalar)
 
 
 def test_phi_scalar_at_zero():
@@ -98,32 +97,25 @@ def test_expm_taylor_matches_identity_building_reference():
             assert np.array_equal(_expm_taylor(a), f)
 
 
-def test_divided_differences_single_node():
-    table = divided_differences(1, [0.0])
-    assert isinstance(table, DividedDiffTable)
-    assert table.coeffs[0] == pytest.approx(1.0, rel=1e-15)
+def test_phi_divided_diffs_single_node():
+    assert _phi_divided_diffs([0.0])[1][0] == pytest.approx(1.0, rel=1e-15)
     for l in range(5):
         for node in (-2.0, -0.3, 1.4):
-            t = divided_differences(l, [node])
-            assert t.coeffs[0] == pytest.approx(phi_scalar(l, node), rel=1e-12)
+            coeffs = _phi_divided_diffs([node])[l]
+            assert coeffs[0] == pytest.approx(phi_scalar(l, node), rel=1e-12)
 
 
-def test_divided_differences_two_nodes_is_slope():
-    t = divided_differences(0, [0.0, 1.0])
-    assert t.coeffs[0] == pytest.approx(1.0, rel=1e-15)
-    assert t.coeffs[1] == pytest.approx(math.e - 1.0, rel=1e-13)
+def test_phi_divided_diffs_two_nodes_is_slope():
+    coeffs = _phi_divided_diffs([0.0, 1.0])[0]
+    assert coeffs[0] == pytest.approx(1.0, rel=1e-15)
+    assert coeffs[1] == pytest.approx(math.e - 1.0, rel=1e-13)
 
 
-def test_divided_differences_rejects_empty():
-    with pytest.raises(ValueError):
-        divided_differences(1, [])
-
-
-def test_divided_differences_against_extended_precision_oracle():
+def test_phi_divided_diffs_against_extended_precision_oracle():
     # 16 Leja nodes on [-2, 2]; 256-bit recursive difference table as oracle
     mp.mp.prec = 256
     nodes = np.asarray(leja_points(16))
-    table = divided_differences(1, nodes)
+    coeffs = _phi_divided_diffs(nodes)[1]
 
     def mp_phi1(z):
         z = mp.mpf(float(z))
@@ -137,15 +129,18 @@ def test_divided_differences_against_extended_precision_oracle():
         cur = [(cur[i + 1] - cur[i]) / (mpnodes[i + j] - mpnodes[i])
                for i in range(len(cur) - 1)]
         oracle.append(cur[0])
-    for mine, ref in zip(table.coeffs, oracle):
+    for mine, ref in zip(coeffs, oracle):
         assert abs(float(mine) - float(ref)) <= 1e-9 * abs(float(ref))
 
 
 @pytest.mark.parametrize("l", [0, 1, 4])
 def test_newton_polynomial_reproduces_phi_at_nodes(l):
     nodes = np.asarray(leja_points(64))
-    table = divided_differences(l, nodes)
-    vals = newton_eval(table, nodes)
+    coeffs = _phi_divided_diffs(nodes)[l]
+    # Horner's rule on the Newton form at every node at once
+    vals = np.full_like(nodes, coeffs[-1])
+    for k in range(nodes.size - 2, -1, -1):
+        vals = vals * (nodes - nodes[k]) + coeffs[k]
     exact = np.array([phi_scalar(l, z) for z in nodes])
     assert np.all(np.abs(vals - exact) <= 1e-9 * np.abs(exact))
 
@@ -170,7 +165,7 @@ def test_all_orders_table_matches_per_order_and_oracle(alpha_dt):
     with mp.workprec(3000):
         mpnodes = [mp.mpf(float(x)) for x in xs]
         for l in range(MAX_ORDER + 1):
-            per_order = divided_differences(l, xs).coeffs * powers
+            per_order = _phi_divided_diffs(xs)[l] * powers
             assert np.all(np.abs(table[l] - per_order) <= 1e-12 * np.abs(per_order)), l
             cur = [_mp_phi(l, x) for x in mpnodes]
             oracle = [cur[0]]

@@ -1,8 +1,15 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name is used, and every module-level name the package defines is read.
 
-A stdlib-`ast` scan, since no linter is a dependency: a name bound by an
-import must appear as a name somewhere else in the same file.  The package
-`__init__.py` is exempt, because its imports are the public re-exports.
+Stdlib-`ast` scans, since no linter is a dependency, over one file list
+(the package, the tests and the benchmark), each file parsed once:
+
+* a name bound by an import must appear as a name somewhere else in the
+  same file;
+* a def, class or assignment at module level in `src/xmhd` must be loaded
+  (as a name, an attribute or an imported name) by some file of the list.
+
+The package `__init__.py` is left out of both: its imports are only the
+public re-exports.
 """
 
 import ast
@@ -11,13 +18,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for p in [*(ROOT / "src" / "xmhd").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+FILES = sorted(p for d in ("src/xmhd", "tests", "perfbench") for p in (ROOT / d).glob("*.py")
                if p.name != "__init__.py")
+TREES = {path: ast.parse(path.read_text()) for path in FILES}
+PACKAGE = [path for path in FILES if path.parent.name == "xmhd"]
 
 
-def unused_imports(source):
-    """Names bound by an import in `source` that nothing else in it reads."""
-    tree = ast.parse(source)
+def _file_id(path):
+    return f"{path.parent.name}/{path.name}"
+
+
+def unused_imports(tree):
+    """Names bound by an import in `tree` that nothing else in it reads."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -28,12 +40,60 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def defined_names(tree):
+    """(line, name) of every module-level def, class and assigned name in `tree`."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        found.append((node.lineno, sub.id))
+    return found
+
+
+def loaded_names(tree):
+    """Names `tree` reads: loaded names, attribute names and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_scan_flags_an_unused_import():
-    assert unused_imports("import os\nimport numpy as np\nnp.zeros(1)\n") == [(1, "os")]
-    assert unused_imports("from a.b import c, d as e\nprint(e)\n") == [(1, "c")]
-    assert unused_imports("import os.path\nos.getcwd()\n") == []
+    def scan(source):
+        return unused_imports(ast.parse(source))
+    assert scan("import os\nimport numpy as np\nnp.zeros(1)\n") == [(1, "os")]
+    assert scan("from a.b import c, d as e\nprint(e)\n") == [(1, "c")]
+    assert scan("import os.path\nos.getcwd()\n") == []
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_scan_flags_an_unused_definition():
+    tree = ast.parse("A = 1\nB, C = 2, 3\ndef f():\n    return A\nclass K:\n    pass\n")
+    assert defined_names(tree) == [(1, "A"), (2, "B"), (2, "C"), (3, "f"), (5, "K")]
+    assert loaded_names(tree) == {"A"}
+    assert loaded_names(ast.parse("from m import K\nx.f()\nC = 0\n")) == {"K", "x", "f"}
+
+
+@pytest.mark.parametrize("path", FILES, ids=_file_id)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(TREES[path]) == []
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    return set().union(*map(loaded_names, TREES.values()))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=_file_id)
+def test_no_unused_module_level_names(path, loaded):
+    unused = [(line, name) for line, name in defined_names(TREES[path]) if name not in loaded]
+    assert unused == []
