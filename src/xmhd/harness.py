@@ -208,7 +208,6 @@ def run(config):
                 report.divb_series.append((next_divb, divb))
                 next_divb += config.divb_every
         if config.output_dir is not None and t + 1e-12 >= next_checkpoint:
-            config.output_dir.mkdir(parents=True, exist_ok=True)
             write_checkpoint(Path(config.output_dir) / f"state_t{t:.6f}.chk",
                              state, t)
             while next_checkpoint <= t + 1e-12:
@@ -225,7 +224,6 @@ def run(config):
     mass = conserved_totals(final_state)["rho"]
     report.mass_drift = abs(mass - mass0) / abs(mass0) if mass0 else 0.0
     if report.status != "ok" and config.output_dir is not None:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         write_checkpoint(Path(config.output_dir) / "abort.chk", final_state, t)
     return report
 
@@ -240,8 +238,6 @@ def make_reference(config, path):
     report = run(ref_cfg)
     if report.status != "ok":
         raise RuntimeError(f"reference run failed: {report.status}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(path, report.final_state, report.t_reached)
     return report
 
@@ -274,15 +270,13 @@ def _row(config, report, global_error):
 def work_precision(base, tols, reference, out_csv):
     """Run `base` at each tolerance, ascending, and write one CSV row per run.
 
-    A tolerance that RunConfig refuses raises ValueError before any run.  A
-    run that fails (non-convergence, budget, an exception) is recorded with
-    a NaN error; its RunReport status names the failure, with the exception
-    type and message, and its CSV status reads failed.  The sweep itself
-    never aborts.
+    A missing or malformed reference (OSError, ValueError) and a tolerance
+    that RunConfig refuses (ValueError) raise before any run.  A run that
+    fails (non-convergence, budget, an exception) is recorded with a NaN
+    error; its RunReport status names the failure, with the exception type
+    and message, and its CSV status reads failed.  The sweep itself never
+    aborts.
     """
-    reference = Path(reference)
-    if not reference.exists():
-        raise FileNotFoundError(f"missing reference checkpoint: {reference}")
     ref_state, _ = read_checkpoint(reference)
     ref_flat = ref_state.flat()
 
@@ -298,11 +292,15 @@ def work_precision(base, tols, reference, out_csv):
             report = RunReport(status=f"failed: {type(exc).__name__}: {exc}")
             err = float("nan")
         rows.append(_row(cfg, report, err))
-    out_csv = Path(out_csv)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    write_csv(out_csv, CSV_COLUMNS, rows)
+    return rows
+
+
+def write_csv(path, columns, rows):
+    """Write the dicts `rows` under a `columns` header, creating the directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
-    return rows
 

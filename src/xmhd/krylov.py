@@ -37,9 +37,10 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     The basis grows from v/||v||; after each expansion phi_l(c dt H_m) e1 is
     evaluated on the projected Hessenberg matrix for every fraction not yet
     converged, and the standard residual surrogate
-    ||v|| * |h_{m+1,m}| * |(phi_l(c dt H_m))_{m,1}| * c dt  decides that
-    fraction's convergence; a converged column is frozen, so it equals what a
-    call at c dt alone returns.  With `fractions`, row k of `vector` holds
+    ||v|| * |h_{m+1,m}| * |(phi_j(c dt H_m))_{m,1}| * c dt, with j = max(l, 1)
+    (for l = 0 this is Saad's 1992 estimate), decides that fraction's
+    convergence; a converged column is frozen, so it equals what a call at
+    c dt alone returns.  With `fractions`, row k of `vector` holds
     fraction fractions[k]; without, the one column is c = 1 and `vector` is
     1-D.  Happy breakdown counts as exact convergence.  The basis holds at
     most min(M_DEFAULT, n) vectors.
@@ -79,8 +80,10 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
         m = j + 1
         breakdown = hnext <= 1e-14 * max(1.0, np.abs(hess[:m, :m]).max())
         for k in tuple(live):
-            phicols[k] = _phi_e1(l, steps[k] * hess[:m, :m])
-            residual[k] = 0.0 if breakdown else beta * hnext * abs(phicols[k][m - 1]) * steps[k]
+            h = steps[k] * hess[:m, :m]
+            phicols[k] = _phi_e1(l, h)
+            last = (_phi_e1(1, h) if l == 0 else phicols[k])[m - 1]
+            residual[k] = 0.0 if breakdown else beta * hnext * abs(last) * steps[k]
             if breakdown or residual[k] <= tol or m == n:
                 out[k] = beta * (basis[:m].T @ phicols[k])
                 live.remove(k)

@@ -17,6 +17,7 @@ preserved exactly (up to roundoff) by any right-hand-side evaluation.
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -344,7 +345,11 @@ def conserved_totals(state):
 
 
 def write_checkpoint(path, state, time):
-    """Binary checkpoint: magic, version, nx, ny, nvar, time, dx, dy, field planes."""
+    """Binary checkpoint: magic, version, nx, ny, nvar, time, dx, dy, field planes.
+
+    The directory of `path` is created if it does not exist.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     header = struct.pack("<4sIIIIddd", _MAGIC, _FORMAT_VERSION,
                          state.nx, state.ny, NVAR, time, state.dx, state.dy)
     with open(path, "wb") as fh:

@@ -87,10 +87,8 @@ def test_engines_meet_tolerance(nu, alpha_dt):
     pytest.param("leja", 0.0, 1, 1e-10, 0, marks=pytest.mark.xfail(
         strict=True, reason="real Leja interpolation stagnates on an imaginary "
                             "spectrum at alpha dt = 40 and its stop test still fires")),
-    *(pytest.param("krylov", 0.02, 0, 1e-6, seed, marks=pytest.mark.xfail(
-        strict=True, reason="the residual surrogate for l = 0 reads (exp(tau H_m))_{m,1}, "
-                            "which is tiny after one step; Saad's estimate uses phi_1"))
-      for seed in (1, 2)),
+    # the l = 0 surrogate reads phi_1, not exp, of the projected matrix (Saad 1992)
+    *(("krylov", 0.02, 0, 1e-6, seed) for seed in range(3)),
 ])
 def test_converged_action_meets_tolerance_at_large_step(engine, nu, l, tol, seed):
     errors = engine_errors(advection_diffusion(nu), l, 40.0, [tol], [seed])

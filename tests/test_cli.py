@@ -53,6 +53,39 @@ def test_sweep_without_reference_is_config_error(tmp_path):
     assert code == 2
 
 
+def one_line_error(capsys):
+    """The single stderr line of a refused command, checked to be no traceback."""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    return err
+
+
+def test_sweep_with_malformed_reference_is_config_error(tmp_path, capsys):
+    ref = tmp_path / "garbage.chk"
+    ref.write_bytes(b"garbage")
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
+                 "--sweep", "tol=1e-3", "--reference", str(ref), "--output", str(tmp_path)])
+    assert code == 2
+    assert "truncated checkpoint header" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == [ref]
+
+
+def test_malformed_sweep_spec_is_config_error(tmp_path, capsys):
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
+                 "--sweep", "1e-3,1e-4", "--reference", str(tmp_path / "missing.chk"),
+                 "--output", str(tmp_path)])
+    assert code == 2
+    assert 'sweep spec must look like "tol=' in one_line_error(capsys)
+
+
+def test_failed_reference_run_is_numerical_abort(tmp_path, capsys):
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
+                 "--make-reference", "--max-steps", "1", "--output", str(tmp_path)])
+    assert code == 3
+    assert "reference run failed" in one_line_error(capsys)
+    assert not (tmp_path / "reference-khi-III.chk").exists()
+
+
 def test_bad_flag_exits_two(capsys):
     assert main(["--problem", "nonsense"]) == 2
 
@@ -124,13 +157,16 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--checkpoint-every", "-1"],
     ["--divb-every", "-0.5"],
     ["--sweep", "tol=1e-3,0", "--reference", "missing.chk"],
+    ["--sweep", "tol=1e-3", "--reference", "missing.chk"],
+    ["--make-reference", "--sweep", "tol=1e-3"],
 ], ids=["tol0", "nx0", "tf-1", "recon-ny1", "interval-3", "interval0", "maxsteps0",
-        "wallbudget-1", "checkpoint-1", "divb-0.5", "sweep-tol0"])
+        "wallbudget-1", "checkpoint-1", "divb-0.5", "sweep-tol0", "sweep-missing-reference",
+        "reference-and-sweep"])
 def test_out_of_range_config_is_config_error(tmp_path, capsys, extra):
     code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
                  "--output", str(tmp_path), *extra])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    assert one_line_error(capsys).startswith("config error:")
     assert list(tmp_path.iterdir()) == []
 
 

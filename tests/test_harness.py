@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from xmhd.controllers import ControllerMode
-from xmhd.harness import CSV_COLUMNS, RunConfig, make_reference, run, work_precision
+from xmhd.harness import CSV_COLUMNS, RunConfig, make_reference, run, work_precision, \
+    write_csv
 from xmhd.integrators import Scheme, error_norm
 from xmhd.mhd import read_checkpoint
 from xmhd.scenarios import initialize, make_scenario
 
 
 def small_khi(t_final=0.1, tol=1e-4, **kw):
-    spec = make_scenario("khi-III", nx=24, ny=24, t_final=t_final, tol=tol)
+    spec = make_scenario("khi-III", nx=24, ny=24, t_final=t_final)
     return RunConfig(scenario=spec, scheme=Scheme.EXPRB43, method="leja",
                      controller=ControllerMode.COMBINED, tol=tol, **kw)
 
@@ -221,6 +222,19 @@ def test_work_precision_requires_reference(tmp_path):
     cfg = small_khi()
     with pytest.raises(FileNotFoundError):
         work_precision(cfg, [1e-4], tmp_path / "missing.chk", tmp_path / "out.csv")
+
+
+def test_failed_reference_run_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "ref.chk"
+    with pytest.raises(RuntimeError, match="reference run failed: failed: step budget"):
+        make_reference(small_khi(t_final=0.01, max_steps=1), path)
+    assert not path.exists()
+
+
+def test_csv_writer_creates_its_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "rows.csv"
+    write_csv(path, ("t", "v"), [{"t": "0.5", "v": "1"}])
+    assert path.read_bytes() == b"t,v\r\n0.5,1\r\n"
 
 
 def test_work_precision_empty_tolerances(tmp_path):

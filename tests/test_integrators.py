@@ -91,6 +91,15 @@ def test_exponential_step_without_alpha_names_the_scheme(scheme):
     assert op.calls == 0
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.5])
+@pytest.mark.parametrize("scheme", [Scheme.EXPRB43, Scheme.RK43])
+def test_step_refuses_non_positive_dt(scheme, dt):
+    op = RhsOperator(lambda u: -u)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(scheme, op, np.array([1.0]), dt, alpha=1.0)
+    assert op.calls == 0
+
+
 @pytest.mark.parametrize("scheme", [Scheme.EXPRB43, Scheme.RK43])
 def test_step_refuses_unknown_phi_method(scheme):
     op = RhsOperator(lambda u: -u)

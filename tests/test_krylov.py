@@ -37,6 +37,12 @@ def test_rejects_zero_vector():
         apply_phi_krylov(1, lambda w: w, np.zeros(4), 1.0, 1e-8)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+def test_rejects_non_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        apply_phi_krylov(1, lambda w: -w, np.ones(4), 1.0, tol)
+
+
 @pytest.mark.parametrize("l", [0, 1, 3, 4])
 def test_oracle_equivalence_random_matrices(l):
     rng = np.random.default_rng(200 + l)

@@ -59,6 +59,12 @@ def test_shift_and_scale():
         shift_and_scale(-1.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+def test_rejects_non_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        apply_phi_leja(1, lambda w: -w, np.ones(3), 1.0, shift_and_scale(1.0), tol)
+
+
 def test_zero_operator_short_circuits():
     v = np.array([1.0, -2.0, 0.5])
     res = apply_phi_leja(1, lambda w: 0.0 * w, v, 1.0, shift_and_scale(1.0), 1e-10)

@@ -125,7 +125,7 @@ def _refresh_points(monkeypatch, spectrum_interval):
 
     monkeypatch.setattr(xmhd.harness, "accept", counted_accept)
     monkeypatch.setattr(xmhd.harness, "estimate_alpha", counted_estimate)
-    spec = make_scenario("khi-III", nx=24, ny=24, t_final=0.1, tol=1e-4)
+    spec = make_scenario("khi-III", nx=24, ny=24, t_final=0.1)
     rep = run(RunConfig(scenario=spec, scheme=Scheme.EXPRB43, method="leja",
                         controller=ControllerMode.COMBINED, tol=1e-4,
                         spectrum_interval=spectrum_interval))
@@ -152,6 +152,16 @@ def test_estimate_alpha_zero_operator():
     lin = FrozenLinearization(op, np.zeros(4))
     est = estimate_alpha(lin, None)
     assert est.alpha == 0.0
+
+
+def test_estimate_alpha_zero_warm_start_falls_back_to_ones():
+    # a zero start vector cannot be normalised; the iteration starts from ones
+    op = RhsOperator(lambda u: np.diag([-6.0, -1.0, -0.5]) @ u)
+    lin = FrozenLinearization(op, np.zeros(3))
+    est = estimate_alpha(lin, SpectralEstimate(alpha=1.0, vector=np.zeros(3)))
+    ones = estimate_alpha(lin, SpectralEstimate(alpha=1.0, vector=np.ones(3)))
+    assert est.alpha == ones.alpha > 0.0
+    assert np.array_equal(est.vector, ones.vector)
 
 
 def test_estimate_alpha_warm_start_uses_previous_vector():

@@ -345,6 +345,27 @@ def test_checkpoint_roundtrip(tmp_path):
     assert int.from_bytes(raw[16:20], "little") == 8
 
 
+def test_checkpoint_writer_creates_its_directory(tmp_path):
+    g = uniform_state()
+    path = tmp_path / "a" / "b" / "state.chk"
+    write_checkpoint(path, g, 0.5)
+    assert np.array_equal(read_checkpoint(path)[0].data, g.data)
+
+
+@pytest.mark.parametrize("offset,value,message", [
+    (4, 2, "unsupported checkpoint version 2"),
+    (16, NVAR - 1, f"expected {NVAR} fields, file has {NVAR - 1}"),
+], ids=["version", "nvar"])
+def test_checkpoint_rejects_wrong_header_field(tmp_path, offset, value, message):
+    path = tmp_path / "state.chk"
+    write_checkpoint(path, uniform_state(), 0.5)
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=message):
+        read_checkpoint(path)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.chk"
     path.write_bytes(b"NOPE" + bytes(60))

@@ -34,6 +34,13 @@ def test_unknown_case_rejected():
         make_scenario("khi-VII")
 
 
+def test_initializers_refuse_the_other_problem():
+    with pytest.raises(ValueError, match="not a KHI scenario"):
+        init_khi(make_scenario("recon-VI", nx=8, ny=8))
+    with pytest.raises(ValueError, match="not a reconnection scenario"):
+        init_reconnection(make_scenario("khi-III", nx=8, ny=8))
+
+
 def test_overrides():
     spec = make_scenario("khi-III", nx=64, ny=32, t_final=0.5, tol=1e-6)
     assert (spec.nx, spec.ny, spec.t_final, spec.tol) == (64, 32, 0.5, 1e-6)
