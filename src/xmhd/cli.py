@@ -125,6 +125,8 @@ def main(argv=None):
                            wall_budget=args.wall_budget)
         if args.checkpoint_every > 0 and args.output is None:
             raise ValueError("--checkpoint-every requires --output")
+        if args.output is not None and args.output.exists() and not args.output.is_dir():
+            raise ValueError(f"--output {args.output} exists and is not a directory")
         out = args.output or Path(".")
         if args.make_reference:
             path = out / f"reference-{args.problem}-{scenario.case_id}.chk"

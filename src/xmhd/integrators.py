@@ -18,6 +18,7 @@ import numpy as np
 from xmhd.leja import NewtonTable, apply_phi_leja, shift_and_scale
 from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import FrozenLinearization, RhsBlowupError, jvp
+from xmhd.phi import _column_orders
 
 
 #: the phi-action engines a step can route to
@@ -86,14 +87,15 @@ def error_norm(a, b):
 class _PhiBroker:
     """Routes phi-actions to the configured engine and keeps the counters.
 
-    One broker lives for one step attempt.  Each action serves every stage
-    fraction c of one vector from one engine chain: `applications` counts
-    each fraction, `iterations` each matvec of the chain once.  The degenerate
-    (zero) spectrum is short-circuited to phi_l(0) v = v / l! and the zero
-    vector to zero here, so both engines only ever see a positive interval
-    and a nonzero vector.  For the Leja engine it holds one NewtonTable per
-    stage fraction c, shared by every phi order applied at that c; a chain
-    runs on the table of its largest fraction.
+    One broker lives for one step attempt.  Each action serves every (order
+    l, stage fraction c) column of one vector from one engine chain, so phi_l
+    of a combination of vectors is combined from their columns:
+    `applications` counts each column, `iterations` each matvec of the chain
+    once.  The degenerate (zero) spectrum is short-circuited to v / l! per
+    column and the zero vector to zeros here, so both engines only ever see
+    a positive interval and a nonzero vector.  For the Leja engine it holds
+    one NewtonTable per stage fraction c, shared by every phi order applied
+    at that c; a chain runs on the table of its largest fraction.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -117,10 +119,11 @@ class _PhiBroker:
         return table
 
     def apply(self, l, fractions, vec):
-        """phi_l(c J dt) vec for each c in `fractions`, one vector per fraction."""
+        """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
+        `l` is one order or a tuple of one per fraction."""
         self.applications += len(fractions)
         if self.alpha < 1e-14:
-            return tuple(vec / math.factorial(l) for _ in fractions)
+            return tuple(vec / math.factorial(lk) for lk in _column_orders(l, len(fractions)))
         if not vec.any():
             return tuple(np.zeros_like(vec) for _ in fractions)
         if self.method == "leja":
@@ -159,16 +162,15 @@ def _step_exprb43(lin, broker, u, dt, rhs):
     a = u + 0.5 * dt * phi1_half_fu
     da = _stage_difference(lin, rhs, a, u, fu)
 
-    (phi1_da,) = broker.apply(1, (1.0,), da)
+    phi1_da, phi3_da, phi4_da = broker.apply((1, 3, 4), (1.0, 1.0, 1.0), da)
     b = u + dt * phi1_fu + dt * phi1_da
     db = _stage_difference(lin, rhs, b, u, fu)
 
-    # -14 F(u) + 16 F(a) - 2 F(b) and 36 F(u) - 48 F(a) + 12 F(b)
-    w3 = 16.0 * da - 2.0 * db
-    w4 = -48.0 * da + 12.0 * db
-    (phi3_w3,) = broker.apply(3, (1.0,), w3)
+    # phi3 w3 and phi4 w4 by linearity: w3 = 16 da - 2 db and w4 = -48 da + 12 db
+    phi3_db, phi4_db = broker.apply((3, 4), (1.0, 1.0), db)
+    phi3_w3 = 16.0 * phi3_da - 2.0 * phi3_db
+    phi4_w4 = -48.0 * phi4_da + 12.0 * phi4_db
     u3 = u + dt * phi1_fu + dt * phi3_w3
-    (phi4_w4,) = broker.apply(4, (1.0,), w4)
     u4 = u3 + dt * phi4_w4
     return u4, error_norm(u3, u4)
 
@@ -180,24 +182,20 @@ def _step_exprb54s4(lin, broker, u, dt, rhs):
     a = u + 0.25 * dt * phi1_fu_a
     da = _stage_difference(lin, rhs, a, u, fu)
 
-    (phi3_da,) = broker.apply(3, (0.5,), da)
-    b = u + 0.5 * dt * phi1_fu_b + 4.0 * dt * phi3_da
+    phi3_da_b, phi3_da, phi4_da = broker.apply((3, 3, 4), (0.5, 1.0, 1.0), da)
+    b = u + 0.5 * dt * phi1_fu_b + 4.0 * dt * phi3_da_b
     db = _stage_difference(lin, rhs, b, u, fu)
 
-    (phi3_db,) = broker.apply(3, (0.9,), db)
-    c = u + 0.9 * dt * phi1_fu_c + (729.0 / 125.0) * dt * phi3_db
+    phi3_db_c, phi3_db, phi4_db = broker.apply((3, 3, 4), (0.9, 1.0, 1.0), db)
+    c = u + 0.9 * dt * phi1_fu_c + (729.0 / 125.0) * dt * phi3_db_c
     dc = _stage_difference(lin, rhs, c, u, fu)
 
-    # the four remainder combinations of the 4th- and 5th-order solutions
-    w1 = 64.0 * da - 8.0 * db
-    w2 = -60.0 * da - (285.0 / 8.0) * db + (125.0 / 8.0) * dc
-    w3 = 18.0 * db - (250.0 / 81.0) * dc
-    w4 = -60.0 * db + (500.0 / 27.0) * dc
-
-    (phi3_w1,) = broker.apply(3, (1.0,), w1)
-    (phi4_w2,) = broker.apply(4, (1.0,), w2)
-    (phi3_w3,) = broker.apply(3, (1.0,), w3)
-    (phi4_w4,) = broker.apply(4, (1.0,), w4)
+    # phi_l of the remainder combinations w1..w4 of the 4th- and 5th-order solutions
+    phi3_dc, phi4_dc = broker.apply((3, 4), (1.0, 1.0), dc)
+    phi3_w1 = 64.0 * phi3_da - 8.0 * phi3_db
+    phi4_w2 = -60.0 * phi4_da - (285.0 / 8.0) * phi4_db + (125.0 / 8.0) * phi4_dc
+    phi3_w3 = 18.0 * phi3_db - (250.0 / 81.0) * phi3_dc
+    phi4_w4 = -60.0 * phi4_db + (500.0 / 27.0) * phi4_dc
     u4 = u + dt * phi1_fu + dt * phi3_w1 + dt * phi4_w2
     u5 = u + dt * phi1_fu + dt * phi3_w3 + dt * phi4_w4
     return u5, error_norm(u4, u5)

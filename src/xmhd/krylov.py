@@ -1,14 +1,14 @@
 """Arnoldi/Krylov baseline for phi-function actions.
 
 Per-vector projections with block classical Gram-Schmidt applied twice
-(CGS2).  The Arnoldi basis of a vector does not depend on the step size, so
-one basis serves every stage fraction of that vector, as in phipm (Niesen &
-Wright 2012) and KIOPS (Gaudreault, Rainwater & Tokman 2018).
+(CGS2).  A vector's Arnoldi basis depends on neither the step size nor the
+phi order, so one basis serves every (order, fraction) column of it, as in
+phipm (Niesen & Wright 2012) and KIOPS (Gaudreault, Rainwater & Tokman 2018).
 """
 
 import numpy as np
 
-from xmhd.phi import _check_order, _expm_taylor
+from xmhd.phi import _column_orders, _expm_taylor
 from xmhd.leja import PhiApplyResult
 
 #: ceiling on the basis size; beyond this the O(m^2) orthogonalization
@@ -32,29 +32,30 @@ def _phi_e1(l, h):
 
 def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     """Approximate phi_l(c J dt) v by Arnoldi projection, for one or several
-    fractions c, on one basis.
+    (order, fraction) columns of one vector, on one basis.
 
     The basis grows from v/||v||; after each expansion phi_l(c dt H_m) e1 is
-    evaluated on the projected Hessenberg matrix for every fraction not yet
+    evaluated on the projected Hessenberg matrix for every column not yet
     converged, and the standard residual surrogate
-    ||v|| * |h_{m+1,m}| * |(phi_j(c dt H_m))_{m,1}| * c dt, with j = max(l, 1)
-    (for l = 0 this is Saad's 1992 estimate), decides that fraction's
-    convergence; a converged column is frozen, so it equals what a call at
-    c dt alone returns.  With `fractions`, row k of `vector` holds
-    fraction fractions[k]; without, the one column is c = 1 and `vector` is
-    1-D.  Happy breakdown counts as exact convergence.  The basis holds at
-    most min(M_DEFAULT, n) vectors.
+    ||v|| * |h_{m+1,m}| * |(phi_j(c dt H_m))_{m,1}| * c dt, with j = max(l_k, 1)
+    (for l_k = 0 this is Saad's 1992 estimate), decides that column's
+    convergence; a converged column is frozen, so it equals what a call with
+    its order at c dt alone returns.  With `fractions`, row k of `vector`
+    holds order l_k at fraction fractions[k], where `l` is one order or a
+    tuple of one per fraction; without, the one column is c = 1 and
+    `vector` is 1-D.  Happy breakdown counts as exact convergence.  The
+    basis holds at most min(M_DEFAULT, n) vectors.
     """
-    _check_order(l)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    steps = [dt] if fractions is None else [c * dt for c in fractions]
+    orders = _column_orders(l, len(steps))
     v = np.asarray(v, dtype=float)
     beta = np.linalg.norm(v)
     if beta == 0:
         raise ValueError("cannot build a Krylov space from the zero vector")
     n = v.size
     m_max = min(M_DEFAULT, n)
-    steps = [dt] if fractions is None else [c * dt for c in fractions]
 
     # rows are written before they are read, so only the rows an action
     # uses ever become resident
@@ -81,8 +82,8 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
         breakdown = hnext <= 1e-14 * max(1.0, np.abs(hess[:m, :m]).max())
         for k in tuple(live):
             h = steps[k] * hess[:m, :m]
-            phicols[k] = _phi_e1(l, h)
-            last = (_phi_e1(1, h) if l == 0 else phicols[k])[m - 1]
+            phicols[k] = _phi_e1(orders[k], h)
+            last = (_phi_e1(1, h) if orders[k] == 0 else phicols[k])[m - 1]
             residual[k] = 0.0 if breakdown else beta * hnext * abs(last) * steps[k]
             if breakdown or residual[k] <= tol or m == n:
                 out[k] = beta * (basis[:m].T @ phicols[k])

@@ -6,16 +6,16 @@ stable bidiagonal route in :mod:`xmhd.phi` gives the divided differences of
 every phi order on the transplanted node sequence, so all actions on one
 interval share one table (Caliari, Kandolf, Ostermann & Rainer 2016).  The
 normalised operator of the interval of c dt does not depend on the fraction
-c, so one chain of matvecs serves every stage fraction of a vector, each
-reading its own table.  The caller owns the tables; the module keeps no
-coefficient cache.
+c, so one chain of matvecs serves every (order, fraction) column of a
+vector, each reading its row of its own table.  The caller owns the tables;
+the module keeps no coefficient cache.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, _check_order, _phi_divided_diffs
+from xmhd.phi import MAX_ORDER, _column_orders, _phi_divided_diffs
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
@@ -122,31 +122,31 @@ class NewtonTable:
 
 
 def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
-    """Approximate phi_l(c J dt) v, for one or several fractions c, from one
-    chain of matvecs; J is available only through `matvec`.
+    """Approximate phi_l(c J dt) v for one or several (order l, fraction c)
+    columns from one chain of matvecs; J is available only through `matvec`.
 
     The Newton basis of X = (dt J - q) / theta on `shift`'s interval is built
-    once, one matvec per term, and every output column reads its own
+    once, one matvec per term, and every output column reads row l of its own
     NewtonTable.  A table of the interval of c dt (q and theta scaled by c,
     as shift_and_scale(alpha c dt) gives them) interpolates phi_l(c J dt) on
     the same X, so a chain built for the largest fraction serves every
     smaller one.  With `tables`, row k of `vector` approximates
-    phi_l(c_k J dt) v with c_k = tables[k].shift.theta / shift.theta in
-    (0, 1]; without, the one column is phi_l(J dt) v on a fresh table of
-    `shift` and `vector` is 1-D.  The caller owns the tables, so several
-    actions on one interval share one.
+    phi_{l_k}(c_k J dt) v with c_k = tables[k].shift.theta / shift.theta in
+    (0, 1], and `l` is one order or a tuple of one per table; without, the
+    one column is phi_l(J dt) v on a fresh table of `shift` and `vector` is
+    1-D.  The caller owns the tables, so several actions share one.
 
     A column stops once its increment norm falls below tol relative to
     max(1, ||column||) for two consecutive terms and is frozen there, so it
-    equals what a call with its table alone returns; the chain runs until
-    every column has stopped.  LEJA_MAX terms, or overflow of the Newton
-    basis, fail every unfinished column.  Non-convergence is reported, not
-    raised: the caller rejects the step and retries with a smaller dt.
+    equals what a call with its order and table alone returns; the chain
+    runs until every column has stopped.  LEJA_MAX terms, or overflow of the
+    Newton basis, fail every unfinished column.  Non-convergence is reported,
+    not raised: the caller rejects the step and retries with a smaller dt.
     """
-    _check_order(l)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     columns = (NewtonTable(shift),) if tables is None else tuple(tables)
+    orders = _column_orders(l, len(columns))
     for table in columns:
         if (table.shift.q / table.shift.theta != shift.q / shift.theta
                 or not 0.0 < table.shift.theta <= shift.theta):
@@ -154,7 +154,7 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
     xi = leja_points(LEJA_MAX)
     q, theta = shift.q, shift.theta
 
-    coeffs = [table.coeffs(l) for table in columns]
+    coeffs = [table.coeffs(o) for table, o in zip(columns, orders)]
     y = np.array(v, dtype=float, copy=True)
     blowup = 1e120 * max(1.0, np.linalg.norm(y))
     out = np.empty((len(columns), y.size))
@@ -183,7 +183,7 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
             break
         for k in tuple(live):
             if m >= coeffs[k].size:
-                coeffs[k] = columns[k].coeffs(l, m + 1)
+                coeffs[k] = columns[k].coeffs(orders[k], m + 1)
             np.multiply(y, coeffs[k][m], out=buf)
             out[k] += buf
             residual[k] = abs(coeffs[k][m]) * norm_y / max(1.0, np.linalg.norm(out[k]))

@@ -28,6 +28,16 @@ def _check_order(l):
         raise ValueError(f"phi order must be an integer in [0, {MAX_ORDER}], got {l!r}")
 
 
+def _column_orders(l, count):
+    """The phi orders of `count` output columns, from one order or a tuple."""
+    orders = l if isinstance(l, tuple) else (l,) * count
+    if len(orders) != count:
+        raise ValueError(f"{len(orders)} phi orders for {count} output columns")
+    for order in orders:
+        _check_order(order)
+    return orders
+
+
 def phi_scalar(l, z):
     """Evaluate phi_l(z) for a real or complex scalar z."""
     _check_order(l)

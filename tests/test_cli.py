@@ -159,15 +159,20 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--sweep", "tol=1e-3,0", "--reference", "missing.chk"],
     ["--sweep", "tol=1e-3", "--reference", "missing.chk"],
     ["--make-reference", "--sweep", "tol=1e-3"],
+    ["--output", "afile"],
 ], ids=["tol0", "nx0", "tf-1", "recon-ny1", "interval-3", "interval0", "maxsteps0",
         "wallbudget-1", "checkpoint-1", "divb-0.5", "sweep-tol0", "sweep-missing-reference",
-        "reference-and-sweep"])
-def test_out_of_range_config_is_config_error(tmp_path, capsys, extra):
+        "reference-and-sweep", "output-is-a-file"])
+def test_out_of_range_config_is_config_error(tmp_path, capsys, monkeypatch, extra):
+    # relative paths resolve in tmp_path, which holds one regular file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
     code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
-                 "--output", str(tmp_path), *extra])
+                 "--output", str(tmp_path / "out"), *extra])
     assert code == 2
     assert one_line_error(capsys).startswith("config error:")
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_checkpoint_every_without_output_is_config_error(tmp_path, capsys, monkeypatch):

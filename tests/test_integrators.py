@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from xmhd.integrators import (EPIRK_A11, EPIRK_A21, EPIRK_A22, EPIRK_B1, EPIRK_B2,
                                EPIRK_B3, EPIRK_G11, EPIRK_G21, EPIRK_G22, EPIRK_G31,
                                EPIRK_G32, EPIRK_G32_EMBEDDED, EPIRK_G33,
-                               EPIRK_G33_EMBEDDED, _TABLEAUS, Scheme, _stage_difference,
-                               error_norm, step)
+                               EPIRK_G33_EMBEDDED, _TABLEAUS, Scheme, _PhiBroker,
+                               _stage_difference, error_norm, step)
 from xmhd.linearize import FrozenLinearization, RhsBlowupError, RhsOperator
 from xmhd.phi import phi_dense
 from tests._problems import (observed_order, random_negative_spectrum,
@@ -151,7 +153,7 @@ def test_exprb43_linear_exactness():
 
 
 @pytest.mark.parametrize("scheme,expected", [
-    (Scheme.EXPRB43, 5), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 10),
+    (Scheme.EXPRB43, 7), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 12),
     (Scheme.RK43, 0), (Scheme.DOPRI54, 0)])
 def test_stage_counts(scheme, expected):
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
@@ -225,8 +227,8 @@ def test_exprb43_embedded_difference_slope():
 
 
 def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch):
-    # five phi actions at c = 1/2 and c = 1 share two tables per attempt, and
-    # the next attempt starts afresh
+    # seven (order, fraction) columns at c = 1/2 and c = 1 share two tables
+    # per attempt, and the next attempt starts afresh
     import xmhd.leja
     builds = []
     original = xmhd.leja._phi_divided_diffs
@@ -240,16 +242,16 @@ def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch)
     u = np.array([0.5, 0.8, 1.1])
     for attempt in (1, 2):
         res = step(Scheme.EXPRB43, op, u, 0.05, alpha=2.0, tol=1e-10)
-        assert res.converged and res.phi_applications == 5
+        assert res.converged and res.phi_applications == 7
         assert len(builds) == 2 * attempt
 
 
 @pytest.mark.parametrize("method", ["leja", "krylov"])
 @pytest.mark.parametrize("scheme,chains,applications", [
-    (Scheme.EXPRB43, 4, 5), (Scheme.EXPRB54S4, 7, 10), (Scheme.EPIRK5P1, 3, 8)])
+    (Scheme.EXPRB43, 3, 7), (Scheme.EXPRB54S4, 4, 12), (Scheme.EPIRK5P1, 3, 8)])
 def test_one_engine_chain_per_vector(monkeypatch, method, scheme, chains, applications):
-    # every stage fraction of a phi action on one vector shares one chain:
-    # f(u) at all its fractions, then one chain per remainder vector
+    # every (order, fraction) column on one vector shares one chain: f(u) at
+    # all its fractions, then one chain per stage remainder da, db (, dc) or w
     import xmhd.integrators
     binding = f"apply_phi_{method}"
     iterations = []
@@ -296,6 +298,88 @@ def test_zero_spectrum_gives_the_explicit_euler_update(scheme, method):
     assert res.converged
     assert np.array_equal(res.new_state, u + 0.1 * f)
     assert res.phi_iterations == 0
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+def test_broker_short_circuits_answer_each_column(monkeypatch, method):
+    # alpha = 0 gives v / l! per (order, fraction) column and the zero vector
+    # gives zeros, both without an engine chain; every column is counted
+    import xmhd.integrators
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("no engine chain expected")
+
+    monkeypatch.setattr(xmhd.integrators, f"apply_phi_{method}", no_chain)
+    vec = np.array([1.0, -2.0, 0.25])
+    orders, fractions = (0, 1, 3, 4), (0.5, 1.0, 1.0, 0.9)
+    broker = _PhiBroker(None, 0.1, 0.0, 1e-10, method)
+    for l, col in zip(orders, broker.apply(orders, fractions, vec)):
+        assert np.array_equal(col, vec / math.factorial(l))
+    broker = _PhiBroker(None, 0.1, 4.0, 1e-10, method)
+    cols = broker.apply(orders, fractions, np.zeros(3))
+    assert len(cols) == 4 and not any(col.any() for col in cols)
+    assert broker.applications == 4 and broker.iterations == 0 and not broker.failed
+
+
+def _exprb43_w_form(f, jac, u, dt):
+    # Hochbruck, Ostermann & Schweitzer (2009): phi3 and phi4 act on the
+    # remainder combinations w3 = -14 N(u) + 16 N(a) - 2 N(b) and
+    # w4 = 36 N(u) - 48 N(a) + 12 N(b), with N(v) = f(v) - J v
+    j, fu = jac(u), f(u)
+    phi = lambda l, c: phi_dense(l, c * dt * j)
+    rem = lambda v: f(v) - j @ v
+    a = u + 0.5 * dt * phi(1, 0.5) @ fu
+    b = u + dt * phi(1, 1.0) @ fu + dt * phi(1, 1.0) @ (rem(a) - rem(u))
+    w3 = -14.0 * rem(u) + 16.0 * rem(a) - 2.0 * rem(b)
+    w4 = 36.0 * rem(u) - 48.0 * rem(a) + 12.0 * rem(b)
+    u3 = u + dt * phi(1, 1.0) @ fu + dt * phi(3, 1.0) @ w3
+    return u3 + dt * phi(4, 1.0) @ w4, u3
+
+
+def _exprb54s4_w_form(f, jac, u, dt):
+    # Luan & Ostermann (2014): stages at c = 1/4, 1/2, 9/10; the 5th- and
+    # 4th-order solutions apply phi3 and phi4 to the remainder differences
+    # d_i = N(U_i) - N(u), with N(v) = f(v) - J v
+    j, fu = jac(u), f(u)
+    phi = lambda l, c: phi_dense(l, c * dt * j)
+    d = lambda v: f(v) - fu - j @ (v - u)
+    a = u + 0.25 * dt * phi(1, 0.25) @ fu
+    da = d(a)
+    b = u + 0.5 * dt * phi(1, 0.5) @ fu + 4.0 * dt * phi(3, 0.5) @ da
+    db = d(b)
+    c = u + 0.9 * dt * phi(1, 0.9) @ fu + (729.0 / 125.0) * dt * phi(3, 0.9) @ db
+    dc = d(c)
+    base = u + dt * phi(1, 1.0) @ fu
+    u5 = (base + dt * phi(3, 1.0) @ (18.0 * db - (250.0 / 81.0) * dc)
+          + dt * phi(4, 1.0) @ (-60.0 * db + (500.0 / 27.0) * dc))
+    u4 = (base + dt * phi(3, 1.0) @ (64.0 * da - 8.0 * db)
+          + dt * phi(4, 1.0) @ (-60.0 * da - (285.0 / 8.0) * db + (125.0 / 8.0) * dc))
+    return u5, u4
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme,oracle", [(Scheme.EXPRB43, _exprb43_w_form),
+                                           (Scheme.EXPRB54S4, _exprb54s4_w_form)])
+def test_step_matches_the_textbook_w_form(monkeypatch, scheme, oracle, method):
+    # the columns a scheme combines after its chains give the scheme's own
+    # formula, phi applied to each remainder combination; the exact Jacobian
+    # replaces the finite-difference action so that only the engine
+    # tolerance separates the step from the dense evaluation
+    import xmhd.integrators
+    rng = np.random.default_rng(50)
+    a = random_negative_spectrum(rng, 6, lo=-40.0)
+    g = rng.standard_normal(6)
+    f = lambda v: a @ v - v ** 3 / 3.0 + g
+    jac = lambda v: a - np.diag(v ** 2)
+    monkeypatch.setattr(xmhd.integrators, "jvp", lambda lin, w: jac(lin.base_state) @ w)
+    u = rng.standard_normal(6)
+    dt, tol = 0.1, 1e-10
+    alpha = 1.25 * np.abs(np.linalg.eigvalsh(jac(u))).max()
+    res = step(scheme, RhsOperator(f), u, dt, method=method, alpha=alpha, tol=tol)
+    high, low = oracle(f, jac, u, dt)
+    assert res.converged
+    assert error_norm(res.new_state, high) <= 10 * tol
+    assert abs(res.error_estimate - error_norm(low, high)) <= 10 * tol
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

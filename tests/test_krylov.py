@@ -165,6 +165,36 @@ def test_repeated_fractions_share_one_basis():
     assert np.array_equal(res.vector[2], alone.vector)
 
 
+def test_mixed_order_columns_share_one_basis():
+    # each (order, fraction) column equals the standalone single-order call
+    # at its fraction bit for bit, and the basis grows to the largest count
+    rng = np.random.default_rng(247)
+    a = random_negative_spectrum(rng, 32)
+    v = rng.standard_normal(32)
+    dt, tol = 1.0, 1e-10
+    columns = ((1, 1.0), (3, 0.5), (3, 1.0), (4, 1.0), (0, 0.9))
+    res = apply_phi_krylov(tuple(l for l, _ in columns), lambda w: a @ w, v, dt, tol,
+                           fractions=tuple(c for _, c in columns))
+    assert res.converged and res.vector.shape == (len(columns), v.size)
+    counts = []
+    for (l, c), col in zip(columns, res.vector):
+        alone = apply_phi_krylov(l, lambda w: a @ w, v, c * dt, tol)
+        counts.append(alone.iterations)
+        assert np.array_equal(col, alone.vector)
+        exact = phi_dense(l, c * dt * a) @ v
+        assert np.linalg.norm(col - exact) <= 100 * tol * np.linalg.norm(exact)
+    assert res.iterations == max(counts)
+
+
+def test_orders_must_pair_with_fractions():
+    a = np.diag([-2.0, -1.0])
+    with pytest.raises(ValueError, match="3 phi orders for 2"):
+        apply_phi_krylov((1, 3, 4), lambda w: a @ w, np.ones(2), 1.0, 1e-10,
+                         fractions=(0.5, 1.0))
+    with pytest.raises(ValueError, match="2 phi orders for 1"):
+        apply_phi_krylov((1, 3), lambda w: a @ w, np.ones(2), 1.0, 1e-10)
+
+
 def test_shared_basis_that_cannot_converge_fails(monkeypatch):
     # with a three-vector ceiling the tiny fraction converges, the full one
     # cannot, and the action reports the failure

@@ -250,6 +250,45 @@ def test_repeated_fractions_share_one_chain():
         assert np.array_equal(res.vector[k], alone.vector)
 
 
+def test_mixed_order_columns_share_one_chain():
+    # each (order, fraction) column of one chain equals the standalone
+    # single-order call on the same chain bit for bit; the orders of a
+    # fraction share one table, rebuilt past 64 terms on both sides
+    rng = np.random.default_rng(46)
+    a = random_negative_spectrum(rng, 32, lo=-400.0)
+    v = rng.standard_normal(32)
+    alpha, dt, tol = 400.0, 0.5, 1e-10
+    columns = ((1, 1.0), (3, 0.5), (3, 1.0), (4, 1.0), (0, 0.9))
+    top = shift_and_scale(alpha * dt)
+    shared = {c: NewtonTable(shift_and_scale(alpha * (c * dt))) for _, c in columns}
+    res = apply_phi_leja(tuple(l for l, _ in columns), lambda w: a @ w, v, dt, top, tol,
+                         tables=[shared[c] for _, c in columns])
+    assert res.converged and res.vector.shape == (len(columns), v.size)
+    counts = []
+    for (l, c), col in zip(columns, res.vector):
+        alone = apply_phi_leja(l, lambda w: a @ w, v, dt, top, tol,
+                               tables=[NewtonTable(shift_and_scale(alpha * (c * dt)))])
+        counts.append(alone.iterations)
+        assert np.array_equal(col, alone.vector[0])
+        # the stop test is relative to max(1, ||column||)
+        exact = phi_dense(l, c * dt * a) @ v
+        assert np.linalg.norm(col - exact) <= 100 * tol * max(1.0, np.linalg.norm(exact))
+    assert res.iterations == max(counts) > 64
+
+
+def test_orders_must_pair_with_tables():
+    a = np.diag([-2.0, -1.0])
+    shift = shift_and_scale(4.0)
+    with pytest.raises(ValueError, match="3 phi orders for 2"):
+        apply_phi_leja((1, 3, 4), lambda w: a @ w, np.ones(2), 1.0, shift, 1e-10,
+                       tables=[NewtonTable(shift), NewtonTable(shift)])
+    with pytest.raises(ValueError, match="2 phi orders for 1"):
+        apply_phi_leja((1, 3), lambda w: a @ w, np.ones(2), 1.0, shift, 1e-10)
+    with pytest.raises(ValueError, match="phi order"):
+        apply_phi_leja((1, 5), lambda w: a @ w, np.ones(2), 1.0, shift, 1e-10,
+                       tables=[NewtonTable(shift), NewtonTable(shift)])
+
+
 def test_shared_chain_that_cannot_converge_fails():
     # the spectrum escapes the interval of every fraction
     a = np.diag([-1000.0, -1.0])
