@@ -270,14 +270,19 @@ def _row(config, report, global_error):
 def work_precision(base, tols, reference, out_csv):
     """Run `base` at each tolerance, ascending, and write one CSV row per run.
 
-    A missing or malformed reference (OSError, ValueError) and a tolerance
-    that RunConfig refuses (ValueError) raise before any run.  A run that
+    A missing or malformed reference (OSError, ValueError), a reference of
+    another grid than `base.scenario` (ValueError) and a tolerance that
+    RunConfig refuses (ValueError) raise before any run.  A run that
     fails (non-convergence, budget, an exception) is recorded with a NaN
     error; its RunReport status names the failure, with the exception type
     and message, and its CSV status reads failed.  The sweep itself never
     aborts.
     """
     ref_state, _ = read_checkpoint(reference)
+    grid = (base.scenario.nx, base.scenario.ny)
+    if (ref_state.nx, ref_state.ny) != grid:
+        raise ValueError(f"reference {reference} is on a {ref_state.nx}x{ref_state.ny} grid, "
+                         f"the sweep on {grid[0]}x{grid[1]}")
     ref_flat = ref_state.flat()
 
     rows = []

@@ -95,7 +95,7 @@ class _PhiBroker:
     column and the zero vector to zeros here, so both engines only ever see
     a positive interval and a nonzero vector.  For the Leja engine it holds
     one NewtonTable per stage fraction c, shared by every phi order applied
-    at that c; a chain runs on the table of its largest fraction.
+    at that c; every chain runs on the interval of fraction 1.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -127,8 +127,7 @@ class _PhiBroker:
         if not vec.any():
             return tuple(np.zeros_like(vec) for _ in fractions)
         if self.method == "leja":
-            top = max(fractions)
-            res = apply_phi_leja(l, self._matvec, vec, top * self.dt, self._table(top).shift,
+            res = apply_phi_leja(l, self._matvec, vec, self.dt, self._table(1.0).shift,
                                  self.tol, tables=[self._table(c) for c in fractions])
         else:
             res = apply_phi_krylov(l, self._matvec, vec, self.dt, self.tol, fractions=fractions)

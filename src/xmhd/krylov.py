@@ -4,39 +4,37 @@ Per-vector projections with block classical Gram-Schmidt applied twice
 (CGS2).  A vector's Arnoldi basis depends on neither the step size nor the
 phi order, so one basis serves every (order, fraction) column of it, as in
 phipm (Niesen & Wright 2012) and KIOPS (Gaudreault, Rainwater & Tokman 2018).
+One exponential of the projected matrix augmented by e1 and a shift chain
+(Sidje 1998, Expokit, Thm 1) gives every phi order of one fraction at once.
 """
 
 import numpy as np
 
-from xmhd.phi import _column_orders, _expm_taylor
-from xmhd.leja import PhiApplyResult
+from xmhd.phi import MAX_ORDER, PhiApplyResult, _column_orders, _expm_taylor
 
 #: ceiling on the basis size; beyond this the O(m^2) orthogonalization
 #: cost dominates and the step should be rejected instead
 M_DEFAULT = 100
 
 
-def _phi_e1(l, h):
-    """phi_l(H) e1 for a small dense H, via an augmented exponential."""
+def _phi_rows(h):
+    """Rows phi_0(H) e1 .. phi_MAX_ORDER(H) e1 of a small dense H, from one exponential."""
     m = h.shape[0]
-    if l == 0:
-        return _expm_taylor(h)[:, 0]
-    dim = m + l
-    aug = np.zeros((dim, dim))
+    aug = np.zeros((m + MAX_ORDER, m + MAX_ORDER))
     aug[:m, :m] = h
     aug[0, m] = 1.0
-    for k in range(l - 1):
-        aug[m + k, m + k + 1] = 1.0
-    return _expm_taylor(aug)[:m, dim - 1]
+    aug[range(m, m + MAX_ORDER - 1), range(m + 1, m + MAX_ORDER)] = 1.0
+    # column 0 is exp(H) e1 = phi_0(H) e1; column m + l - 1 is phi_l(H) e1
+    return _expm_taylor(aug)[:m, [0, *range(m, m + MAX_ORDER)]].T
 
 
 def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     """Approximate phi_l(c J dt) v by Arnoldi projection, for one or several
     (order, fraction) columns of one vector, on one basis.
 
-    The basis grows from v/||v||; after each expansion phi_l(c dt H_m) e1 is
-    evaluated on the projected Hessenberg matrix for every column not yet
-    converged, and the standard residual surrogate
+    The basis grows from v/||v||; after each expansion one exponential per
+    live fraction c gives phi_l(c dt H_m) e1 of every order, and the standard
+    residual surrogate
     ||v|| * |h_{m+1,m}| * |(phi_j(c dt H_m))_{m,1}| * c dt, with j = max(l_k, 1)
     (for l_k = 0 this is Saad's 1992 estimate), decides that column's
     convergence; a converged column is frozen, so it equals what a call with
@@ -50,6 +48,8 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
         raise ValueError("tolerance must be positive")
     steps = [dt] if fractions is None else [c * dt for c in fractions]
     orders = _column_orders(l, len(steps))
+    # each column reads the rows of the first column at its fraction
+    lead = [steps.index(s) for s in steps]
     v = np.asarray(v, dtype=float)
     beta = np.linalg.norm(v)
     if beta == 0:
@@ -80,10 +80,12 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
         hess[j + 1, j] = hnext
         m = j + 1
         breakdown = hnext <= 1e-14 * max(1.0, np.abs(hess[:m, :m]).max())
+        rows = [None] * len(steps)
         for k in tuple(live):
-            h = steps[k] * hess[:m, :m]
-            phicols[k] = _phi_e1(orders[k], h)
-            last = (_phi_e1(1, h) if orders[k] == 0 else phicols[k])[m - 1]
+            if rows[lead[k]] is None:
+                rows[lead[k]] = _phi_rows(steps[k] * hess[:m, :m])
+            phicols[k] = rows[lead[k]][orders[k]]
+            last = rows[lead[k]][max(orders[k], 1)][m - 1]
             residual[k] = 0.0 if breakdown else beta * hnext * abs(last) * steps[k]
             if breakdown or residual[k] <= tol or m == n:
                 out[k] = beta * (basis[:m].T @ phicols[k])

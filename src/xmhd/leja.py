@@ -4,18 +4,18 @@ The interpolation uses only matrix-vector products with the (scaled, shifted)
 operator.  Its Newton coefficients come from a NewtonTable: one pass of the
 stable bidiagonal route in :mod:`xmhd.phi` gives the divided differences of
 every phi order on the transplanted node sequence, so all actions on one
-interval share one table (Caliari, Kandolf, Ostermann & Rainer 2016).  The
-normalised operator of the interval of c dt does not depend on the fraction
-c, so one chain of matvecs serves every (order, fraction) column of a
-vector, each reading its row of its own table.  The caller owns the tables;
-the module keeps no coefficient cache.
+interval share one table (Caliari, Kandolf, Ostermann & Rainer 2016).  Every
+interval is [-alpha c dt, 0] = [-4 theta, 0], so the normalised operator
+4 J / alpha + 2 depends only on alpha: one chain of matvecs serves every
+(order, fraction) column of a vector, each reading its row of its own
+table.  The caller owns the tables; the module keeps no coefficient cache.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, _column_orders, _phi_divided_diffs
+from xmhd.phi import MAX_ORDER, PhiApplyResult, _column_orders, _phi_divided_diffs
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
@@ -60,8 +60,7 @@ def leja_points(count=LEJA_MAX):
 
 @dataclass(frozen=True)
 class ShiftScale:
-    """Affine map placing the spectral interval [-alpha, 0] onto [-2, 2]."""
-    q: float
+    """Affine map xi -> theta (xi - 2) of [-2, 2] onto the interval [-4 theta, 0]."""
     theta: float
 
 
@@ -69,26 +68,12 @@ def shift_and_scale(alpha):
     """Shift/scale parameters for a spectrum of magnitude alpha.
 
     The dominant Jacobian mode is treated as negative real, so the
-    interpolation interval [q - 2 theta, q + 2 theta] is [-alpha, 0].
+    interpolation interval [-4 theta, 0] is [-alpha, 0].
     """
     if alpha <= 0:
         raise ValueError("spectral magnitude must be positive; "
                          "callers handle the degenerate spectrum separately")
-    return ShiftScale(q=-0.5 * alpha, theta=0.25 * alpha)
-
-
-@dataclass
-class PhiApplyResult:
-    """Outcome of one iterative phi-function action.
-
-    `vector` has one row per output column, or is 1-D for a one-column call;
-    `converged` holds when every column converged, and `residual` is the
-    largest column residual.
-    """
-    vector: np.ndarray
-    iterations: int
-    converged: bool
-    residual: float
+    return ShiftScale(theta=0.25 * alpha)
 
 
 #: table sizes tried in turn; an interpolation that needs more terms than
@@ -97,7 +82,7 @@ _TABLE_SIZES = (64, 128, 256, LEJA_MAX)
 
 
 class NewtonTable:
-    """Newton coefficients of xi -> phi_l(q + theta xi) at the Leja points.
+    """Newton coefficients of xi -> phi_l(theta (xi - 2)) at the Leja points.
 
     One table serves every order l = 0..MAX_ORDER of one interval: a single
     divided-difference pass yields all rows.  It starts at 64 terms and is
@@ -116,8 +101,8 @@ class NewtonTable:
         if count > self._rows.shape[1]:
             size = next(n for n in _TABLE_SIZES if n >= count)
             xi = leja_points(size)
-            self._rows = _phi_divided_diffs(self.shift.q + self.shift.theta * xi,
-                                            subdiag=self.shift.theta)
+            theta = self.shift.theta
+            self._rows = _phi_divided_diffs(-2.0 * theta + theta * xi, subdiag=theta)
         return self._rows[l]
 
 
@@ -125,16 +110,16 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
     """Approximate phi_l(c J dt) v for one or several (order l, fraction c)
     columns from one chain of matvecs; J is available only through `matvec`.
 
-    The Newton basis of X = (dt J - q) / theta on `shift`'s interval is built
-    once, one matvec per term, and every output column reads row l of its own
-    NewtonTable.  A table of the interval of c dt (q and theta scaled by c,
-    as shift_and_scale(alpha c dt) gives them) interpolates phi_l(c J dt) on
-    the same X, so a chain built for the largest fraction serves every
-    smaller one.  With `tables`, row k of `vector` approximates
-    phi_{l_k}(c_k J dt) v with c_k = tables[k].shift.theta / shift.theta in
-    (0, 1], and `l` is one order or a tuple of one per table; without, the
-    one column is phi_l(J dt) v on a fresh table of `shift` and `vector` is
-    1-D.  The caller owns the tables, so several actions share one.
+    The Newton basis of X = dt J / theta + 2 on `shift`'s interval
+    [-4 theta, 0] is built once, one matvec per term, and every output column
+    reads row l of its own NewtonTable.  With theta = alpha dt / 4, X =
+    4 J / alpha + 2 depends on neither dt nor a fraction, and the table of
+    shift_and_scale(alpha c dt) interpolates phi_l(c J dt) on it.  With
+    `tables`, row k of `vector` approximates phi_{l_k}(c_k J dt) v with
+    c_k = tables[k].shift.theta / shift.theta, and `l` is one order or a
+    tuple of one per table; without, the one column is phi_l(J dt) v on a
+    fresh table of `shift` and `vector` is 1-D.  The caller owns the tables,
+    so several actions share one.
 
     A column stops once its increment norm falls below tol relative to
     max(1, ||column||) for two consecutive terms and is frozen there, so it
@@ -147,12 +132,8 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
         raise ValueError("tolerance must be positive")
     columns = (NewtonTable(shift),) if tables is None else tuple(tables)
     orders = _column_orders(l, len(columns))
-    for table in columns:
-        if (table.shift.q / table.shift.theta != shift.q / shift.theta
-                or not 0.0 < table.shift.theta <= shift.theta):
-            raise ValueError("the Newton table was built for another interval")
     xi = leja_points(LEJA_MAX)
-    q, theta = shift.q, shift.theta
+    theta = shift.theta
 
     coeffs = [table.coeffs(o) for table, o in zip(columns, orders)]
     y = np.array(v, dtype=float, copy=True)
@@ -168,10 +149,10 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
     for m in range(1, LEJA_MAX):
         w = matvec(y)
         matvecs += 1
-        # y <- (dt w - q y) / theta - xi_{m-1} y, without temporaries; w is
+        # y <- dt w / theta + (2 - xi_{m-1}) y, without temporaries; w is
         # read before y changes in case matvec hands y back
         np.multiply(w, dt / theta, out=buf)
-        y *= -(q / theta + xi[m - 1])
+        y *= 2.0 - xi[m - 1]
         y += buf
         with np.errstate(over="ignore"):
             # an escaping basis may overflow the squared norm: inf is caught below

@@ -7,6 +7,7 @@ iterative (Leja / Krylov) engines.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,20 @@ def _column_orders(l, count):
     for order in orders:
         _check_order(order)
     return orders
+
+
+@dataclass
+class PhiApplyResult:
+    """Outcome of one iterative phi-function action.
+
+    `vector` has one row per output column, or is 1-D for a one-column call;
+    `converged` holds when every column converged, and `residual` is the
+    largest column residual.
+    """
+    vector: np.ndarray
+    iterations: int
+    converged: bool
+    residual: float
 
 
 def phi_scalar(l, z):
@@ -105,8 +120,8 @@ def _phi_divided_diffs(nodes, subdiag=1.0):
 
     Row l of the returned (MAX_ORDER + 1, n) array holds
     sigma^k phi_l[x_0..x_k], k = 0..n-1, with sigma = `subdiag`; with the
-    Leja transplant x = q + theta xi and sigma = theta these are the Newton
-    coefficients of xi -> phi_l(q + theta xi).
+    Leja transplant x = theta (xi - 2) and sigma = theta these are the Newton
+    coefficients of xi -> phi_l(theta (xi - 2)).
 
     Exploits the identity  phi_l[x_0..x_k] = exp[0,..,0, x_0..x_k]  (l zeros
     prepended).  With MAX_ORDER zeros prepended to the nodes and Z the

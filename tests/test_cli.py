@@ -47,6 +47,18 @@ def test_sweep_mode(tmp_path):
     assert {r["tol"] for r in rows} == {"0.001", "0.0001"}
 
 
+def test_sweep_against_reference_of_another_grid_is_config_error(tmp_path, capsys):
+    assert main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002",
+                 "--make-reference", "--output", str(tmp_path)]) == 0
+    out = tmp_path / "sweep"
+    code = main(["--problem", "khi", "--nx", "24", "--ny", "24", "--tf", "0.002",
+                 "--sweep", "tol=1e-3,1e-4", "--reference",
+                 str(tmp_path / "reference-khi-III.chk"), "--output", str(out)])
+    assert code == 2
+    assert "16x16 grid, the sweep on 24x24" in one_line_error(capsys)
+    assert not (out / "work_precision.csv").exists()
+
+
 def test_sweep_without_reference_is_config_error(tmp_path):
     code = main(["--problem", "khi", "--sweep", "tol=1e-3",
                  "--output", str(tmp_path)])

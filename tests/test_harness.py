@@ -108,8 +108,10 @@ def test_combined_controller_never_exceeds_traditional():
 
 # golden final checksums and (accepted, rejected, rhs_evals, phi_iters) per
 # controller mode: any change to the controller policy, the attempt loop or
-# the step arithmetic shows here; RK43 rejects steps under every mode
-@pytest.mark.parametrize("mode,scheme,checksum,counts", [
+# the step arithmetic shows here; RK43 rejects steps under every mode.  The
+# ids name only the mode and scheme, so a changed value fails the test
+# instead of renaming it.
+_GOLDEN_RUNS = [
     (ControllerMode.TRADITIONAL, Scheme.EXPRB43,
      "cbf585ad78cca58282e8b289b687d01487c541fed9e4b9573521c701f8dee591", (12, 0, 577, 514)),
     (ControllerMode.COST, Scheme.EXPRB43,
@@ -120,7 +122,11 @@ def test_combined_controller_never_exceeds_traditional():
      "e897ea107b81d4f907bcd22e244ef2ee9c7e9aff7026afe86859feab7b6e01dc", (28, 11, 195, 0)),
     (ControllerMode.COMBINED, Scheme.RK43,
      "c2a14c024cb5aa5c81882713a490601d04cb6d2a0091d2b02bad5299f6c5c7d9", (25, 2, 135, 0)),
-])
+]
+
+
+@pytest.mark.parametrize("mode,scheme,checksum,counts", _GOLDEN_RUNS,
+                         ids=[f"{mode}-{scheme}" for mode, scheme, *_ in _GOLDEN_RUNS])
 def test_controller_mode_golden_run(mode, scheme, checksum, counts):
     rep = run(replace(small_khi(t_final=0.2), scheme=scheme, controller=mode))
     assert rep.status == "ok"
@@ -156,7 +162,7 @@ print(json.dumps([rep.status, rep.checksum[:12], rep.accepted, rep.rejected, rep
     ("recon6-leja-loose", ["42f432fbd51c", 65, 0, 1756, 1352, 79, 9,
                            ["state_t10.617866.chk", "state_t20.114052.chk",
                             "state_t30.364614.chk", "state_t40.000000.chk"]]),
-    ("khi3-krylov", ["80a1abae7399", 22, 1, 807, 634, 5, 0, []]),
+    ("khi3-krylov", ["2bb729d62654", 22, 1, 807, 634, 5, 0, []]),
     ("khi1-dopri-128", ["559e94ce6f20", 36, 4, 280, 0, 0, 0, []]),
 ])
 def test_benchmark_workload_signature(name, signature):
@@ -222,6 +228,19 @@ def test_work_precision_requires_reference(tmp_path):
     cfg = small_khi()
     with pytest.raises(FileNotFoundError):
         work_precision(cfg, [1e-4], tmp_path / "missing.chk", tmp_path / "out.csv")
+
+
+def test_work_precision_refuses_reference_of_another_grid(monkeypatch, tmp_path):
+    ref_path = tmp_path / "ref.chk"
+    make_reference(RunConfig(scenario=make_scenario("khi-III", nx=16, ny=16, t_final=0.002)),
+                   ref_path)
+    import xmhd.harness
+    runs = []
+    monkeypatch.setattr(xmhd.harness, "run", lambda cfg: runs.append(cfg))
+    csv_path = tmp_path / "wp.csv"
+    with pytest.raises(ValueError, match="16x16 grid, the sweep on 24x24"):
+        work_precision(small_khi(t_final=0.002), [1e-3, 1e-4], ref_path, csv_path)
+    assert runs == [] and not csv_path.exists()
 
 
 def test_failed_reference_run_raises_and_writes_nothing(tmp_path):

@@ -152,9 +152,14 @@ def test_exprb43_linear_exactness():
     assert error_norm(res.new_state, exact) <= 1e-6
 
 
-@pytest.mark.parametrize("scheme,expected", [
-    (Scheme.EXPRB43, 7), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 12),
-    (Scheme.RK43, 0), (Scheme.DOPRI54, 0)])
+# (order, fraction) columns per step; the ids name only the scheme, so a
+# changed count fails the test instead of renaming it
+_STAGE_COUNTS = [(Scheme.EXPRB43, 7), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 12),
+                 (Scheme.RK43, 0), (Scheme.DOPRI54, 0)]
+
+
+@pytest.mark.parametrize("scheme,expected", _STAGE_COUNTS,
+                         ids=[str(scheme) for scheme, _ in _STAGE_COUNTS])
 def test_stage_counts(scheme, expected):
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
     res = step(scheme, op, np.array([0.5, 0.8, 1.1]), 0.05, alpha=2.0, tol=1e-10)
@@ -246,9 +251,13 @@ def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch)
         assert len(builds) == 2 * attempt
 
 
+_CHAINS_PER_STEP = [(Scheme.EXPRB43, 3, 7), (Scheme.EXPRB54S4, 4, 12),
+                    (Scheme.EPIRK5P1, 3, 8)]
+
+
 @pytest.mark.parametrize("method", ["leja", "krylov"])
-@pytest.mark.parametrize("scheme,chains,applications", [
-    (Scheme.EXPRB43, 3, 7), (Scheme.EXPRB54S4, 4, 12), (Scheme.EPIRK5P1, 3, 8)])
+@pytest.mark.parametrize("scheme,chains,applications", _CHAINS_PER_STEP,
+                         ids=[str(scheme) for scheme, *_ in _CHAINS_PER_STEP])
 def test_one_engine_chain_per_vector(monkeypatch, method, scheme, chains, applications):
     # every (order, fraction) column on one vector shares one chain: f(u) at
     # all its fractions, then one chain per stage remainder da, db (, dc) or w

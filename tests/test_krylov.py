@@ -3,7 +3,7 @@ import pytest
 
 from xmhd.krylov import apply_phi_krylov
 from xmhd.leja import apply_phi_leja, shift_and_scale
-from xmhd.phi import phi_dense, phi_scalar
+from xmhd.phi import MAX_ORDER, phi_dense, phi_scalar
 from tests._problems import random_negative_spectrum
 
 
@@ -95,7 +95,7 @@ def test_arnoldi_relation_and_orthonormality():
     a = a - 5.0 * np.eye(30)
     v = rng.standard_normal(30)
     # rebuild the pieces apply_phi_krylov builds internally
-    from xmhd.krylov import _phi_e1
+    from xmhd.krylov import _phi_rows
 
     beta = np.linalg.norm(v)
     basis = [v / beta]
@@ -119,10 +119,36 @@ def test_arnoldi_relation_and_orthonormality():
     lhs = a @ vmat[:m].T
     rhs = vmat[:m + 1].T @ hess
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
-    # projected phi action agrees with the dense evaluation of the Hessenberg
-    col = _phi_e1(2, hess[:m, :m])
-    dense_col = phi_dense(2, hess[:m, :m])[:, 0]
-    assert np.allclose(col, dense_col, rtol=1e-12, atol=1e-14)
+    # every order of the projected phi action, from one augmented exponential,
+    # agrees with the dense evaluation of the Hessenberg matrix
+    rows = _phi_rows(hess[:m, :m])
+    assert rows.shape == (MAX_ORDER + 1, m)
+    for l in range(MAX_ORDER + 1):
+        dense_col = phi_dense(l, hess[:m, :m])[:, 0]
+        assert np.allclose(rows[l], dense_col, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("orders,fractions,per_step", [
+    ((1, 3, 4), (1.0, 1.0, 1.0), 1), ((1, 1), (0.5, 1.0), 2)],
+    ids=["three-orders-one-fraction", "one-order-two-fractions"])
+def test_one_exponential_per_fraction_per_step(monkeypatch, orders, fractions, per_step):
+    # every order at one fraction reads one augmented exponential per Arnoldi
+    # step; a tolerance no column meets runs every column to m = n
+    import xmhd.krylov
+    calls = [0]
+    original = xmhd.krylov._expm_taylor
+
+    def counted(a):
+        calls[0] += 1
+        return original(a)
+
+    monkeypatch.setattr(xmhd.krylov, "_expm_taylor", counted)
+    rng = np.random.default_rng(248)
+    a = random_negative_spectrum(rng, 8)
+    res = apply_phi_krylov(orders, lambda w: a @ w, rng.standard_normal(8), 1.0, 1e-300,
+                           fractions=fractions)
+    assert res.converged and res.iterations == 8
+    assert calls[0] == per_step * res.iterations
 
 
 @pytest.mark.parametrize("l", range(5))
