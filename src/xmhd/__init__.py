@@ -6,7 +6,7 @@ The package bundles three layers:
   functions and their divided differences (:mod:`xmhd.phi`), their action
   on vectors via real Leja interpolation (:mod:`xmhd.leja`) and via
   Arnoldi/Krylov projection (:mod:`xmhd.krylov`), glued to the problem
-  through finite-difference Jacobian actions and a power-iteration
+  through finite-difference Jacobian actions and an Arnoldi (Ritz value)
   spectral estimate (:mod:`xmhd.linearize`);
 * time integrators and step-size control: exponential Rosenbrock and EPIRK
   single-step schemes plus explicit embedded Runge-Kutta baselines

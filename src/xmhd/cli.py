@@ -10,7 +10,8 @@ Examples:
     xmhd --problem khi --case III --nx 64 --ny 64 \
          --sweep "tol=1e-3,1e-4,1e-5" --reference out/reference.chk --output out/
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort.
+Exit codes: 0 success, 2 configuration error, 3 numerical abort (also a
+sweep in which no run succeeded).
 """
 
 import argparse
@@ -50,7 +51,6 @@ def _build_parser():
     p.add_argument("--output", type=Path, default=None, metavar="DIR")
     p.add_argument("--config", type=Path, default=None, metavar="FILE",
                    help="flat key=value file; command-line flags override it")
-    p.add_argument("--seed", type=int, default=d.rng_seed, metavar="N")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--sweep", default=None, metavar="SPEC",
                       help='work-precision sweep, e.g. "tol=1e-3,1e-4,1e-5"')
@@ -120,7 +120,6 @@ def main(argv=None):
                            output_dir=args.output,
                            checkpoint_every=args.checkpoint_every,
                            divb_every=args.divb_every,
-                           rng_seed=args.seed,
                            max_steps=args.max_steps,
                            wall_budget=args.wall_budget)
         if args.checkpoint_every > 0 and args.output is None:
@@ -141,7 +140,7 @@ def main(argv=None):
             rows = work_precision(config, _parse_sweep(args.sweep), args.reference, csv_path)
             failed = sum(1 for r in rows if r["status"] != "ok")
             print(f"{len(rows)} cells -> {csv_path} ({failed} failed)")
-            return 0
+            return 3 if rows and failed == len(rows) else 0
     except (ValueError, OSError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,9 @@ DELTA_C = 0.64446017
 # plumbing for the traditional controller
 SAFETY = 0.9
 GROWTH_CAP = 2.0
+#: growth cap of the first accepted step's proposal; halving undoes it
+#: within 7 of the run's 10 consecutive attempts
+FIRST_GROWTH = 100.0
 
 
 class ControllerMode(Enum):
@@ -34,7 +37,10 @@ class ControllerState:
     Holds the mode, the tolerance, the embedded order p of the scheme and the
     previous accepted step's size and cost proxy (i^{n-1} / dt^{n-1}).  The
     first accepted step has no predecessor, so every mode takes the
-    traditional proposal there.
+    traditional proposal there, with its growth capped at FIRST_GROWTH
+    instead of GROWTH_CAP: the run's first step is a guess, and its own
+    error estimate sizes the next one (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4).
     """
     mode: ControllerMode
     tol: float
@@ -48,7 +54,8 @@ class ControllerState:
 
     def after_accept(self, dt, err, cost):
         """Step size after an accepted step of size dt, error err and cost proxy cost."""
-        dt_trad = traditional_next(dt, err, self.tol, self.p)
+        growth = FIRST_GROWTH if self.dt_prev is None else GROWTH_CAP
+        dt_trad = traditional_next(dt, err, self.tol, self.p, growth)
         if self.mode is ControllerMode.TRADITIONAL or self.dt_prev is None:
             dt_next = dt_trad
         else:
@@ -59,13 +66,13 @@ class ControllerState:
         return dt_next
 
 
-def traditional_next(dt, err, tol, p):
+def traditional_next(dt, err, tol, p, growth=GROWTH_CAP):
     """Largest step admitted by the error estimate: safety * dt * (tol/err)^(1/(p+1)).
 
-    Growth and shrinkage are both clamped by the growth cap.
+    Growth is clamped at `growth`, shrinkage at GROWTH_CAP.
     """
     raw = SAFETY * dt * (tol / max(err, 1e-300)) ** (1.0 / (p + 1))
-    return min(max(raw, dt / GROWTH_CAP), dt * GROWTH_CAP)
+    return min(max(raw, dt / GROWTH_CAP), dt * growth)
 
 
 def cost_next(dt, dt_prev, cost, cost_prev):

@@ -1,13 +1,15 @@
 """Experiment driver: adaptive time-stepping loop, references, sweeps, CSV.
 
-A run advances a scenario from t = 0 to t_final.  Per step: for an
-exponential scheme, freeze the linearization and, on the steps that start
-after 0, spectrum_interval, 2 spectrum_interval, ... accepted steps,
-refresh the spectral estimate; take one scheme step, accept or reject on
-the embedded error, update the step-size controller, record a StepRecord.
+A run advances a scenario from t = 0 to t_final, starting at a tenth of
+the CFL step.  Per step: for an exponential scheme, freeze the
+linearization and, on the Leja engine, refresh the spectral estimate on the
+steps that start after 0, spectrum_interval, 2 spectrum_interval, ...
+accepted steps; take one scheme step, accept or reject on the embedded
+error, update the step-size controller (which lets the first accepted
+step's own error estimate size the second step), record a StepRecord.
 phi non-convergence halves dt, an error excess re-tries with the
 traditional proposal; ten consecutive rejections abort the run.  Runs are
-deterministic for a fixed config and seed.
+deterministic for a fixed config.
 """
 
 import csv
@@ -33,6 +35,10 @@ CSV_COLUMNS = ("scenario", "case", "scheme", "method", "controller", "tol",
                "rhs_evals", "phi_iters", "wall_seconds", "global_error",
                "max_divb", "mass_drift", "status", "timestamp")
 
+#: the columns a run measures; empty in the row of a run that raised
+_MEASURED_COLUMNS = ("steps_accepted", "steps_rejected", "rhs_evals", "phi_iters",
+                     "wall_seconds", "max_divb", "mass_drift")
+
 MAX_CONSECUTIVE_REJECTIONS = 10
 
 
@@ -47,7 +53,7 @@ class RunConfig:
     output_dir: Path | None = None
     checkpoint_every: float = 0.0       # simulation-time interval; 0 disables
     divb_every: float = 0.0             # sampling interval for divb series
-    rng_seed: int = 0
+    rng_seed: int = 0                   # unused: runs depend on no seed
     max_steps: int = 1_000_000          # step attempts, rejected ones included
     wall_budget: float = 3600.0
 
@@ -136,7 +142,6 @@ def run(config):
     geometry = state0
     work = RhsWorkspace(state0.nx, state0.ny)
     rhs_op = RhsOperator(lambda flat: mhd_rhs(geometry.with_flat(flat), params, work))
-    rng = np.random.default_rng(config.rng_seed)
     controller = ControllerState(config.controller, config.tol, config.scheme.embedded_order)
 
     u = state0.flat().copy()
@@ -151,7 +156,7 @@ def run(config):
     t = 0.0
     t_final = spec.t_final
     dt = min(_initial_dt(state0), t_final) if t_final > 0 else 0.0
-    est = None
+    alpha = None
     accepted = 0
     started = _time.perf_counter()
 
@@ -165,14 +170,16 @@ def run(config):
         dt = min(dt, t_final - t)
 
         step_calls_start = rhs_op.calls
-        lin = alpha = None
+        refresh_calls = 0
+        lin = None
         if config.scheme.is_exponential:
             lin = FrozenLinearization(rhs_op, u)
-            if accepted % config.spectrum_interval == 0:
+            # only the Leja interval reads alpha
+            if config.method == "leja" and accepted % config.spectrum_interval == 0:
                 before_spec = rhs_op.calls
-                est = estimate_alpha(lin, est, rng=rng)
-                report.spectrum_rhs_evals += rhs_op.calls - before_spec
-            alpha = est.alpha
+                alpha = estimate_alpha(lin).alpha
+                refresh_calls = rhs_op.calls - before_spec
+                report.spectrum_rhs_evals += refresh_calls
 
         # attempt loop: phi non-convergence halves dt, an error excess retries
         # with the traditional proposal
@@ -181,13 +188,16 @@ def run(config):
             res = step(config.scheme, rhs_op, u, dt, method=config.method,
                        alpha=alpha, tol=config.tol, lin=lin)
             ok = bool(res.converged and accept(res.error_estimate, config.tol))
-            # an accepted step's cost proxy counts every rhs evaluation the step
-            # needed (base evaluation, spectral refresh, rejected attempts included)
+            # an accepted step counts every rhs evaluation the step needed (base
+            # evaluation, spectral refresh, rejected attempts included); its
+            # cost proxy leaves the refresh out, because the refresh schedule
+            # counts steps, not dt, and a one-step spike in the cost reads to
+            # the cost controller as a slope in dt
             spent = rhs_op.calls - (step_calls_start if ok else attempt_start)
             rec = StepRecord(t=t + dt if ok else t, dt=dt, error=res.error_estimate,
                              rhs_calls=spent, phi_iterations=res.phi_iterations,
                              phi_applications=res.phi_applications, accepted=ok,
-                             cost=spent / dt)
+                             cost=(spent - refresh_calls if ok else spent) / dt)
             report.steps.append(rec)
             if ok:
                 break
@@ -275,8 +285,9 @@ def work_precision(base, tols, reference, out_csv):
     RunConfig refuses (ValueError) raise before any run.  A run that
     fails (non-convergence, budget, an exception) is recorded with a NaN
     error; its RunReport status names the failure, with the exception type
-    and message, and its CSV status reads failed.  The sweep itself never
-    aborts.
+    and message, and its CSV status reads failed.  A run that raised
+    measured nothing, so its counts, wall time and diagnostics are written
+    empty.  The sweep itself never aborts.
     """
     ref_state, _ = read_checkpoint(reference)
     grid = (base.scenario.nx, base.scenario.ny)
@@ -289,13 +300,13 @@ def work_precision(base, tols, reference, out_csv):
     for cfg in [replace(base, tol=tol) for tol in sorted(tols)]:
         try:
             report = run(cfg)
-            if report.status == "ok":
-                err = error_norm(report.final_state.flat(), ref_flat)
-            else:
-                err = float("nan")
+            err = error_norm(report.final_state.flat(), ref_flat) \
+                if report.status == "ok" else float("nan")
         except Exception as exc:
-            report = RunReport(status=f"failed: {type(exc).__name__}: {exc}")
-            err = float("nan")
+            row = _row(cfg, RunReport(status=f"failed: {type(exc).__name__}: {exc}"),
+                       float("nan"))
+            rows.append(dict(row, **dict.fromkeys(_MEASURED_COLUMNS, "")))
+            continue
         rows.append(_row(cfg, report, err))
     write_csv(out_csv, CSV_COLUMNS, rows)
     return rows

@@ -91,11 +91,14 @@ class _PhiBroker:
     l, stage fraction c) column of one vector from one engine chain, so phi_l
     of a combination of vectors is combined from their columns:
     `applications` counts each column, `iterations` each matvec of the chain
-    once.  The degenerate (zero) spectrum is short-circuited to v / l! per
-    column and the zero vector to zeros here, so both engines only ever see
-    a positive interval and a nonzero vector.  For the Leja engine it holds
-    one NewtonTable per stage fraction c, shared by every phi order applied
-    at that c; every chain runs on the interval of fraction 1.
+    once.  The zero vector is short-circuited to zeros here, so both
+    engines only ever see a nonzero vector.  Only the Leja engine reads
+    alpha: its degenerate (zero) spectrum is short-circuited to v / l! per
+    column, so it only ever sees a positive interval, while a zero Jacobian
+    ends a Krylov chain in a happy breakdown at v / l!.  For the Leja engine
+    the broker holds one NewtonTable per stage fraction c, shared by every
+    phi order applied at that c; every chain runs on the interval of
+    fraction 1.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -122,11 +125,12 @@ class _PhiBroker:
         """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
         `l` is one order or a tuple of one per fraction."""
         self.applications += len(fractions)
-        if self.alpha < 1e-14:
-            return tuple(vec / math.factorial(lk) for lk in _column_orders(l, len(fractions)))
         if not vec.any():
             return tuple(np.zeros_like(vec) for _ in fractions)
         if self.method == "leja":
+            if self.alpha < 1e-14:
+                return tuple(vec / math.factorial(lk)
+                             for lk in _column_orders(l, len(fractions)))
             res = apply_phi_leja(l, self._matvec, vec, self.dt, self._table(1.0).shift,
                                  self.tol, tables=[self._table(c) for c in fractions])
         else:
@@ -303,7 +307,8 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
 
     `rhs` must be a counted operator (see RhsOperator); `method` is one of
     PHI_METHODS, checked before any evaluation; `alpha` is the spectral
-    magnitude (a float) for exponential schemes.
+    magnitude (a float) that an exponential scheme on the Leja engine needs
+    (the Krylov engine reads none).
     Returns a StepResult; converged=False means a phi action failed to
     converge or the step produced non-finite values, and the caller should
     retry with a smaller dt.
@@ -314,9 +319,9 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
         raise ValueError(f"unknown phi method {method!r}")
     u = np.asarray(u, dtype=float)
     if scheme.is_exponential:
-        if alpha is None:
+        if alpha is None and method == "leja":
             raise ValueError(f"exponential scheme {scheme.value} needs the spectral "
-                             "magnitude alpha")
+                             "magnitude alpha on the Leja engine")
         if lin is None:
             lin = FrozenLinearization(rhs, u)
     # explicit schemes never apply the broker, so they report zero phi work

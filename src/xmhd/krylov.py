@@ -28,6 +28,30 @@ def _phi_rows(h):
     return _expm_taylor(aug)[:m, [0, *range(m, m + MAX_ORDER)]].T
 
 
+def arnoldi_step(basis, hess, j, w):
+    """Extend an Arnoldi process by w, the operator applied to basis[j].
+
+    Orthogonalises w against basis[:j + 1] by block classical Gram-Schmidt
+    applied twice (CGS2), writes the coefficients into column j of the
+    Hessenberg matrix `hess` (zero on entry) and, unless the process broke
+    down (w lies in the span up to roundoff), the next basis vector into
+    basis[j + 1].  Returns whether it broke down.
+    """
+    # a copy: the projections below update w in place
+    w = np.array(w, dtype=float)
+    q = basis[:j + 1]
+    for _ in range(2):
+        c = q @ w
+        w -= c @ q
+        hess[:j + 1, j] += c
+    hnext = np.linalg.norm(w)
+    hess[j + 1, j] = hnext
+    breakdown = hnext <= 1e-14 * max(1.0, np.abs(hess[:j + 1, :j + 1]).max())
+    if not breakdown:
+        basis[j + 1] = w / hnext
+    return breakdown
+
+
 def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     """Approximate phi_l(c J dt) v by Arnoldi projection, for one or several
     (order, fraction) columns of one vector, on one basis.
@@ -68,18 +92,10 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     live = list(range(len(steps)))
     matvecs = 0
     for j in range(m_max):
-        # a copy: the projections below update w in place
-        w = np.array(matvec(basis[j]), dtype=float)
+        breakdown = arnoldi_step(basis, hess, j, matvec(basis[j]))
         matvecs += 1
-        q = basis[:j + 1]
-        for _ in range(2):
-            c = q @ w
-            w -= c @ q
-            hess[:j + 1, j] += c
-        hnext = np.linalg.norm(w)
-        hess[j + 1, j] = hnext
+        hnext = hess[j + 1, j]
         m = j + 1
-        breakdown = hnext <= 1e-14 * max(1.0, np.abs(hess[:m, :m]).max())
         rows = [None] * len(steps)
         for k in tuple(live):
             if rows[lead[k]] is None:
@@ -92,7 +108,6 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
                 live.remove(k)
         if not live:
             break
-        basis[j + 1] = w / hnext
     for k in live:
         out[k] = beta * (basis[:m_max].T @ phicols[k])
     return PhiApplyResult(vector=out[0] if fractions is None else out, iterations=matvecs,

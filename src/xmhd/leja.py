@@ -23,7 +23,16 @@ LEJA_MAX = 500
 # uniform candidate grid for the sequential argmax
 _GRID_SIZE = 10001
 
+#: table sizes tried in turn; an interpolation that needs more terms than
+#: the current table holds rebuilds it at the next size
+_TABLE_SIZES = (64, 128, 256, LEJA_MAX)
+
 _sequence_cache = None
+
+
+def _table_size(count):
+    """The smallest table size that holds `count` terms."""
+    return next(n for n in _TABLE_SIZES if n >= count)
 
 
 def _build_sequence(count):
@@ -46,14 +55,16 @@ def leja_points(count=LEJA_MAX):
     """The first `count` Leja points of [-2, 2], starting from z0 = 2.
 
     Each point maximizes the product of distances to all previous points over
-    a fixed uniform candidate grid; the sequence is problem independent and
-    cached after the first call.
+    a fixed uniform candidate grid; the sequence is problem independent, and
+    a prefix of a longer one.  It is built to the smallest table size that
+    holds `count` points and cached: a process builds only the points its
+    interpolations reach.
     """
     global _sequence_cache
     if not 1 <= count <= LEJA_MAX:
         raise ValueError(f"count must lie in [1, {LEJA_MAX}], got {count}")
-    if _sequence_cache is None:
-        _sequence_cache = _build_sequence(LEJA_MAX)
+    if _sequence_cache is None or _sequence_cache.size < count:
+        _sequence_cache = _build_sequence(_table_size(count))
         _sequence_cache.setflags(write=False)
     return _sequence_cache[:count]
 
@@ -76,11 +87,6 @@ def shift_and_scale(alpha):
     return ShiftScale(theta=0.25 * alpha)
 
 
-#: table sizes tried in turn; an interpolation that needs more terms than
-#: the current table holds rebuilds it at the next size
-_TABLE_SIZES = (64, 128, 256, LEJA_MAX)
-
-
 class NewtonTable:
     """Newton coefficients of xi -> phi_l(theta (xi - 2)) at the Leja points.
 
@@ -99,8 +105,7 @@ class NewtonTable:
     def coeffs(self, l, count=1):
         """Row l of the table, holding at least `count` coefficients."""
         if count > self._rows.shape[1]:
-            size = next(n for n in _TABLE_SIZES if n >= count)
-            xi = leja_points(size)
+            xi = leja_points(_table_size(count))
             theta = self.shift.theta
             self._rows = _phi_divided_diffs(-2.0 * theta + theta * xi, subdiag=theta)
         return self._rows[l]
@@ -132,7 +137,7 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
         raise ValueError("tolerance must be positive")
     columns = (NewtonTable(shift),) if tables is None else tuple(tables)
     orders = _column_orders(l, len(columns))
-    xi = leja_points(LEJA_MAX)
+    xi = leja_points(_TABLE_SIZES[0])
     theta = shift.theta
 
     coeffs = [table.coeffs(o) for table, o in zip(columns, orders)]
@@ -147,6 +152,8 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
     live = list(range(len(columns)))
     matvecs = 0
     for m in range(1, LEJA_MAX):
+        if m > xi.size:
+            xi = leja_points(_table_size(m))
         w = matvec(y)
         matvecs += 1
         # y <- dt w / theta + (2 - xi_{m-1}) y, without temporaries; w is

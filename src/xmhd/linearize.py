@@ -3,21 +3,24 @@
 Everything the integrators know about the problem flows through a counted
 right-hand-side operator: Jacobian-vector products are forward finite
 differences of it, and the dominant-eigenvalue magnitude (needed to place
-the Leja interpolation interval) comes from warm-started power iterations.
+the Leja interpolation interval) comes from the Ritz values of a short
+Arnoldi process.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from xmhd.krylov import arnoldi_step
+
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
-#: safety factor applied to the power-iteration estimate
+#: safety factor applied to the largest Ritz magnitude
 DEFAULT_SAFETY = 1.25
 
-_POWER_TOL = 0.02
-_POWER_MAXIT = 100
+#: Arnoldi steps, each one Jacobian action, per spectral estimate
+ARNOLDI_STEPS = 12
 
 
 class RhsBlowupError(ArithmeticError):
@@ -66,49 +69,34 @@ def jvp(lin, w):
 
 @dataclass
 class SpectralEstimate:
-    """Dominant-eigenvalue magnitude and the vector that warm-starts the next one."""
+    """Dominant-eigenvalue magnitude of a frozen Jacobian, safety factor included."""
     alpha: float
-    vector: np.ndarray | None = field(default=None, repr=False)
 
 
 def estimate_alpha(lin, prev=None, rng=None):
     """Estimate the dominant-eigenvalue magnitude of the frozen Jacobian.
 
-    Power iteration runs on the Jacobian action, warm-started from the
-    dominant vector of `prev` (else from an `rng` draw), until the magnitude
-    estimate changes by less than 2% (or 100 iterations); the result carries
-    the safety factor DEFAULT_SAFETY.  When to refresh is the caller's
-    decision.
-
-    The magnitude is taken from the iterate-norm ratio ||J w|| / ||w||, which
-    stays correct for dominant complex-conjugate pairs (advection-dominated
-    Jacobians are close to antisymmetric, where a Rayleigh quotient would
-    collapse to zero).
+    A fixed ARNOLDI_STEPS-step Arnoldi process on the Jacobian action,
+    started from f(u) (from ones when f(u) = 0), gives Ritz values; alpha is
+    DEFAULT_SAFETY times the largest Ritz magnitude (Saad, Numerical Methods
+    for Large Eigenvalue Problems, 2011).  Ritz values follow the spectrum of
+    a non-normal Jacobian, not its norm, and keep the magnitude of dominant
+    complex pairs.  The start vector and the step count depend on the state
+    alone, so the estimate is deterministic; `prev` and `rng` are accepted
+    and ignored.  A refresh costs min(ARNOLDI_STEPS, n) rhs evaluations,
+    fewer only at breakdown, where the Ritz values are exact eigenvalues.
+    When to refresh is the caller's decision.
     """
-    n = lin.base_state.size
-    if prev is not None and prev.vector is not None and prev.vector.size == n:
-        w = prev.vector
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        w = rng.standard_normal(n)
-    wnorm = np.linalg.norm(w)
-    if wnorm == 0.0:
-        w = np.ones(n)
-        wnorm = np.linalg.norm(w)
-    w = w / wnorm
-    mags = []
-    for _ in range(_POWER_MAXIT):
-        jw = jvp(lin, w)
-        mag = np.linalg.norm(jw)
-        if mag < 1e-300 or not np.isfinite(mag):
-            return SpectralEstimate(alpha=0.0)
-        mags.append(mag)
-        w = jw / mag
-        # dominant complex pairs make the ratio oscillate with period ~2;
-        # accept stabilization against either of the two previous iterates
-        if len(mags) >= 3 and (abs(mag - mags[-2]) <= _POWER_TOL * mag
-                               or abs(mag - mags[-3]) <= _POWER_TOL * mag):
+    v = lin.base_rhs if lin.base_rhs.any() else np.ones_like(lin.base_rhs)
+    k = min(ARNOLDI_STEPS, v.size)
+    basis = np.empty((k + 1, v.size))
+    hess = np.zeros((k + 1, k))
+    basis[0] = v / np.linalg.norm(v)
+    for m in range(1, k + 1):
+        if arnoldi_step(basis, hess, m - 1, jvp(lin, basis[m - 1])):
             break
-    est = max(mags[-3:])
-    return SpectralEstimate(alpha=DEFAULT_SAFETY * est, vector=w)
+    # the Ritz values are the eigenvalues of the projected matrix
+    h = hess[:m, :m]
+    if not np.all(np.isfinite(h)):
+        raise RhsBlowupError("the Jacobian action is not finite")
+    return SpectralEstimate(alpha=DEFAULT_SAFETY * float(np.abs(np.linalg.eigvals(h)).max()))

@@ -47,6 +47,34 @@ def test_sweep_mode(tmp_path):
     assert {r["tol"] for r in rows} == {"0.001", "0.0001"}
 
 
+@pytest.mark.parametrize("raising,code", [({1e-3, 1e-4}, 3), ({1e-4}, 0)],
+                         ids=["every-run-failed", "one-of-two-failed"])
+def test_sweep_exits_three_when_every_run_failed(tmp_path, monkeypatch, raising, code):
+    import xmhd.harness
+    assert main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002",
+                 "--make-reference", "--output", str(tmp_path)]) == 0
+    original = xmhd.harness.run
+
+    def sometimes_broken(config):
+        if config.tol in raising:
+            raise RuntimeError("solver exploded")
+        return original(config)
+
+    monkeypatch.setattr(xmhd.harness, "run", sometimes_broken)
+    assert main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002",
+                 "--sweep", "tol=1e-3,1e-4", "--output", str(tmp_path),
+                 "--reference", str(tmp_path / "reference-khi-III.chk")]) == code
+    with open(tmp_path / "work_precision.csv") as fh:
+        statuses = sorted(r["status"] for r in csv.DictReader(fh))
+    assert statuses == sorted("failed" if tol in raising else "ok" for tol in (1e-3, 1e-4))
+
+
+def test_seed_flag_is_gone(capsys):
+    # nothing in a run is random
+    assert main(["--problem", "khi", "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_sweep_against_reference_of_another_grid_is_config_error(tmp_path, capsys):
     assert main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002",
                  "--make-reference", "--output", str(tmp_path)]) == 0

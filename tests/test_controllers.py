@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from xmhd.controllers import (ALPHA_C, BETA_C, DELTA_C, GROWTH_CAP, LAMBDA_C, SAFETY,
-                              ControllerMode, ControllerState, accept, combine,
+from xmhd.controllers import (ALPHA_C, BETA_C, DELTA_C, FIRST_GROWTH, GROWTH_CAP, LAMBDA_C,
+                              SAFETY, ControllerMode, ControllerState, accept, combine,
                               cost_next, traditional_next)
 
 
@@ -15,6 +15,7 @@ def test_constants_digits():
     assert DELTA_C == 0.64446017
     assert SAFETY == 0.9
     assert GROWTH_CAP == 2.0
+    assert FIRST_GROWTH == 100.0
 
 
 def test_traditional_ratio_one_is_stationary():
@@ -105,7 +106,8 @@ TOL, P = 1e-4, 3
 
 
 def _expected_proposals():
-    trad = [traditional_next(dt, err, TOL, P) for dt, err, _ in SEQ]
+    trad = [traditional_next(dt, err, TOL, P, FIRST_GROWTH if k == 0 else GROWTH_CAP)
+            for k, (dt, err, _) in enumerate(SEQ)]
     cost = [cost_next(dt, dt0, c, c0) for (dt0, _, c0), (dt, _, c) in zip(SEQ, SEQ[1:])]
     return {
         ControllerMode.TRADITIONAL: trad,
@@ -127,3 +129,25 @@ def test_controller_state_follows_the_mode_formulas(mode):
         proposals.append(ctrl.after_accept(dt, err, cost))
     assert proposals == expected[mode]
     assert (ctrl.dt_prev, ctrl.cost_prev) == (SEQ[-1][0], SEQ[-1][2])
+
+
+@pytest.mark.parametrize("mode", list(ControllerMode))
+def test_first_accepted_step_grows_up_to_first_growth(mode):
+    # a roundoff-level first error: the first proposal stops at FIRST_GROWTH,
+    # every later one at GROWTH_CAP
+    ctrl = ControllerState(mode, 1e-6, 3)
+    assert ctrl.after_accept(1e-4, 1e-20, 50.0 / 1e-4) == pytest.approx(1e-4 * FIRST_GROWTH)
+    assert ctrl.after_accept(1e-2, 1e-20, 50.0 / 1e-2) <= 1e-2 * GROWTH_CAP * (1 + 1e-14)
+    # a first error near tol keeps the traditional proposal below either cap
+    ctrl = ControllerState(mode, 1e-6, 3)
+    assert ctrl.after_accept(1e-4, 1e-6, 1.0) == traditional_next(1e-4, 1e-6, 1e-6, 3)
+
+
+def test_rejections_undo_the_first_growth_within_seven_attempts():
+    # a retry shrinks at most GROWTH_CAP-fold, so seven of the ten
+    # consecutive attempts a run allows bring FIRST_GROWTH back below 1
+    ctrl = ControllerState(ControllerMode.COMBINED, 1e-6, 3)
+    dt = FIRST_GROWTH
+    for _ in range(7):
+        dt = ctrl.after_reject(dt, math.inf)
+    assert dt < 1.0

@@ -63,22 +63,24 @@ def test_report_totals_match_step_records():
 
 def test_spectrum_refresh_schedule_golden_run(monkeypatch):
     # run() refreshes alpha on the steps that start after 0, 3, 6, ... accepted
-    # steps: 8 refreshes over 22 accepted steps, all but the first warm-started
+    # steps, each refresh ARNOLDI_STEPS rhs evaluations
     import xmhd.harness
+    from xmhd.linearize import ARNOLDI_STEPS
     refreshes = []
     original = xmhd.harness.estimate_alpha
 
-    def counted(lin, prev, rng):
-        refreshes.append(prev is None)
-        return original(lin, prev, rng=rng)
+    def counted(lin, *args, **kwargs):
+        refreshes.append(lin.base_state.size)
+        return original(lin, *args, **kwargs)
 
     monkeypatch.setattr(xmhd.harness, "estimate_alpha", counted)
     rep = run(small_khi(t_final=0.2, spectrum_interval=3))
     assert rep.status == "ok"
-    assert rep.checksum == "7525c2e460cfa1b440af3be046c8e451555e9eeadeb1558074b4b3e5fc4e7ef8"
+    assert rep.checksum == "f4027064030d549509706cb405047d518ca8af4ce02b65a0aa8c4ed1b3a66486"
     assert (rep.accepted, rep.rejected, rep.rhs_evals, rep.phi_iterations,
-            rep.spectrum_rhs_evals) == (22, 0, 674, 510, 54)
-    assert refreshes == [True] + [False] * 7
+            rep.spectrum_rhs_evals) == (7, 1, 547, 398, 36)
+    assert len(refreshes) == len(range(0, rep.accepted, 3))
+    assert rep.spectrum_rhs_evals == ARNOLDI_STEPS * len(refreshes)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -95,33 +97,69 @@ def test_run_config_refuses_out_of_range_values(field, value):
 
 
 def test_combined_controller_never_exceeds_traditional():
-    from xmhd.controllers import traditional_next
+    from xmhd.controllers import FIRST_GROWTH, GROWTH_CAP, traditional_next
 
     cfg = small_khi(t_final=0.2)
     rep = run(cfg)
     p = cfg.scheme.embedded_order
     accepted = [s for s in rep.steps if s.accepted]
-    for prev, nxt in zip(accepted[:-1], accepted[1:]):
-        bound = traditional_next(prev.dt, prev.error, cfg.tol, p)
+    # the traditional proposal the controller makes for each pair: with the
+    # first step's growth cap for the first pair
+    for k, (prev, nxt) in enumerate(zip(accepted[:-1], accepted[1:])):
+        growth = FIRST_GROWTH if k == 0 else GROWTH_CAP
+        bound = traditional_next(prev.dt, prev.error, cfg.tol, p, growth)
         assert nxt.dt <= bound * (1.0 + 1e-12)
+
+
+def test_first_step_error_sizes_the_second_step():
+    # the first step is a tenth of the CFL step, its error far below tol: the
+    # second accepted step grows past the per-step cap of 2, up to 100-fold
+    from xmhd.controllers import FIRST_GROWTH, GROWTH_CAP
+    rep = run(small_khi())
+    first, second = [s.dt for s in rep.steps if s.accepted][:2]
+    assert GROWTH_CAP * first < second <= FIRST_GROWTH * first * (1.0 + 1e-12)
+
+
+def test_rejected_first_jump_recovers_within_the_rejection_budget():
+    # DOPRI54 at a loose tolerance: the attempt after the first accepted step
+    # is the full FIRST_GROWTH jump, and it is rejected; the retries shrink it
+    # back and the run finishes
+    from xmhd.controllers import FIRST_GROWTH
+    spec = make_scenario("khi-I", nx=16, ny=16, t_final=0.5)
+    rep = run(RunConfig(scenario=spec, scheme=Scheme.DOPRI54, tol=0.1))
+    first, jump, retry = rep.steps[:3]
+    assert first.accepted and not jump.accepted
+    assert jump.dt == pytest.approx(FIRST_GROWTH * first.dt, rel=1e-12)
+    assert retry.dt < jump.dt
+    assert rep.status == "ok"
+
+
+def test_krylov_run_computes_no_spectral_estimate(monkeypatch):
+    import xmhd.harness
+    calls = []
+    monkeypatch.setattr(xmhd.harness, "estimate_alpha", lambda *a, **k: calls.append(a))
+    rep = run(replace(small_khi(), method="krylov"))
+    assert rep.status == "ok" and rep.accepted > 0
+    assert calls == [] and rep.spectrum_rhs_evals == 0
 
 
 # golden final checksums and (accepted, rejected, rhs_evals, phi_iters) per
 # controller mode: any change to the controller policy, the attempt loop or
-# the step arithmetic shows here; RK43 rejects steps under every mode.  The
+# the step arithmetic shows here; RK43 rejects steps under every mode, and its
+# combined run takes the traditional proposal at every step.  The
 # ids name only the mode and scheme, so a changed value fails the test
 # instead of renaming it.
 _GOLDEN_RUNS = [
     (ControllerMode.TRADITIONAL, Scheme.EXPRB43,
-     "cbf585ad78cca58282e8b289b687d01487c541fed9e4b9573521c701f8dee591", (12, 0, 577, 514)),
+     "79b432a2e40022f371a55f52109ca7cb3df7dade1a3777d9e69bc3c815a1b71f", (7, 2, 626, 398)),
     (ControllerMode.COST, Scheme.EXPRB43,
-     "f2b818605c94145f3270d2e105a2cfec5caa8189275440e933d11bd9c63ce332", (18, 0, 650, 557)),
+     "b5ad56d0327e65b80387ee59c64db8ac9a788f9af65e147afadb87077ac41d8d", (7, 5, 979, 400)),
     (ControllerMode.TRADITIONAL, Scheme.RK43,
-     "a745d9d6b769afc083844cc49681af57373befaf4214f78b5042497493b9634e", (22, 3, 125, 0)),
+     "5ccca3bf711ec5168ea83081c5f2f72610e243ab042cf6ccc0e74357a81113ab", (19, 2, 105, 0)),
     (ControllerMode.COST, Scheme.RK43,
-     "e897ea107b81d4f907bcd22e244ef2ee9c7e9aff7026afe86859feab7b6e01dc", (28, 11, 195, 0)),
+     "3f79f949cd90fd7ec1f057f1e20fea8911bc0ae657fe0fe85e8319bccbf47c57", (19, 16, 175, 0)),
     (ControllerMode.COMBINED, Scheme.RK43,
-     "c2a14c024cb5aa5c81882713a490601d04cb6d2a0091d2b02bad5299f6c5c7d9", (25, 2, 135, 0)),
+     "5ccca3bf711ec5168ea83081c5f2f72610e243ab042cf6ccc0e74357a81113ab", (19, 2, 105, 0)),
 ]
 
 
@@ -137,10 +175,10 @@ def test_controller_mode_golden_run(mode, scheme, checksum, counts):
     assert sum(s.rhs_calls for s in rep.steps if s.accepted) == rep.rhs_evals
 
 
-# signature of each benchmark workload at rng seed 0: checksum prefix,
-# accepted, rejected, rhs_evals, phi_iterations, spectrum_rhs_evals, div B
-# samples and checkpoint names; a refactor that claims no numerical change
-# must leave every one as it is
+# signature of each benchmark workload (no run depends on the rng seed):
+# checksum prefix, accepted, rejected, rhs_evals, phi_iterations,
+# spectrum_rhs_evals, div B samples and checkpoint names; a refactor that
+# claims no numerical change must leave every one as it is
 _WORKLOAD_SIGNATURE = """
 import json, sys, tempfile
 from pathlib import Path
@@ -158,12 +196,12 @@ print(json.dumps([rep.status, rep.checksum[:12], rep.accepted, rep.rejected, rep
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,signature", [
-    ("khi3-leja", ["8a34ddda6b10", 22, 1, 1146, 937, 5, 0, []]),
-    ("recon6-leja-loose", ["42f432fbd51c", 65, 0, 1756, 1352, 79, 9,
-                           ["state_t10.617866.chk", "state_t20.114052.chk",
-                            "state_t30.364614.chk", "state_t40.000000.chk"]]),
-    ("khi3-krylov", ["2bb729d62654", 22, 1, 807, 634, 5, 0, []]),
-    ("khi1-dopri-128", ["559e94ce6f20", 36, 4, 280, 0, 0, 0, []]),
+    ("khi3-leja", ["16bd7144c441", 13, 1, 845, 686, 12, 0, []]),
+    ("recon6-leja-loose", ["e77e975fb31e", 53, 0, 1675, 1386, 24, 9,
+                           ["state_t10.403443.chk", "state_t20.311652.chk",
+                            "state_t30.042819.chk", "state_t40.000000.chk"]]),
+    ("khi3-krylov", ["9a0b5f786a92", 17, 2, 794, 596, 0, 0, []]),
+    ("khi1-dopri-128", ["f41bc045f151", 36, 2, 266, 0, 0, 0, []]),
 ])
 def test_benchmark_workload_signature(name, signature):
     # a fresh process, so that the benchmark's one-thread BLAS pinning takes
@@ -276,6 +314,35 @@ def test_work_precision_records_failures_as_data(tmp_path):
     rows = work_precision(cfg, [1e-4], ref, tmp_path / "wp.csv")
     assert rows[0]["status"] == "failed"
     assert np.isnan(float(rows[0]["global_error"]))
+
+
+@pytest.mark.parametrize("raising", [(1e-4,), (1e-4, 1e-3)], ids=["one-of-two", "every"])
+def test_work_precision_leaves_the_counts_of_a_raised_run_empty(tmp_path, monkeypatch, raising):
+    # a run that raised measured nothing: its counts, wall time and
+    # diagnostics are empty, not 0; the other run keeps its figures
+    import xmhd.harness
+    ref = tmp_path / "ref.chk"
+    make_reference(small_khi(t_final=0.001), ref)
+    original = xmhd.harness.run
+
+    def sometimes_broken(config):
+        if config.tol in raising:
+            raise RuntimeError("solver exploded")
+        return original(config)
+
+    monkeypatch.setattr(xmhd.harness, "run", sometimes_broken)
+    work_precision(small_khi(t_final=0.001), [1e-4, 1e-3], ref, tmp_path / "wp.csv")
+    with open(tmp_path / "wp.csv") as fh:
+        rows = {float(r["tol"]): r for r in csv.DictReader(fh)}
+    measured = ("steps_accepted", "steps_rejected", "rhs_evals", "phi_iters",
+                "wall_seconds", "max_divb", "mass_drift")
+    for tol, row in rows.items():
+        if tol in raising:
+            assert row["status"] == "failed" and row["global_error"] == "nan"
+            assert [row[c] for c in measured] == [""] * len(measured)
+        else:
+            assert row["status"] == "ok" and int(row["rhs_evals"]) > 0
+            assert all(row[c] != "" for c in measured)
 
 
 def test_work_precision_records_exception_type_and_message(tmp_path, monkeypatch):

@@ -93,6 +93,14 @@ def test_exponential_step_without_alpha_names_the_scheme(scheme):
     assert op.calls == 0
 
 
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+def test_krylov_step_needs_no_alpha(scheme):
+    op = RhsOperator(lambda u: -u)
+    res = step(scheme, op, np.array([1.0]), 0.5, method="krylov", tol=1e-12)
+    assert res.converged
+    assert res.new_state[0] == pytest.approx(np.exp(-0.5), abs=1e-6)
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.5])
 @pytest.mark.parametrize("scheme", [Scheme.EXPRB43, Scheme.RK43])
 def test_step_refuses_non_positive_dt(scheme, dt):
@@ -298,21 +306,28 @@ def test_steady_state_is_a_fixed_point(scheme, method):
 @pytest.mark.parametrize("method", ["leja", "krylov"])
 @pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
 def test_zero_spectrum_gives_the_explicit_euler_update(scheme, method):
-    # a constant rhs has J = 0: with alpha = 0 the broker answers
-    # phi_l(0) v = v / l! and the step is exactly u + dt f
+    # a constant rhs has J = 0, so phi_l(0) v = v / l! and the step is
+    # u + dt f: on Leja the broker answers alpha = 0 exactly and without a
+    # chain; Krylov reads no alpha, and the chain on f(u) breaks down after
+    # its first matvec (the stage remainders vanish)
     f = np.array([1.0, -2.0, 0.25])
     u = np.array([0.5, -0.2, 1.0])
     op = RhsOperator(lambda v: f.copy())
     res = step(scheme, op, u, 0.1, method=method, alpha=0.0, tol=1e-10)
     assert res.converged
-    assert np.array_equal(res.new_state, u + 0.1 * f)
-    assert res.phi_iterations == 0
+    if method == "leja":
+        assert np.array_equal(res.new_state, u + 0.1 * f)
+        assert res.phi_iterations == 0
+    else:
+        assert np.allclose(res.new_state, u + 0.1 * f, rtol=1e-14, atol=1e-15)
+        assert res.phi_iterations == 1
 
 
 @pytest.mark.parametrize("method", ["leja", "krylov"])
 def test_broker_short_circuits_answer_each_column(monkeypatch, method):
-    # alpha = 0 gives v / l! per (order, fraction) column and the zero vector
-    # gives zeros, both without an engine chain; every column is counted
+    # the zero vector gives zeros, and on Leja alpha = 0 gives v / l! per
+    # (order, fraction) column, both without an engine chain; every column
+    # is counted
     import xmhd.integrators
 
     def no_chain(*args, **kwargs):
@@ -321,10 +336,11 @@ def test_broker_short_circuits_answer_each_column(monkeypatch, method):
     monkeypatch.setattr(xmhd.integrators, f"apply_phi_{method}", no_chain)
     vec = np.array([1.0, -2.0, 0.25])
     orders, fractions = (0, 1, 3, 4), (0.5, 1.0, 1.0, 0.9)
-    broker = _PhiBroker(None, 0.1, 0.0, 1e-10, method)
-    for l, col in zip(orders, broker.apply(orders, fractions, vec)):
-        assert np.array_equal(col, vec / math.factorial(l))
-    broker = _PhiBroker(None, 0.1, 4.0, 1e-10, method)
+    if method == "leja":
+        broker = _PhiBroker(None, 0.1, 0.0, 1e-10, method)
+        for l, col in zip(orders, broker.apply(orders, fractions, vec)):
+            assert np.array_equal(col, vec / math.factorial(l))
+    broker = _PhiBroker(None, 0.1, None if method == "krylov" else 4.0, 1e-10, method)
     cols = broker.apply(orders, fractions, np.zeros(3))
     assert len(cols) == 4 and not any(col.any() for col in cols)
     assert broker.applications == 4 and broker.iterations == 0 and not broker.failed

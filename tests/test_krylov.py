@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,15 @@ def test_shared_basis_that_cannot_converge_fails(monkeypatch):
     tiny = apply_phi_krylov(1, lambda w: a @ w, v, 1e-6, 1e-12)
     assert not res.converged and res.iterations == 3
     assert tiny.converged and np.array_equal(res.vector[0], tiny.vector)
+
+
+def test_zero_operator_gives_v_over_l_factorial_by_happy_breakdown():
+    # J = 0: the first matvec breaks the Arnoldi process down, and the 1 x 1
+    # projection gives phi_l(0) v = v / l! for every column
+    vec = np.array([1.0, -2.0, 0.25])
+    orders, fractions = (0, 1, 3, 4), (0.5, 1.0, 1.0, 0.9)
+    res = apply_phi_krylov(orders, lambda w: np.zeros_like(w), vec, 0.1, 1e-10,
+                           fractions=fractions)
+    assert res.converged and res.iterations == 1 and res.residual == 0.0
+    for l, col in zip(orders, res.vector):
+        assert np.allclose(col, vec / math.factorial(l), rtol=1e-15, atol=0.0)

@@ -41,6 +41,36 @@ def test_sequence_bounds_and_count():
     assert np.unique(pts).size == LEJA_MAX
 
 
+def test_sequence_is_a_prefix_of_every_longer_one():
+    # the greedy choice never looks ahead, so building to a table size and
+    # growing on demand gives the same points bit for bit
+    from xmhd.leja import _build_sequence
+    full = _build_sequence(LEJA_MAX)
+    for size in (64, 128, 256):
+        assert np.array_equal(full[:size], _build_sequence(size))
+
+
+def test_points_are_built_to_the_table_size_in_use(monkeypatch):
+    import xmhd.leja
+    built = []
+    original = xmhd.leja._build_sequence
+
+    def counted(count):
+        built.append(count)
+        return original(count)
+
+    monkeypatch.setattr(xmhd.leja, "_sequence_cache", None)
+    monkeypatch.setattr(xmhd.leja, "_build_sequence", counted)
+    leja_points(20)
+    leja_points(64)
+    assert built == [64]
+    # an interpolation that runs past 64 terms extends the points once
+    a = np.diag(-np.linspace(0.0, 40.0, 30))
+    res = apply_phi_leja(0, lambda w: a @ w, np.ones(30), 5.0, shift_and_scale(200.0), 1e-12)
+    assert 64 < res.iterations < 128
+    assert built == [64, 128]
+
+
 def test_count_validation():
     with pytest.raises(ValueError):
         leja_points(0)
