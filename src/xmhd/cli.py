@@ -124,23 +124,23 @@ def main(argv=None):
                            wall_budget=args.wall_budget)
         if args.checkpoint_every > 0 and args.output is None:
             raise ValueError("--checkpoint-every requires --output")
-        if args.output is not None and args.output.exists() and not args.output.is_dir():
-            raise ValueError(f"--output {args.output} exists and is not a directory")
         out = args.output or Path(".")
+        if args.sweep:
+            if args.reference is None:
+                raise ValueError("--sweep requires --reference")
+            # the sweep makes the directory once it has checked its reference
+            csv_path = out / "work_precision.csv"
+            rows = work_precision(config, _parse_sweep(args.sweep), args.reference, csv_path)
+            failed = sum(1 for r in rows if r["status"] != "ok")
+            print(f"{len(rows)} cells -> {csv_path} ({failed} failed)")
+            return 3 if rows and failed == len(rows) else 0
+        out.mkdir(parents=True, exist_ok=True)
         if args.make_reference:
             path = out / f"reference-{args.problem}-{scenario.case_id}.chk"
             report = make_reference(config, path)
             print(f"reference written to {path} "
                   f"({report.accepted} steps, {report.rhs_evals} rhs evals)")
             return 0
-        if args.sweep:
-            if args.reference is None:
-                raise ValueError("--sweep requires --reference")
-            csv_path = out / "work_precision.csv"
-            rows = work_precision(config, _parse_sweep(args.sweep), args.reference, csv_path)
-            failed = sum(1 for r in rows if r["status"] != "ok")
-            print(f"{len(rows)} cells -> {csv_path} ({failed} failed)")
-            return 3 if rows and failed == len(rows) else 0
     except (ValueError, OSError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

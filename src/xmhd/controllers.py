@@ -49,7 +49,8 @@ class ControllerState:
     cost_prev: float | None = None
 
     def after_reject(self, dt, err):
-        """Step size for another attempt after the error estimate exceeded tol."""
+        """Step size for another attempt after the error estimate exceeded tol;
+        a failed attempt's estimate inf gets the shrink clamp, dt / GROWTH_CAP."""
         return traditional_next(dt, err, self.tol, self.p)
 
     def after_accept(self, dt, err, cost):

@@ -2,14 +2,12 @@
 
 A run advances a scenario from t = 0 to t_final, starting at a tenth of
 the CFL step.  Per step: for an exponential scheme, freeze the
-linearization and, on the Leja engine, refresh the spectral estimate on the
-steps that start after 0, spectrum_interval, 2 spectrum_interval, ...
-accepted steps; take one scheme step, accept or reject on the embedded
-error, update the step-size controller (which lets the first accepted
-step's own error estimate size the second step), record a StepRecord.
-phi non-convergence halves dt, an error excess re-tries with the
-traditional proposal; ten consecutive rejections abort the run.  Runs are
-deterministic for a fixed config.
+linearization and, on the Leja engine, refresh the spectral estimate every
+spectrum_interval accepted steps; take one scheme step, accept it iff its
+error estimate is at most tol, and let the step-size controller propose
+the next dt.  A failed attempt reports error inf, whose traditional
+proposal is dt / 2; ten consecutive rejections, or a failed linearization,
+abort the run.  Runs are deterministic for a fixed config.
 """
 
 import csv
@@ -23,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from xmhd.controllers import ControllerMode, ControllerState, accept
-from xmhd.integrators import PHI_METHODS, Scheme, error_norm, step
-from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
+from xmhd.integrators import PHI_METHODS, Scheme, error_norm, fp_policy, step
+from xmhd.linearize import FrozenLinearization, RhsBlowupError, RhsOperator, estimate_alpha
 from xmhd.mhd import BX, BY, BZ, EN, GAMMA, MX, MY, MZ, RHO, RhsWorkspace, discrete_div_b, \
     mhd_rhs, conserved_totals, read_checkpoint, write_checkpoint
 from xmhd.scenarios import initialize
@@ -85,7 +83,6 @@ class StepRecord:
     phi_iterations: int
     phi_applications: int
     accepted: bool
-    cost: float
 
 
 @dataclass
@@ -130,31 +127,41 @@ def _initial_dt(state):
     return 0.1 * min(state.dx, state.dy) / speed
 
 
-def _checksum(flat):
-    return hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8").tobytes()).hexdigest()
+class _Observer:
+    """The one path on which a run observes its initial and each accepted
+    state: max |div B|, the div B series and the checkpoints.  A series is
+    next due at inf when it is off; div B is first due at t = 0."""
+
+    def __init__(self, config, report):
+        self.config, self.report = config, report
+        self.divb_due = 0.0 if config.divb_every > 0 else math.inf
+        writes = config.checkpoint_every > 0 and config.output_dir is not None
+        self.checkpoint_due = config.checkpoint_every if writes else math.inf
+
+    def __call__(self, state, t):
+        divb = float(np.max(np.abs(discrete_div_b(state, self.config.scenario.params))))
+        self.report.max_divb = max(self.report.max_divb, divb)
+        while self.divb_due <= t + 1e-12:
+            self.report.divb_series.append((self.divb_due, divb))
+            self.divb_due += self.config.divb_every
+        if self.checkpoint_due <= t + 1e-12:
+            write_checkpoint(Path(self.config.output_dir) / f"state_t{t:.6f}.chk", state, t)
+            while self.checkpoint_due <= t + 1e-12:
+                self.checkpoint_due += self.config.checkpoint_every
 
 
 def run(config):
     """Advance the configured scenario to t_final and return a RunReport."""
     spec = config.scenario
-    params = spec.params
     state0 = initialize(spec)
-    geometry = state0
     work = RhsWorkspace(state0.nx, state0.ny)
-    rhs_op = RhsOperator(lambda flat: mhd_rhs(geometry.with_flat(flat), params, work))
+    rhs_op = RhsOperator(lambda flat: mhd_rhs(state0.with_flat(flat), spec.params, work))
     controller = ControllerState(config.controller, config.tol, config.scheme.embedded_order)
-
-    u = state0.flat().copy()
     report = RunReport()
-    mass0 = conserved_totals(state0)["rho"]
-    report.max_divb = float(np.max(np.abs(discrete_div_b(state0, params))))
-    if config.divb_every > 0:
-        report.divb_series.append((0.0, report.max_divb))
-        next_divb = config.divb_every
-    next_checkpoint = config.checkpoint_every if config.checkpoint_every > 0 else np.inf
+    observe = _Observer(config, report)
+    observe(state0, 0.0)
 
-    t = 0.0
-    t_final = spec.t_final
+    u, t, t_final = state0.flat().copy(), 0.0, spec.t_final
     dt = min(_initial_dt(state0), t_final) if t_final > 0 else 0.0
     alpha = None
     accepted = 0
@@ -172,69 +179,54 @@ def run(config):
         step_calls_start = rhs_op.calls
         refresh_calls = 0
         lin = None
-        if config.scheme.is_exponential:
-            lin = FrozenLinearization(rhs_op, u)
-            # only the Leja interval reads alpha
-            if config.method == "leja" and accepted % config.spectrum_interval == 0:
-                before_spec = rhs_op.calls
-                alpha = estimate_alpha(lin).alpha
-                refresh_calls = rhs_op.calls - before_spec
-                report.spectrum_rhs_evals += refresh_calls
+        try:
+            with fp_policy():
+                if config.scheme.is_exponential:
+                    lin = FrozenLinearization(rhs_op, u)
+                    # only the Leja interval reads alpha
+                    if config.method == "leja" and accepted % config.spectrum_interval == 0:
+                        refresh_start = rhs_op.calls
+                        alpha = estimate_alpha(lin).alpha
+                        refresh_calls = rhs_op.calls - refresh_start
+        except (RhsBlowupError, FloatingPointError) as exc:
+            report.status = f"failed: {type(exc).__name__}: {exc}"
+            break
+        report.spectrum_rhs_evals += refresh_calls
 
-        # attempt loop: phi non-convergence halves dt, an error excess retries
-        # with the traditional proposal
+        # a failed attempt reports error inf, for which after_reject halves dt
         for _ in range(MAX_CONSECUTIVE_REJECTIONS):
             attempt_start = rhs_op.calls
             res = step(config.scheme, rhs_op, u, dt, method=config.method,
                        alpha=alpha, tol=config.tol, lin=lin)
-            ok = bool(res.converged and accept(res.error_estimate, config.tol))
-            # an accepted step counts every rhs evaluation the step needed (base
-            # evaluation, spectral refresh, rejected attempts included); its
-            # cost proxy leaves the refresh out, because the refresh schedule
-            # counts steps, not dt, and a one-step spike in the cost reads to
-            # the cost controller as a slope in dt
+            ok = bool(accept(res.error_estimate, config.tol))
+            # an accepted step counts every rhs evaluation the step needed
+            # (base evaluation, spectral refresh, rejected attempts included)
             spent = rhs_op.calls - (step_calls_start if ok else attempt_start)
-            rec = StepRecord(t=t + dt if ok else t, dt=dt, error=res.error_estimate,
-                             rhs_calls=spent, phi_iterations=res.phi_iterations,
-                             phi_applications=res.phi_applications, accepted=ok,
-                             cost=(spent - refresh_calls if ok else spent) / dt)
-            report.steps.append(rec)
+            report.steps.append(StepRecord(t + dt if ok else t, dt, res.error_estimate, spent,
+                                           res.phi_iterations, res.phi_applications, ok))
             if ok:
                 break
-            dt = controller.after_reject(dt, rec.error) if res.converged else 0.5 * dt
+            dt = controller.after_reject(dt, res.error_estimate)
         else:
             report.status = "failed: too many consecutive rejections"
             break
 
-        t = rec.t
-        u = res.new_state
+        t, u = t + dt, res.new_state
         accepted += 1
-
-        state = geometry.with_flat(u)
-        divb = float(np.max(np.abs(discrete_div_b(state, params))))
-        report.max_divb = max(report.max_divb, divb)
-        if config.divb_every > 0:
-            while next_divb <= t + 1e-12:
-                report.divb_series.append((next_divb, divb))
-                next_divb += config.divb_every
-        if config.output_dir is not None and t + 1e-12 >= next_checkpoint:
-            write_checkpoint(Path(config.output_dir) / f"state_t{t:.6f}.chk",
-                             state, t)
-            while next_checkpoint <= t + 1e-12:
-                next_checkpoint += config.checkpoint_every
-
-        dt = controller.after_accept(dt, rec.error, rec.cost)
+        observe(state0.with_flat(u), t)
+        # the cost proxy leaves the refresh out: its schedule counts steps, not
+        # dt, and a one-step cost spike reads to the cost controller as a slope
+        dt = controller.after_accept(dt, res.error_estimate, (spent - refresh_calls) / dt)
 
     report.wall_seconds = _time.perf_counter() - started
     report.t_reached = t
     report.rhs_evals = rhs_op.calls
-    final_state = geometry.with_flat(u)
-    report.final_state = final_state
-    report.checksum = _checksum(u)
-    mass = conserved_totals(final_state)["rho"]
+    report.final_state = state0.with_flat(u)
+    report.checksum = hashlib.sha256(np.ascontiguousarray(u, dtype="<f8").tobytes()).hexdigest()
+    mass0, mass = (conserved_totals(s)["rho"] for s in (state0, report.final_state))
     report.mass_drift = abs(mass - mass0) / abs(mass0) if mass0 else 0.0
     if report.status != "ok" and config.output_dir is not None:
-        write_checkpoint(Path(config.output_dir) / "abort.chk", final_state, t)
+        write_checkpoint(Path(config.output_dir) / "abort.chk", report.final_state, t)
     return report
 
 
@@ -281,23 +273,29 @@ def work_precision(base, tols, reference, out_csv):
     """Run `base` at each tolerance, ascending, and write one CSV row per run.
 
     A missing or malformed reference (OSError, ValueError), a reference of
-    another grid than `base.scenario` (ValueError) and a tolerance that
-    RunConfig refuses (ValueError) raise before any run.  A run that
-    fails (non-convergence, budget, an exception) is recorded with a NaN
-    error; its RunReport status names the failure, with the exception type
-    and message, and its CSV status reads failed.  A run that raised
-    measured nothing, so its counts, wall time and diagnostics are written
-    empty.  The sweep itself never aborts.
+    another grid or final time than `base.scenario` (ValueError; a
+    reference stores the time it reached, so 1e-12 relative is allowed)
+    and a tolerance that RunConfig refuses (ValueError) raise before any
+    run, and so does a CSV directory that cannot be made.  A run that fails
+    (non-convergence, budget, an exception) is recorded with a NaN error;
+    its RunReport status names the failure, with the exception type and
+    message, and its CSV status reads failed.  A run that raised measured
+    nothing, so its counts, wall time and diagnostics are written empty.
     """
-    ref_state, _ = read_checkpoint(reference)
-    grid = (base.scenario.nx, base.scenario.ny)
-    if (ref_state.nx, ref_state.ny) != grid:
+    ref_state, t_ref = read_checkpoint(reference)
+    spec = base.scenario
+    if (ref_state.nx, ref_state.ny) != (spec.nx, spec.ny):
         raise ValueError(f"reference {reference} is on a {ref_state.nx}x{ref_state.ny} grid, "
-                         f"the sweep on {grid[0]}x{grid[1]}")
+                         f"the sweep on {spec.nx}x{spec.ny}")
+    if abs(t_ref - spec.t_final) > 1e-12 * max(1.0, spec.t_final):
+        raise ValueError(f"reference {reference} is at t = {t_ref!r}, "
+                         f"the sweep ends at t = {spec.t_final!r}")
     ref_flat = ref_state.flat()
+    configs = [replace(base, tol=tol) for tol in sorted(tols)]
+    Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for cfg in [replace(base, tol=tol) for tol in sorted(tols)]:
+    for cfg in configs:
         try:
             report = run(cfg)
             err = error_norm(report.final_state.flat(), ref_flat) \

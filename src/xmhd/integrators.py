@@ -4,8 +4,9 @@ Exponential schemes (Rosenbrock-Euler, EXPRB43, EXPRB54s4, EPIRK5P1)
 delegate every phi-function action to the Leja or Krylov engine; explicit
 embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince 5(4)) serve
 as baselines and never touch the phi machinery.  A step reports its embedded
-error estimate, phi-action counts, and a converged flag that the run loop
-turns into dt-halving retries.
+error estimate, phi-action counts, and a converged flag; a failed step
+reports the error estimate inf, which the run loop rejects like any other
+error excess.
 """
 
 import math
@@ -302,6 +303,13 @@ _SCHEMES = {
 }
 
 
+def fp_policy():
+    """The floating-point policy of every step and linearization: overflow,
+    an invalid operation and division by zero raise FloatingPointError, which
+    the caller reports as a failed attempt or a failed run."""
+    return np.errstate(over="raise", invalid="raise", divide="raise")
+
+
 def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     """Advance the state u by one step of the given scheme.
 
@@ -310,8 +318,10 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     magnitude (a float) that an exponential scheme on the Leja engine needs
     (the Krylov engine reads none).
     Returns a StepResult; converged=False means a phi action failed to
-    converge or the step produced non-finite values, and the caller should
-    retry with a smaller dt.
+    converge, the step produced non-finite values or the right-hand side or
+    a floating-point operation (under fp_policy) failed.  Such a step
+    reports error_estimate = inf, so the caller rejects it and retries with
+    a smaller dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -327,10 +337,11 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     # explicit schemes never apply the broker, so they report zero phi work
     broker = _PhiBroker(lin, dt, alpha, tol, method)
     try:
-        unew, err = _SCHEMES[scheme][2](lin, broker, u, dt, rhs)
-        ok = (not broker.failed) and np.all(np.isfinite(unew)) and np.isfinite(err)
+        with fp_policy():
+            unew, err = _SCHEMES[scheme][2](lin, broker, u, dt, rhs)
     except (RhsBlowupError, FloatingPointError):
-        unew, err, ok = u, np.inf, False
-    return StepResult(new_state=unew, error_estimate=err,
+        unew, err = u, np.inf
+    ok = not broker.failed and np.all(np.isfinite(unew)) and np.isfinite(err)
+    return StepResult(new_state=unew, error_estimate=err if ok else np.inf,
                       phi_iterations=broker.iterations,
                       phi_applications=broker.applications, converged=bool(ok))

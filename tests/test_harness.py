@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +279,9 @@ def test_work_precision_refuses_reference_of_another_grid(monkeypatch, tmp_path)
     csv_path = tmp_path / "wp.csv"
     with pytest.raises(ValueError, match="16x16 grid, the sweep on 24x24"):
         work_precision(small_khi(t_final=0.002), [1e-3, 1e-4], ref_path, csv_path)
+    other_time = RunConfig(scenario=make_scenario("khi-III", nx=16, ny=16, t_final=0.003))
+    with pytest.raises(ValueError, match=r"is at t = 0\.002\d*, the sweep ends at t = 0\.003"):
+        work_precision(other_time, [1e-3, 1e-4], ref_path, csv_path)
     assert runs == [] and not csv_path.exists()
 
 
@@ -308,7 +312,7 @@ def test_work_precision_empty_tolerances(tmp_path):
 
 def test_work_precision_records_failures_as_data(tmp_path):
     # an impossible step budget forces a failed cell without crashing the sweep
-    cfg = small_khi(t_final=0.1, max_steps=2)
+    cfg = small_khi(t_final=0.001, max_steps=1)
     ref = tmp_path / "ref.chk"
     make_reference(small_khi(t_final=0.001), ref)
     rows = work_precision(cfg, [1e-4], ref, tmp_path / "wp.csv")
@@ -362,7 +366,7 @@ def test_work_precision_records_exception_type_and_message(tmp_path, monkeypatch
 
     monkeypatch.setattr(xmhd.harness, "run", broken)
     monkeypatch.setattr(xmhd.harness, "_row", recording_row)
-    rows = work_precision(small_khi(), [1e-4], ref, tmp_path / "wp.csv")
+    rows = work_precision(small_khi(t_final=0.001), [1e-4], ref, tmp_path / "wp.csv")
     assert statuses == ["failed: RuntimeError: solver exploded"]
     assert rows[0]["status"] == "failed"
     with open(tmp_path / "wp.csv") as fh:
@@ -450,6 +454,35 @@ def test_unreachable_tolerance_fails_after_consecutive_rejections():
     assert rep.status == "failed: too many consecutive rejections"
     assert rep.accepted == 0 and rep.rejected == 10
     assert rep.t_reached == 0.0
+
+
+def diverging_khi(**kw):
+    # at tol 1.0 khi-III 16^2 drives its stages, then its state, to overflow
+    spec = make_scenario("khi-III", nx=16, ny=16, t_final=1.0)
+    return RunConfig(scenario=spec, tol=1.0, **kw)
+
+
+@pytest.mark.parametrize("kw,status", [
+    ({}, "failed: too many consecutive rejections"),
+    ({"scheme": Scheme.EPIRK5P1, "spectrum_interval": 1},
+     "failed: FloatingPointError: overflow"),
+], ids=["in-step", "in-refresh"])
+def test_floating_point_faults_end_as_a_reported_failure(tmp_path, kw, status):
+    # an overflow inside a step fails the attempt, one in the spectral
+    # refresh fails the run; neither warns nor raises out of run()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run(diverging_khi(output_dir=tmp_path, **kw))
+    assert rep.status.startswith(status)
+    assert (tmp_path / "abort.chk").exists()
+
+
+def test_a_failed_attempt_records_error_inf_and_retries_at_half_its_dt():
+    steps = run(diverging_khi()).steps
+    failed = [i for i, s in enumerate(steps[:-1]) if s.error == np.inf]
+    assert failed
+    for i in failed:
+        assert not steps[i].accepted and steps[i + 1].dt == 0.5 * steps[i].dt
 
 
 def test_exhausted_wall_budget_fails_before_the_first_step():

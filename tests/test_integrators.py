@@ -211,6 +211,7 @@ def test_nonconvergence_propagates():
     op = RhsOperator(lambda u: a @ u)
     res = step(Scheme.EXPRB43, op, np.array([1.0, 1.0]), 1.0, alpha=1.0, tol=1e-10)
     assert not res.converged
+    assert res.error_estimate == np.inf
 
 
 def test_riccati_convergence_orders():
