@@ -55,7 +55,7 @@ def _build_parser():
     mode.add_argument("--sweep", default=None, metavar="SPEC",
                       help='work-precision sweep, e.g. "tol=1e-3,1e-4,1e-5"')
     mode.add_argument("--make-reference", action="store_true",
-                      help="store a tol=1e-11 reference checkpoint and exit")
+                      help="store a tol=1e-11 DOPRI54 reference checkpoint and exit")
     p.add_argument("--divb-every", type=float, default=d.divb_every, metavar="T",
                    help="emit a (t, max |div B|) CSV sampled every T time units")
     p.add_argument("--checkpoint-every", type=float, default=d.checkpoint_every, metavar="T")
@@ -110,7 +110,7 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         scenario = _scenario_from_args(args)
         # --make-reference ignores --integrator: make_reference sets its own
-        scheme = Scheme.EXPRB43 if args.make_reference else Scheme(args.integrator)
+        scheme = Scheme.DOPRI54 if args.make_reference else Scheme(args.integrator)
         config = RunConfig(scenario=scenario,
                            scheme=scheme,
                            method=args.method,

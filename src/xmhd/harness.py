@@ -1,13 +1,14 @@
 """Experiment driver: adaptive time-stepping loop, references, sweeps, CSV.
 
 A run advances a scenario from t = 0 to t_final, starting at a tenth of
-the CFL step.  Per step: for an exponential scheme, freeze the
-linearization and, on the Leja engine, refresh the spectral estimate every
-spectrum_interval accepted steps; take one scheme step, accept it iff its
-error estimate is at most tol, and let the step-size controller propose
-the next dt.  A failed attempt reports error inf, whose traditional
-proposal is dt / 2; ten consecutive rejections, or a failed linearization,
-abort the run.  Runs are deterministic for a fixed config.
+the CFL step.  Per step: freeze the linearization, whose base evaluation
+f(u) every attempt of every scheme reads (an accepted first-same-as-last
+step has already evaluated it), and, for an exponential scheme on the Leja
+engine, refresh the spectral estimate every spectrum_interval accepted
+steps; take scheme steps until one's error estimate is at most tol, and
+let the step-size controller propose the next dt.  A failed attempt
+reports error inf, whose traditional proposal is dt / 2; ten consecutive
+rejections, or a failed linearization, abort the run.  Runs are deterministic for a fixed config.
 """
 
 import csv
@@ -164,6 +165,9 @@ def run(config):
     u, t, t_final = state0.flat().copy(), 0.0, spec.t_final
     dt = min(_initial_dt(state0), t_final) if t_final > 0 else 0.0
     alpha = None
+    base_rhs = None     # f(u), when the last accepted step handed it over
+    # only the Leja interval reads alpha
+    refreshes = config.scheme.is_exponential and config.method == "leja"
     accepted = 0
     started = _time.perf_counter()
 
@@ -178,16 +182,13 @@ def run(config):
 
         step_calls_start = rhs_op.calls
         refresh_calls = 0
-        lin = None
         try:
             with fp_policy():
-                if config.scheme.is_exponential:
-                    lin = FrozenLinearization(rhs_op, u)
-                    # only the Leja interval reads alpha
-                    if config.method == "leja" and accepted % config.spectrum_interval == 0:
-                        refresh_start = rhs_op.calls
-                        alpha = estimate_alpha(lin).alpha
-                        refresh_calls = rhs_op.calls - refresh_start
+                lin = FrozenLinearization(rhs_op, u, base_rhs)
+                if refreshes and accepted % config.spectrum_interval == 0:
+                    refresh_start = rhs_op.calls
+                    alpha = estimate_alpha(lin).alpha
+                    refresh_calls = rhs_op.calls - refresh_start
         except (RhsBlowupError, FloatingPointError) as exc:
             report.status = f"failed: {type(exc).__name__}: {exc}"
             break
@@ -211,7 +212,7 @@ def run(config):
             report.status = "failed: too many consecutive rejections"
             break
 
-        t, u = t + dt, res.new_state
+        t, u, base_rhs = t + dt, res.new_state, res.new_rhs
         accepted += 1
         observe(state0.with_flat(u), t)
         # the cost proxy leaves the refresh out: its schedule counts steps, not
@@ -234,9 +235,13 @@ REFERENCE_TOL = 1e-11
 
 
 def make_reference(config, path):
-    """Run at tol 1e-11 with EXPRB43/Leja/combined and store the final state."""
-    ref_cfg = replace(config, tol=REFERENCE_TOL, scheme=Scheme.EXPRB43,
-                      method="leja", controller=ControllerMode.COMBINED)
+    """Run at tol 1e-11 with DOPRI54/combined and store the final state.
+
+    The reference shares no phi engine, Jacobian action or spectral
+    estimate with the exponential schemes it judges.
+    """
+    ref_cfg = replace(config, tol=REFERENCE_TOL, scheme=Scheme.DOPRI54,
+                      controller=ControllerMode.COMBINED)
     report = run(ref_cfg)
     if report.status != "ok":
         raise RuntimeError(f"reference run failed: {report.status}")

@@ -3,10 +3,13 @@
 Exponential schemes (Rosenbrock-Euler, EXPRB43, EXPRB54s4, EPIRK5P1)
 delegate every phi-function action to the Leja or Krylov engine; explicit
 embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince 5(4)) serve
-as baselines and never touch the phi machinery.  A step reports its embedded
+as baselines and never touch the phi machinery.  Every scheme reads f(u)
+from the step's frozen linearization, so a retry after a rejection
+evaluates nothing that depends on u alone.  A step reports its embedded
 error estimate, phi-action counts, and a converged flag; a failed step
 reports the error estimate inf, which the run loop rejects like any other
-error excess.
+error excess.  Dormand-Prince is first-same-as-last: its last stage is
+f(new state), which the step hands over for the next step's linearization.
 """
 
 import math
@@ -72,6 +75,9 @@ class StepResult:
     phi_iterations: int
     phi_applications: int
     converged: bool
+    #: f(new_state) when the scheme evaluated it (a first-same-as-last
+    #: pair), else None
+    new_rhs: np.ndarray | None = None
 
 
 def error_norm(a, b):
@@ -146,7 +152,7 @@ def _step_euler(lin, broker, u, dt, rhs):
     # with the linearization frozen at u this is the Rosenbrock-Euler update;
     # no embedded estimate exists, the error is reported as zero
     (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs)
-    return u + dt * phi1_fu, 0.0
+    return u + dt * phi1_fu, 0.0, None
 
 
 def _stage_difference(lin, rhs, stage, u, fu):
@@ -176,7 +182,7 @@ def _step_exprb43(lin, broker, u, dt, rhs):
     phi4_w4 = -48.0 * phi4_da + 12.0 * phi4_db
     u3 = u + dt * phi1_fu + dt * phi3_w3
     u4 = u3 + dt * phi4_w4
-    return u4, error_norm(u3, u4)
+    return u4, error_norm(u3, u4), None
 
 
 def _step_exprb54s4(lin, broker, u, dt, rhs):
@@ -202,7 +208,7 @@ def _step_exprb54s4(lin, broker, u, dt, rhs):
     phi4_w4 = -60.0 * phi4_db + (500.0 / 27.0) * phi4_dc
     u4 = u + dt * phi1_fu + dt * phi3_w1 + dt * phi4_w2
     u5 = u + dt * phi1_fu + dt * phi3_w3 + dt * phi4_w4
-    return u5, error_norm(u4, u5)
+    return u5, error_norm(u4, u5), None
 
 
 def _step_epirk5p1(lin, broker, u, dt, rhs):
@@ -225,7 +231,7 @@ def _step_epirk5p1(lin, broker, u, dt, rhs):
     # embedded 4th-order solution: same structure with G32, G33 replaced
     u4 = (u + EPIRK_B1 * dt * phi1_fu + EPIRK_B2 * dt * phi1_da_emb
           + EPIRK_B3 * dt * phi3_w_emb)
-    return u5, error_norm(u4, u5)
+    return u5, error_norm(u4, u5), None
 
 
 # Zonneveld's 4(3) pair: classical RK4 plus one extra stage for the
@@ -275,21 +281,24 @@ def _weighted_sum(u, dt, weights, stages, scratch):
 
 
 def _step_explicit(tableau, lin, broker, u, dt, rhs):
-    # an explicit pair uses neither the linearization nor the phi broker
+    # an explicit pair reads only f(u) of the linearization and never the
+    # phi broker; when the last row of A is b (first same as last), the last
+    # stage is f(unew), evaluated at unew itself and handed to the next step
     a, b, bhat = tableau
-    stages = []
+    fsal = list(a[-1]) == list(b[:-1])
+    stages = [lin.base_rhs]
     scratch = np.empty_like(u)
-    for row in a:
-        ui = u
+    for row in a[1:len(a) - fsal]:
+        ui = u.copy()
         for coeff, kj in zip(row, stages):
             if coeff != 0.0:
-                if ui is u:
-                    ui = u.copy()
                 ui += np.multiply(kj, dt * coeff, out=scratch)
         stages.append(np.asarray(rhs(ui), dtype=float))
     unew = _weighted_sum(u, dt, b, stages, scratch)
+    if fsal:
+        stages.append(np.asarray(rhs(unew), dtype=float))
     ulow = _weighted_sum(u, dt, bhat, stages, scratch)
-    return unew, error_norm(ulow, unew)
+    return unew, error_norm(ulow, unew), stages[-1] if fsal else None
 
 
 #: scheme -> (order, embedded order, step function)
@@ -316,32 +325,33 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     `rhs` must be a counted operator (see RhsOperator); `method` is one of
     PHI_METHODS, checked before any evaluation; `alpha` is the spectral
     magnitude (a float) that an exponential scheme on the Leja engine needs
-    (the Krylov engine reads none).
+    (the Krylov engine reads none); `lin` is the FrozenLinearization at u,
+    built here (one rhs evaluation) when None.
     Returns a StepResult; converged=False means a phi action failed to
     converge, the step produced non-finite values or the right-hand side or
     a floating-point operation (under fp_policy) failed.  Such a step
-    reports error_estimate = inf, so the caller rejects it and retries with
-    a smaller dt.
+    reports error_estimate = inf and no new_rhs, so the caller rejects it
+    and retries with a smaller dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if method not in PHI_METHODS:
         raise ValueError(f"unknown phi method {method!r}")
     u = np.asarray(u, dtype=float)
-    if scheme.is_exponential:
-        if alpha is None and method == "leja":
-            raise ValueError(f"exponential scheme {scheme.value} needs the spectral "
-                             "magnitude alpha on the Leja engine")
-        if lin is None:
-            lin = FrozenLinearization(rhs, u)
+    if scheme.is_exponential and alpha is None and method == "leja":
+        raise ValueError(f"exponential scheme {scheme.value} needs the spectral "
+                         "magnitude alpha on the Leja engine")
+    if lin is None:
+        lin = FrozenLinearization(rhs, u)
     # explicit schemes never apply the broker, so they report zero phi work
     broker = _PhiBroker(lin, dt, alpha, tol, method)
     try:
         with fp_policy():
-            unew, err = _SCHEMES[scheme][2](lin, broker, u, dt, rhs)
+            unew, err, new_rhs = _SCHEMES[scheme][2](lin, broker, u, dt, rhs)
     except (RhsBlowupError, FloatingPointError):
-        unew, err = u, np.inf
+        unew, err, new_rhs = u, np.inf, None
     ok = not broker.failed and np.all(np.isfinite(unew)) and np.isfinite(err)
     return StepResult(new_state=unew, error_estimate=err if ok else np.inf,
                       phi_iterations=broker.iterations,
-                      phi_applications=broker.applications, converged=bool(ok))
+                      phi_applications=broker.applications, converged=bool(ok),
+                      new_rhs=new_rhs if ok else None)

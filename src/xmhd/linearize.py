@@ -44,12 +44,19 @@ class RhsOperator:
 
 
 class FrozenLinearization:
-    """The right-hand side and its Jacobian action frozen at one state."""
+    """The right-hand side and its Jacobian action frozen at one state.
 
-    def __init__(self, rhs, base_state):
+    The base evaluation f(base_state) costs one rhs evaluation unless the
+    caller hands it over as `base_rhs` (a first-same-as-last step's last
+    stage).
+    """
+
+    def __init__(self, rhs, base_state, base_rhs=None):
         self.rhs = rhs
         self.base_state = np.asarray(base_state, dtype=float)
-        self.base_rhs = np.asarray(rhs(self.base_state), dtype=float)
+        if base_rhs is None:
+            base_rhs = rhs(self.base_state)
+        self.base_rhs = np.asarray(base_rhs, dtype=float)
         self._base_norm = np.linalg.norm(self.base_state)
 
 
@@ -64,7 +71,12 @@ def jvp(lin, w):
     if wnorm == 0.0:
         return np.zeros_like(lin.base_state)
     eps = _SQRT_EPS * max(1.0, lin._base_norm) / max(wnorm, 1e-300)
-    return (lin.rhs(lin.base_state + eps * w) - lin.base_rhs) / eps
+    shifted = np.multiply(w, eps)
+    shifted += lin.base_state
+    # a new array: the one the rhs returned may belong to the caller's rhs
+    diff = np.subtract(lin.rhs(shifted), lin.base_rhs)
+    diff /= eps
+    return diff
 
 
 @dataclass

@@ -64,18 +64,40 @@ def test_explicit_step_matches_generator_sum_reference(scheme):
     f = lambda u: np.sin(3.0 * u) - 0.5 * u * u * u
     u = np.random.default_rng(9).standard_normal(50)
     dt = 0.07
+    fsal = scheme is Scheme.DOPRI54
     stages = []
-    for row in a:
+    for row in a[:len(a) - fsal]:
         ui = u
         for coeff, kj in zip(row, stages):
             if coeff != 0.0:
                 ui = ui + dt * coeff * kj
         stages.append(f(ui))
     unew = u + dt * sum(bi * ki for bi, ki in zip(b, stages) if bi != 0.0)
+    if fsal:
+        # first same as last: the last stage is evaluated at unew itself
+        stages.append(f(unew))
     ulow = u + dt * sum(bi * ki for bi, ki in zip(bhat, stages) if bi != 0.0)
     res = step(scheme, RhsOperator(f), u, dt)
     assert res.new_state.tobytes() == unew.tobytes()
     assert res.error_estimate == error_norm(ulow, unew)
+
+
+def test_dopri54_hands_over_f_of_its_new_state():
+    # first same as last: the last stage is f(unew) at unew's own bits, and a
+    # step frozen on it makes no base evaluation, so it costs six
+    f = lambda u: np.sin(3.0 * u) - 0.5 * u * u * u
+    op = RhsOperator(f)
+    u = np.random.default_rng(10).standard_normal(50)
+    res = step(Scheme.DOPRI54, op, u, 0.07)
+    assert res.converged and op.calls == 7
+    assert res.new_rhs.tobytes() == f(res.new_state).tobytes()
+    lin = FrozenLinearization(op, res.new_state, res.new_rhs)
+    assert op.calls == 7
+    assert step(Scheme.DOPRI54, op, res.new_state, 0.07, lin=lin).converged
+    assert op.calls == 13
+    # the other schemes do not evaluate f at their new state
+    for scheme in (Scheme.RK43, Scheme.EXPRB43):
+        assert step(scheme, op, u, 0.07, alpha=10.0).new_rhs is None
 
 
 def test_rosenbrock_euler_exact_on_linear():
@@ -423,3 +445,4 @@ def test_rhs_blowup_inside_a_scheme_fails_the_step(scheme):
     assert not res.converged
     assert np.array_equal(res.new_state, u)
     assert res.error_estimate == np.inf
+    assert res.new_rhs is None
