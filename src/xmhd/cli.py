@@ -47,7 +47,7 @@ def _build_parser():
                    default=d.controller.value)
     p.add_argument("--spectrum-interval", type=int, default=d.spectrum_interval, metavar="N")
     p.add_argument("--reference", type=Path, default=None, metavar="PATH",
-                   help="reference checkpoint for global-error measurement")
+                   help="reference checkpoint of a --sweep, for its global errors")
     p.add_argument("--output", type=Path, default=None, metavar="DIR")
     p.add_argument("--config", type=Path, default=None, metavar="FILE",
                    help="flat key=value file; command-line flags override it")
@@ -124,6 +124,9 @@ def main(argv=None):
                            wall_budget=args.wall_budget)
         if args.checkpoint_every > 0 and args.output is None:
             raise ValueError("--checkpoint-every requires --output")
+        if args.reference is not None and not args.sweep:
+            # only a sweep measures a global error
+            raise ValueError("--reference requires --sweep")
         out = args.output or Path(".")
         if args.sweep:
             if args.reference is None:

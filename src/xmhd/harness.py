@@ -8,7 +8,8 @@ engine, refresh the spectral estimate every spectrum_interval accepted
 steps; take scheme steps until one's error estimate is at most tol, and
 let the step-size controller propose the next dt.  A failed attempt
 reports error inf, whose traditional proposal is dt / 2; ten consecutive
-rejections, or a failed linearization, abort the run.  Runs are deterministic for a fixed config.
+rejections, a failed linearization, or a dt too small to advance t abort
+the run.  Runs are deterministic for a fixed config.
 """
 
 import csv
@@ -196,6 +197,11 @@ def run(config):
 
         # a failed attempt reports error inf, for which after_reject halves dt
         for _ in range(MAX_CONSECUTIVE_REJECTIONS):
+            # a step that leaves t where it is would stall the run, and the
+            # cost proxy would divide by it
+            if t + dt == t:
+                report.status = f"failed: step size underflow at t={float(t)!r}"
+                break
             attempt_start = rhs_op.calls
             res = step(config.scheme, rhs_op, u, dt, method=config.method,
                        alpha=alpha, tol=config.tol, lin=lin)
@@ -208,8 +214,11 @@ def run(config):
             if ok:
                 break
             dt = controller.after_reject(dt, res.error_estimate)
+            # the retry does not hold the rejected attempt's vectors
+            res = None
         else:
             report.status = "failed: too many consecutive rejections"
+        if report.status != "ok":
             break
 
         t, u, base_rhs = t + dt, res.new_state, res.new_rhs
@@ -222,9 +231,15 @@ def run(config):
     report.wall_seconds = _time.perf_counter() - started
     report.t_reached = t
     report.rhs_evals = rhs_op.calls
-    report.final_state = state0.with_flat(u)
+    mass0 = conserved_totals(state0)["rho"]
+    # the final state goes into the run's first buffer: one allocated late
+    # and kept past the run would pin the middle of the heap that the run's
+    # temporaries free, and a caller that keeps reports would see the heap
+    # grow around each of them
+    state0.flat()[:] = u
+    report.final_state = state0
     report.checksum = hashlib.sha256(np.ascontiguousarray(u, dtype="<f8").tobytes()).hexdigest()
-    mass0, mass = (conserved_totals(s)["rho"] for s in (state0, report.final_state))
+    mass = conserved_totals(state0)["rho"]
     report.mass_drift = abs(mass - mass0) / abs(mass0) if mass0 else 0.0
     if report.status != "ok" and config.output_dir is not None:
         write_checkpoint(Path(config.output_dir) / "abort.chk", report.final_state, t)

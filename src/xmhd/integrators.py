@@ -80,13 +80,16 @@ class StepResult:
     new_rhs: np.ndarray | None = None
 
 
-def error_norm(a, b):
-    """Relative discrete l2 distance ||a - b|| / ||b|| (absolute if ||b|| = 0)."""
+def error_norm(a, b, scratch=None):
+    """Relative discrete l2 distance ||a - b|| / ||b|| (absolute if ||b|| = 0).
+
+    a - b is formed in `scratch` when one is given.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("error_norm requires arrays of equal shape")
-    diff = np.linalg.norm(a - b)
+    diff = np.linalg.norm(np.subtract(a, b, out=scratch))
     scale = np.linalg.norm(b)
     return diff if scale == 0.0 else diff / scale
 
@@ -269,9 +272,9 @@ _TABLEAUS = {
 }
 
 
-def _weighted_sum(u, dt, weights, stages, scratch):
-    """u + dt * sum(w_j k_j), accumulated in place from zero as sum() does."""
-    acc = np.zeros_like(u)
+def _weighted_sum(u, dt, weights, stages, scratch, acc):
+    """u + dt * sum(w_j k_j) into acc, accumulated from zero as sum() does."""
+    acc.fill(0.0)
     for wj, kj in zip(weights, stages):
         if wj != 0.0:
             acc += np.multiply(kj, wj, out=scratch)
@@ -283,22 +286,24 @@ def _weighted_sum(u, dt, weights, stages, scratch):
 def _step_explicit(tableau, lin, broker, u, dt, rhs):
     # an explicit pair reads only f(u) of the linearization and never the
     # phi broker; when the last row of A is b (first same as last), the last
-    # stage is f(unew), evaluated at unew itself and handed to the next step
+    # stage is f(unew), evaluated at unew itself and handed to the next step.
+    # Every stage input is formed in one buffer, which then holds the
+    # embedded solution, and the error estimate differences in scratch.
     a, b, bhat = tableau
     fsal = list(a[-1]) == list(b[:-1])
     stages = [lin.base_rhs]
-    scratch = np.empty_like(u)
+    scratch, ui = np.empty_like(u), np.empty_like(u)
     for row in a[1:len(a) - fsal]:
-        ui = u.copy()
+        np.copyto(ui, u)
         for coeff, kj in zip(row, stages):
             if coeff != 0.0:
                 ui += np.multiply(kj, dt * coeff, out=scratch)
         stages.append(np.asarray(rhs(ui), dtype=float))
-    unew = _weighted_sum(u, dt, b, stages, scratch)
+    unew = _weighted_sum(u, dt, b, stages, scratch, np.empty_like(u))
     if fsal:
         stages.append(np.asarray(rhs(unew), dtype=float))
-    ulow = _weighted_sum(u, dt, bhat, stages, scratch)
-    return unew, error_norm(ulow, unew), stages[-1] if fsal else None
+    ulow = _weighted_sum(u, dt, bhat, stages, scratch, ui)
+    return unew, error_norm(ulow, unew, scratch), stages[-1] if fsal else None
 
 
 #: scheme -> (order, embedded order, step function)

@@ -122,89 +122,104 @@ def _pad(data, ghosts, params, out=None):
     return out
 
 
-def _ddx(a, dx, out):
-    """Centered x-derivative of `a` into `out`, which is one ring smaller."""
-    np.subtract(a[..., 1:-1, 2:], a[..., 1:-1, :-2], out=out)
-    return np.divide(out, 2.0 * dx, out=out)
+def _stencil(a, step, scale, out):
+    """scale (a[k+step] - a[k-step]) at every flat index k, into `out`.
+
+    `a` and `out` are contiguous blocks of padded planes, so step 1 is the
+    centered x-difference and step nx+4 the y-difference.  The result is
+    right wherever both neighbours lie in the same plane; the outer ring
+    of each plane reads across a row or plane edge and holds garbage.
+    """
+    flat = out.reshape(-1)
+    a = a.reshape(-1)
+    np.subtract(a[2 * step:], a[:-2 * step], out=flat[step:-step])
+    return np.multiply(out, scale, out=out)
 
 
-def _ddy(a, dy, out):
-    """Centered y-derivative of `a` into `out`, which is one ring smaller."""
-    np.subtract(a[..., 2:, 1:-1], a[..., :-2, 1:-1], out=out)
-    return np.divide(out, 2.0 * dy, out=out)
-
-
-def _trim(a):
-    return a[..., 1:-1, 1:-1]
-
-
-# Rows of the padded cube once mhd_rhs has turned it into primitive
-# variables: each keeps the index of the conserved field it replaces.
-_VX, _VY, _VZ = MX, MY, MZ
-_TEMP, _B2 = RHO, EN
+# Rows of the padded block once mhd_rhs has turned it into primitive
+# variables: velocity over momentum, temperature over energy, and B.B in a
+# ninth row.  Rows 1..8 are differentiated as one block, so row k of a
+# gradient block is the derivative of primitive row k + 1.
+_VX, _VZ = MX, MZ
+_TEMP, _B2 = EN, NVAR
+_GVX, _GVY, _GBX, _GBY, _GBZ, _GTEMP, _GB2 = (k - 1 for k in (MX, MY, BX, BY, BZ, _TEMP, _B2))
 
 
 class RhsWorkspace:
-    """Scratch arrays of mhd_rhs for one grid shape, reused across calls.
+    """Scratch planes of mhd_rhs for one grid shape, reused across calls.
 
-    One block holds, with (ny+4, nx+4) "padded" and (ny+2, nx+2) "ring"
-    planes:
+    Every plane has the padded shape (ny+4, nx+4), two ghost cells per
+    side, and one block holds all 39, each group contiguous:
 
-    * ``pad``, 8 padded planes: the state with two ghost cells per side,
-      then the primitive variables in place (velocity over momentum,
-      temperature over density, B.B over energy);
-    * ``scalar``, 9 padded planes: pointwise products of the ideal terms;
-      once the last ideal flux is built, ``deriv`` reuses them as the
-      (8, ny, nx) scratch of the stencils;
-    * ``flux``, 8 padded planes: the flux cube of one direction, ideal and
-      then (as ``dflux``, 8 ring planes) diffusive;
-    * ``grad``, 2 x 8 ring planes: x and y derivatives of the primitives;
-    * ``tau``, 4 ring planes: one stress row and (2/3) div v.
+    * ``prim``, 9 planes: the padded state, then in place the primitive
+      variables (velocity over momentum, temperature over energy) and B.B;
+    * ``grad``, 2 x 8 planes: x and y derivatives of prim[1:], whose
+      velocity rows then hold the rows of the viscous stress; once the
+      x-flux is built, the x-derivatives give way to the divergences;
+    * ``flux``, 8 planes: the total (ideal minus diffusive) flux of one
+      direction, and scratch before it is written;
+    * ``scalar``, 6 planes: P + B^2/2, E + P + B^2/2, B.v, the total z-EMF
+      and (B.grad) b_x, (B.grad) b_y.
 
     A workspace carries nothing from one evaluation to the next.
     """
 
     def __init__(self, nx, ny):
         self.nx, self.ny = nx, ny
-        padded = (ny + 4) * (nx + 4)
-        ring = (ny + 2) * (nx + 2)
-        pad, scalar, flux, grad, tau = np.split(
-            np.empty(25 * padded + 20 * ring),
-            np.cumsum([8 * padded, 9 * padded, 8 * padded, 16 * ring]))
-        self.pad = pad.reshape(NVAR, ny + 4, nx + 4)
-        self.scalar = scalar.reshape(9, ny + 4, nx + 4)
-        self.deriv = scalar[:NVAR * ny * nx].reshape(NVAR, ny, nx)
-        self.flux = flux.reshape(NVAR, ny + 4, nx + 4)
-        self.dflux = flux[:NVAR * ring].reshape(NVAR, ny + 2, nx + 2)
-        self.grad = grad.reshape(2, NVAR, ny + 2, nx + 2)
-        self.tau = tau.reshape(4, ny + 2, nx + 2)
+        prim, grad, flux, scalar = np.split(
+            np.empty((39, ny + 4, nx + 4)), np.cumsum([9, 16, 8]))
+        self.prim, self.flux, self.scalar = prim, flux, scalar
+        self.grad = grad.reshape(2, NVAR, ny + 4, nx + 4)
 
 
-def _ideal_flux(d, f, p, s):
-    """Ideal flux of every field along direction d (0: x, 1: y) into f.
+def _total_flux(d, f, p, s, grad, params):
+    """Ideal minus diffusive flux of every field along direction d (0: x, 1: y).
 
-    p is the primitive cube; s holds P_tot, E + P_tot, B.v and the shared
-    z-EMF in rows 1, 3, 4 and 5, and rows 6..8 are scratch.
+    p is the primitive block and s the scalar planes; grad holds the x and
+    y derivatives of p[1:] with the stress rows over the velocity rows, or
+    is None for ideal MHD.  The induction rows of f serve as scratch until
+    they are written, last.
     """
-    ptot, e_ptot, bdotv, emf = s[1], s[3], s[4], s[5]
-    vel, mag, bb = p[_VX:_VZ + 1], p[BX:BZ + 1], s[6:9]
+    ptot, e_ptot, bdotv, emf, b_grad_b = s[0], s[1], s[2], s[3], s[4 + d]
+    vel, mag = p[_VX:_VZ + 1], p[BX:BZ + 1]
+    mom, scratch, tmp = f[MX:MZ + 1], f[BX:BZ + 1], f[BX + d]
+    diffusive = grad is not None
+    if diffusive:
+        mu, eta = params.mu, params.eta
+        cond = mu * params.kappa * GAMMA / (GAMMA - 1.0)
+        g = grad[d]
+        tau = g[:3]
+    np.multiply(vel[d], e_ptot, out=f[EN])
+    np.subtract(f[EN], np.multiply(mag[d], bdotv, out=tmp), out=f[EN])
+    if diffusive:
+        # mu tau_d.v + cond d_d T + eta (d_d(B.B)/2 - (B.grad) b_d)
+        q, a, b = scratch
+        np.multiply(tau, vel, out=scratch)
+        np.add(q, a, out=q)
+        np.add(q, b, out=q)
+        np.multiply(q, mu, out=q)
+        np.add(q, np.multiply(g[_GTEMP], cond, out=a), out=q)
+        np.multiply(g[_GB2], 0.5, out=b)
+        np.subtract(b, b_grad_b, out=b)
+        np.add(q, np.multiply(b, eta, out=b), out=q)
+        np.subtract(f[EN], q, out=f[EN])
     np.multiply(vel[d], p[RHO], out=f[RHO])                   # rho v_d
-    np.multiply(f[RHO], vel, out=f[MX:MZ + 1])                # rho v_d v_k
+    np.multiply(f[RHO], vel, out=mom)                         # rho v_d v_k
     np.add(f[MX + d], ptot, out=f[MX + d])
-    np.multiply(mag, mag[d], out=bb)                          # b_k b_d
-    np.subtract(f[MX:MZ + 1], bb, out=f[MX:MZ + 1])
-    # one shared z-EMF product, so the mixed divergence of the induction
+    np.subtract(mom, np.multiply(mag, mag[d], out=scratch), out=mom)
+    if diffusive:
+        np.subtract(mom, np.multiply(tau, mu, out=scratch), out=mom)
+    np.multiply(vel[d], mag[2], out=f[BZ])                    # v_d bz - b_d vz
+    np.subtract(f[BZ], np.multiply(mag[d], vel[2], out=tmp), out=f[BZ])
+    if diffusive:
+        np.subtract(f[BZ], np.multiply(g[_GBZ], eta, out=tmp), out=f[BZ])
+    # one shared total z-EMF, so the mixed divergence of the induction
     # rows cancels exactly in the divergence of B
     f[BX + d] = 0.0
     if d == 0:
         np.negative(emf, out=f[BY])
     else:
         np.copyto(f[BX], emf)
-    np.multiply(vel[d], mag[2], out=f[BZ])                    # v_d bz - b_d vz
-    np.subtract(f[BZ], np.multiply(mag[d], vel[2], out=bb[0]), out=f[BZ])
-    np.multiply(vel[d], e_ptot, out=f[EN])
-    np.multiply(mag[d], bdotv, out=bb[0])
-    np.subtract(f[EN], bb[0], out=f[EN])
 
 
 def mhd_rhs(state, params, work=None):
@@ -226,22 +241,27 @@ def mhd_rhs(state, params, work=None):
     elif (work.nx, work.ny) != (state.nx, state.ny):
         raise ValueError(f"workspace built for a {work.nx}x{work.ny} grid, "
                          f"state is {state.nx}x{state.ny}")
-    dx, dy = state.dx, state.dy
     mu, eta, kap = params.mu, params.eta, params.kappa
     diffusive = mu != 0.0 or eta != 0.0 or kap != 0.0
+    steps = (1, state.nx + 4)                   # flat offsets of x and y neighbours
+    scales = (0.5 / state.dx, 0.5 / state.dy)
 
     with np.errstate(all="ignore"):
-        # each sum and product keeps the grouping of the formula it computes,
-        # e.g. ((E - kin) - B^2/2) (gamma - 1): adaptive runs follow
-        # last-bit roundoff, so neither reassociate nor turn a division into
-        # a multiplication by the reciprocal
-        p = _pad(state.data, 2, params, out=work.pad)
-        rho, en = p[RHO], p[EN]
+        # each direction's ideal and diffusive fluxes are differenced as one
+        # total flux, and a stencil multiplies by 0.5/h: the result agrees
+        # with the formulas to roundoff, not bit for bit.  Adaptive runs
+        # follow its last bits, so a reassociation or a reciprocal is a
+        # change of results, and the golden hashes of test_mhd show it
+        p = work.prim
+        _pad(state.data, 2, params, out=p[:NVAR])
+        rho, en, b2 = p[RHO], p[EN], p[_B2]
         np.divide(p[MX:MZ + 1], rho, out=p[_VX:_VZ + 1])
         vx, vy, vz = p[_VX:_VZ + 1]
         bx, by, bz = p[BX:BZ + 1]
-        s = work.scalar
-        b2, ptot, pres, e_ptot, bdotv, emf, tmp = s[:7]
+        ptot, e_ptot, bdotv, emf = work.scalar[:4]
+        b_grad_b = work.scalar[4:]
+        f = work.flux
+        tmp, pres = f[:2]
         np.multiply(bx, bx, out=b2)
         np.add(b2, np.multiply(by, by, out=tmp), out=b2)
         np.add(b2, np.multiply(bz, bz, out=tmp), out=b2)
@@ -256,68 +276,48 @@ def mhd_rhs(state, params, work=None):
         np.multiply(pres, GAMMA - 1.0, out=pres)
         np.add(pres, half_b2, out=ptot)
         np.add(en, ptot, out=e_ptot)
-        if diffusive:
-            np.divide(pres, rho, out=pres)                    # temperature
         np.multiply(bx, vx, out=bdotv)
         np.add(bdotv, np.multiply(by, vy, out=tmp), out=bdotv)
         np.add(bdotv, np.multiply(bz, vz, out=tmp), out=bdotv)
         np.multiply(vy, bx, out=emf)
         np.subtract(emf, np.multiply(by, vx, out=tmp), out=emf)
 
-        # ideal fluxes, one direction at a time, each differentiated in a
-        # single fused stencil application
-        f = work.flux
-        out = np.empty((NVAR, state.ny, state.nx))
-        _ideal_flux(0, f, p, s)
-        np.negative(_ddx(_trim(f), dx, out), out=out)
-        _ideal_flux(1, f, p, s)
+        grad = None
         if diffusive:
-            np.copyto(p[_TEMP], pres)
-            np.copyto(p[_B2], b2)
-        # from here on the scalar planes are free: work.deriv overlays them
-        np.subtract(out, _ddy(_trim(f), dy, work.deriv), out=out)
-
-        # diffusive fluxes (first derivatives live on the level-1 ring)
-        if diffusive:
+            np.divide(pres, rho, out=p[_TEMP])
             grad = work.grad
             gx, gy = grad
-            _ddx(p, dx, gx)
-            _ddy(p, dy, gy)
-            p1 = _trim(p)
-            tau, divv = work.tau[:3], work.tau[3]
-            np.add(gx[_VX], gy[_VY], out=divv)
+            for d in (0, 1):
+                _stencil(p[1:], steps[d], scales[d], grad[d])
+            # the stress rows over the velocity rows: (tau_xx, tau_xy, tau_xz)
+            # in gx, (tau_xy, tau_yy, tau_yz) in gy
+            divv = tmp
+            np.add(gx[_GVX], gy[_GVY], out=divv)
             np.multiply(divv, 2.0 / 3.0, out=divv)
-            cond = mu * kap * GAMMA / (GAMMA - 1.0)
-            g = work.dflux
-            g[RHO] = 0.0
-            for d, stencil, h in ((0, _ddx, dx), (1, _ddy, dy)):
-                # stress row d: (tau_dx, tau_dy, tau_dz)
-                np.multiply(grad[d, _VX + d], 2.0, out=tau[d])
-                np.subtract(tau[d], divv, out=tau[d])
-                np.add(gy[_VX], gx[_VY], out=tau[1 - d])
-                np.copyto(tau[2], grad[d, _VZ])
-                np.multiply(tau, mu, out=g[MX:MZ + 1])
-                # the shared z-current keeps the divergence of B exact again
-                g[BX + d] = 0.0
-                curl_z = g[BY - d]
-                np.subtract(gx[BY], gy[BX], out=curl_z)
-                np.multiply(curl_z, eta, out=curl_z)
-                if d == 1:
-                    np.negative(curl_z, out=curl_z)
-                np.multiply(grad[d, BZ], eta, out=g[BZ])
-                # energy: mu tau_d.v + cond d_d T + eta (d_d(B.B)/2 - (B.grad) b_d)
-                gen = g[EN]
-                np.multiply(tau, p1[_VX:_VZ + 1], out=tau)
-                np.add(tau[0], tau[1], out=gen)
-                np.add(gen, tau[2], out=gen)
-                np.multiply(gen, mu, out=gen)
-                np.add(gen, np.multiply(grad[d, _TEMP], cond, out=tau[0]), out=gen)
-                np.multiply(gx[BX + d], p1[BX], out=tau[0])
-                np.add(tau[0], np.multiply(gy[BX + d], p1[BY], out=tau[1]), out=tau[0])
-                np.multiply(grad[d, _B2], 0.5, out=tau[1])
-                np.subtract(tau[1], tau[0], out=tau[1])
-                np.add(gen, np.multiply(tau[1], eta, out=tau[1]), out=gen)
-                np.add(out, stencil(g, h, work.deriv), out=out)
+            for d in (0, 1):
+                diag = grad[d, _GVX + d]
+                np.multiply(diag, 2.0, out=diag)
+                np.subtract(diag, divv, out=diag)
+            np.add(gy[_GVX], gx[_GVY], out=gx[_GVY])
+            np.copyto(gy[_GVX], gx[_GVY])
+            # the total z-EMF: vy bx - by vx + eta (d_x by - d_y bx), and
+            # (B.grad) b_d of each heat flux, while both gradients are whole
+            np.subtract(gx[_GBY], gy[_GBX], out=tmp)
+            np.add(emf, np.multiply(tmp, eta, out=tmp), out=emf)
+            for d in (0, 1):
+                np.multiply(gx[_GBX + d], bx, out=b_grad_b[d])
+                np.add(b_grad_b[d], np.multiply(gy[_GBX + d], by, out=tmp), out=b_grad_b[d])
+
+        # the y-flux reads no x-derivative, so each divergence goes there
+        div = work.grad[0]
+        out = np.empty((NVAR, state.ny, state.nx))
+        for d in (0, 1):
+            _total_flux(d, f, p, work.scalar, grad, params)
+            inner = _stencil(f, steps[d], scales[d], div)[:, 2:-2, 2:-2]
+            if d == 0:
+                np.negative(inner, out=out)
+            else:
+                np.subtract(out, inner, out=out)
 
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))

@@ -199,12 +199,15 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--sweep", "tol=1e-3,0", "--reference", "missing.chk"],
     ["--sweep", "tol=1e-3", "--reference", "missing.chk"],
     ["--make-reference", "--sweep", "tol=1e-3"],
+    ["--reference", "missing.chk"],
+    ["--make-reference", "--reference", "missing.chk"],
     ["--output", "afile"],
     ["--output", "afile/sub"],
     ["--output", "afile/sub", "--checkpoint-every", "0.005"],
 ], ids=["tol0", "nx0", "tf-1", "recon-ny1", "interval-3", "interval0", "maxsteps0",
         "wallbudget-1", "checkpoint-1", "divb-0.5", "sweep-tol0", "sweep-missing-reference",
-        "reference-and-sweep", "output-is-a-file", "output-under-a-file",
+        "reference-and-sweep", "reference-without-sweep", "make-reference-with-reference",
+        "output-is-a-file", "output-under-a-file",
         "checkpoints-under-a-file"])
 def test_out_of_range_config_is_config_error(tmp_path, capsys, monkeypatch, extra):
     # relative paths resolve in tmp_path, which holds one regular file

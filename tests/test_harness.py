@@ -79,7 +79,7 @@ def test_spectrum_refresh_schedule_golden_run(monkeypatch):
     monkeypatch.setattr(xmhd.harness, "estimate_alpha", counted)
     rep = run(small_khi(t_final=0.2, spectrum_interval=3))
     assert rep.status == "ok"
-    assert rep.checksum == "f4027064030d549509706cb405047d518ca8af4ce02b65a0aa8c4ed1b3a66486"
+    assert rep.checksum == "e20f2ce5d3cd2ef3a6e6e26480a5d16c56dd6e0c1ac3da6480598dd97d69d9fb"
     assert (rep.accepted, rep.rejected, rep.rhs_evals, rep.phi_iterations,
             rep.spectrum_rhs_evals) == (7, 1, 547, 398, 36)
     assert len(refreshes) == len(range(0, rep.accepted, 3))
@@ -154,15 +154,15 @@ def test_krylov_run_computes_no_spectral_estimate(monkeypatch):
 # instead of renaming it.
 _GOLDEN_RUNS = [
     (ControllerMode.TRADITIONAL, Scheme.EXPRB43,
-     "79b432a2e40022f371a55f52109ca7cb3df7dade1a3777d9e69bc3c815a1b71f", (7, 2, 626, 398)),
+     "f0cfc2b3c2ecf6f6ff7f8bfcc8a6baec1b065a6deebff9ec71cbd4de9d82755b", (7, 2, 626, 398)),
     (ControllerMode.COST, Scheme.EXPRB43,
-     "b5ad56d0327e65b80387ee59c64db8ac9a788f9af65e147afadb87077ac41d8d", (7, 5, 979, 400)),
+     "8b9886de4a454322b3c788d890da3a7a27564112ae1545f5de74159a0a360fc2", (7, 5, 979, 400)),
     (ControllerMode.TRADITIONAL, Scheme.RK43,
-     "5ccca3bf711ec5168ea83081c5f2f72610e243ab042cf6ccc0e74357a81113ab", (19, 2, 103, 0)),
+     "d49d9106e06a20d445cfcf1e28e2d12ed632d5b4c6e8a168c985854864ba3be7", (19, 2, 103, 0)),
     (ControllerMode.COST, Scheme.RK43,
-     "ae248f789dddf407fd96fce60648e609cfb63f6c7f40fab67e167fad935ce2f9", (19, 16, 159, 0)),
+     "86f5e1e574212c5c72d7f8dc08a54da32d576e14267166c57d999e87d8de870f", (19, 16, 159, 0)),
     (ControllerMode.COMBINED, Scheme.RK43,
-     "5ccca3bf711ec5168ea83081c5f2f72610e243ab042cf6ccc0e74357a81113ab", (19, 2, 103, 0)),
+     "d49d9106e06a20d445cfcf1e28e2d12ed632d5b4c6e8a168c985854864ba3be7", (19, 2, 103, 0)),
 ]
 
 
@@ -199,12 +199,12 @@ print(json.dumps([rep.status, rep.checksum[:12], rep.accepted, rep.rejected, rep
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,signature", [
-    ("khi3-leja", ["16bd7144c441", 13, 1, 845, 686, 12, 0, []]),
-    ("recon6-leja-loose", ["e77e975fb31e", 53, 0, 1675, 1386, 24, 9,
-                           ["state_t10.403443.chk", "state_t20.311652.chk",
-                            "state_t30.042819.chk", "state_t40.000000.chk"]]),
-    ("khi3-krylov", ["9a0b5f786a92", 17, 2, 794, 596, 0, 0, []]),
-    ("khi1-dopri-128", ["8aac26594289", 36, 2, 229, 0, 0, 0, []]),
+    ("khi3-leja", ["45f991865b5c", 13, 1, 845, 686, 12, 0, []]),
+    ("recon6-leja-loose", ["776e282c4a47", 52, 0, 1644, 1360, 24, 9,
+                           ["state_t10.403443.chk", "state_t20.684217.chk",
+                            "state_t30.830067.chk", "state_t40.000000.chk"]]),
+    ("khi3-krylov", ["52fe20ef233a", 17, 2, 794, 596, 0, 0, []]),
+    ("khi1-dopri-128", ["cbe0af1ed735", 36, 2, 229, 0, 0, 0, []]),
 ])
 def test_benchmark_workload_signature(name, signature):
     # a fresh process, so that the benchmark's one-thread BLAS pinning takes
@@ -492,24 +492,61 @@ def test_unreachable_tolerance_fails_after_consecutive_rejections():
     assert rep.t_reached == 0.0
 
 
+def test_a_step_that_does_not_advance_t_ends_the_run(monkeypatch):
+    # a subnormal proposal after the first step: the run makes no attempt at
+    # it and ends with a typed failure, before the cost proxy divides by it
+    import xmhd.harness
+    from xmhd.controllers import ControllerState
+
+    class Subnormal(ControllerState):
+        def after_accept(self, dt, err, cost):
+            super().after_accept(dt, err, cost)
+            return 5e-324
+
+    monkeypatch.setattr(xmhd.harness, "ControllerState", Subnormal)
+    rep = run(small_khi())
+    t1 = float(rep.steps[0].t)
+    assert rep.status == f"failed: step size underflow at t={t1!r}"
+    assert (rep.accepted, rep.rejected, rep.t_reached) == (1, 0, t1)
+
+
 def diverging_khi(**kw):
     # at tol 1.0 khi-III 16^2 drives its stages, then its state, to overflow
     spec = make_scenario("khi-III", nx=16, ny=16, t_final=1.0)
     return RunConfig(scenario=spec, tol=1.0, **kw)
 
 
-@pytest.mark.parametrize("kw,status", [
-    ({}, "failed: too many consecutive rejections"),
-    ({"scheme": Scheme.EPIRK5P1, "spectrum_interval": 1},
-     "failed: FloatingPointError: overflow"),
+def _overflow_in_second_refresh(monkeypatch):
+    # the refresh's Jacobian action overflows once the first refresh is
+    # done, whatever the trajectory's roundoff
+    import xmhd.linearize
+    from xmhd.linearize import ARNOLDI_STEPS
+    real, calls = xmhd.linearize.jvp, []
+
+    def jvp(lin, w):
+        calls.append(None)
+        if len(calls) <= ARNOLDI_STEPS:
+            return real(lin, w)
+        return np.full_like(w, np.finfo(float).max) * 2.0
+
+    monkeypatch.setattr(xmhd.linearize, "jvp", jvp)
+    return replace(small_khi(), spectrum_interval=1)
+
+
+@pytest.mark.parametrize("config,status,accepted", [
+    (lambda monkeypatch: diverging_khi(), "failed: too many consecutive rejections", None),
+    (_overflow_in_second_refresh, "failed: FloatingPointError: overflow", 1),
 ], ids=["in-step", "in-refresh"])
-def test_floating_point_faults_end_as_a_reported_failure(tmp_path, kw, status):
+def test_floating_point_faults_end_as_a_reported_failure(tmp_path, monkeypatch, config,
+                                                         status, accepted):
     # an overflow inside a step fails the attempt, one in the spectral
     # refresh fails the run; neither warns nor raises out of run()
+    cfg = replace(config(monkeypatch), output_dir=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = run(diverging_khi(output_dir=tmp_path, **kw))
+        rep = run(cfg)
     assert rep.status.startswith(status)
+    assert accepted is None or rep.accepted == accepted
     assert (tmp_path / "abort.chk").exists()
 
 

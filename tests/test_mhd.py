@@ -154,15 +154,16 @@ def test_workspace_for_another_grid_is_refused():
     mhd_rhs(g, params, RhsWorkspace(12, 10))
 
 
-# sha256 of the rhs bytes, recorded from the implementation that allocated
-# every temporary per call.  The rhs uses only correctly rounded + - * /,
-# so these hold on any IEEE-754 platform; a change of operation order
-# breaks them, and adaptive runs drift with last-bit differences.
+# sha256 of the rhs bytes.  The oracle test above bounds the rhs to 1e-13 of
+# the formulas; these pin its last bits, which adaptive runs follow.  The rhs
+# uses only correctly rounded + - * /, so they hold on any IEEE-754
+# platform, and a change of operation order (a reassociation, a reciprocal
+# in place of a division) breaks them.
 RHS_SHA256 = {
-    ("periodic", IDEAL): "b1929b9b27b8484119e259ec21b926cdf97e424874ddf3a97d0d808ae3db2160",
-    ("periodic", RESISTIVE): "7e3abe20c4d9a7a5b2659b8251b1b9ab5b3cd8b0509dd447840d4944f3c87312",
-    ("reflecting", IDEAL): "523854de4dc1556f6677f4b58276886ad3c16c71fd3ece8004c2c7c8511c51c8",
-    ("reflecting", RESISTIVE): "acef6b5ca619d11f5efe31a80bb03e44914d4c602c5e2de7d6ec450dccf23ec1",
+    ("periodic", IDEAL): "776f3d0d377d6dac653c34c4051eec249b984704444ccd0f0ef0ca874b19a99c",
+    ("periodic", RESISTIVE): "aa3556e37474b78a635685e0572c311b5f6167c4660c5331d458d92265fbeeed",
+    ("reflecting", IDEAL): "384c9e5072553905c247ff04c003f8c7829934433f692008da5633dbe69c8b1f",
+    ("reflecting", RESISTIVE): "7aa047b6db629933952cd22e88b142ffafe2fc6540f1fbf5c01026e46bb42b29",
 }
 
 
@@ -192,6 +193,79 @@ def _random_case(case):
                      case["dx"], case["dy"])
     params = MHDParams(*case["coeffs"], bc_x=case["bc_x"], bc_y=case["bc_y"])
     return g, params, mhd_rhs(g, params).reshape(NVAR, case["ny"], case["nx"])
+
+
+def _oracle_rhs(g, params):
+    """The formulas of the mhd_rhs docstring, written plainly: np.pad ghosts
+    with the reflecting parities, a fresh temporary per operation, and
+    divisions as written.  A derivative is NaN on the outer ring it cannot
+    reach, so the interior is NaN if a flux reads a cell it should not."""
+    gamma = 5.0 / 3.0
+    mu, eta, kap = params.mu, params.eta, params.kappa
+    u = g.data
+    for axis, bc, odd in ((2, params.bc_x, (MX, BX)), (1, params.bc_y, (MY, BY))):
+        width = [(0, 0)] * 3
+        width[axis] = (2, 2)
+        if bc is Boundary.PERIODIC:
+            u = np.pad(u, width, mode="wrap")
+        else:
+            u = np.pad(u, width, mode="symmetric")
+            signs = np.ones(u.shape[axis])
+            signs[:2] = signs[-2:] = -1.0
+            for k in odd:
+                u[k] = u[k] * (signs[None, :] if axis == 2 else signs[:, None])
+
+    def ddx(a):
+        out = np.full_like(a, np.nan)
+        out[1:-1, 1:-1] = (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * g.dx)
+        return out
+
+    def ddy(a):
+        out = np.full_like(a, np.nan)
+        out[1:-1, 1:-1] = (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * g.dy)
+        return out
+
+    rho, en = u[RHO], u[EN]
+    v = [u[MX] / rho, u[MY] / rho, u[MZ] / rho]
+    b = [u[BX], u[BY], u[BZ]]
+    b2 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
+    pres = (en - rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]) / 2 - b2 / 2) * (gamma - 1)
+    ptot = pres + b2 / 2
+    bdotv = b[0] * v[0] + b[1] * v[1] + b[2] * v[2]
+    grad = (ddx, ddy)
+    divv = ddx(v[0]) + ddy(v[1])
+    # tau[d][k] = d_d v_k + d_k v_d - (2/3) div v delta_dk
+    tau = [[grad[d](v[k]) + grad[k](v[d]) - (2.0 / 3.0 * divv if d == k else 0.0)
+            for k in range(2)] + [grad[d](v[2])] for d in range(2)]
+    cond = mu * kap * gamma / (gamma - 1)
+    temp = pres / rho
+
+    rate = 0.0
+    for d in range(2):
+        flux = [rho * v[d]]
+        for k in range(3):
+            flux.append(rho * v[d] * v[k] + (ptot if k == d else 0.0) - b[k] * b[d]
+                        - mu * tau[d][k])
+        for k in range(3):
+            # (v (x) B - B (x) v)_dk - eta (d_d b_k - d_k b_d), and d_z is 0
+            d_k_bd = grad[k](b[d]) if k < 2 else 0.0
+            flux.append(v[d] * b[k] - b[d] * v[k] - eta * (grad[d](b[k]) - d_k_bd))
+        b_grad_bd = b[0] * ddx(b[d]) + b[1] * ddy(b[d])
+        heat = (mu * (tau[d][0] * v[0] + tau[d][1] * v[1] + tau[d][2] * v[2])
+                + cond * grad[d](temp) + eta * (grad[d](b2) / 2 - b_grad_bd))
+        flux.append((en + ptot) * v[d] - b[d] * bdotv - heat)
+        rate = rate - np.stack([grad[d](f) for f in flux])
+    return rate[:, 2:-2, 2:-2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rhs_cases)
+def test_rhs_matches_an_independent_oracle(case):
+    g, params, out = _random_case(case)
+    ref = _oracle_rhs(g, params)
+    assert np.all(np.isfinite(ref))
+    for k in range(NVAR):
+        assert np.abs(out[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
 
 
 @settings(max_examples=60, deadline=None)
