@@ -124,11 +124,11 @@ def main(argv=None):
                            wall_budget=args.wall_budget)
         if args.checkpoint_every > 0 and args.output is None:
             raise ValueError("--checkpoint-every requires --output")
-        if args.reference is not None and not args.sweep:
+        if args.reference is not None and args.sweep is None:
             # only a sweep measures a global error
             raise ValueError("--reference requires --sweep")
         out = args.output or Path(".")
-        if args.sweep:
+        if args.sweep is not None:
             if args.reference is None:
                 raise ValueError("--sweep requires --reference")
             # the sweep makes the directory once it has checked its reference
@@ -136,7 +136,7 @@ def main(argv=None):
             rows = work_precision(config, _parse_sweep(args.sweep), args.reference, csv_path)
             failed = sum(1 for r in rows if r["status"] != "ok")
             print(f"{len(rows)} cells -> {csv_path} ({failed} failed)")
-            return 3 if rows and failed == len(rows) else 0
+            return 3 if failed == len(rows) else 0
         out.mkdir(parents=True, exist_ok=True)
         if args.make_reference:
             path = out / f"reference-{args.problem}-{scenario.case_id}.chk"

@@ -13,12 +13,12 @@ the run.  Runs are deterministic for a fixed config.
 """
 
 import csv
-import hashlib
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from zlib import adler32, crc32
 
 import numpy as np
 
@@ -238,7 +238,10 @@ def run(config):
     # grow around each of them
     state0.flat()[:] = u
     report.final_state = state0
-    report.checksum = hashlib.sha256(np.ascontiguousarray(u, dtype="<f8").tobytes()).hexdigest()
+    # a 64-bit fingerprint for reproducibility checks, not integrity:
+    # hashlib would map OpenSSL's libcrypto into the process for it
+    raw = np.ascontiguousarray(u, dtype="<f8").tobytes()
+    report.checksum = f"{crc32(raw):08x}{adler32(raw):08x}"
     mass = conserved_totals(state0)["rho"]
     report.mass_drift = abs(mass - mass0) / abs(mass0) if mass0 else 0.0
     if report.status != "ok" and config.output_dir is not None:
@@ -292,16 +295,19 @@ def _row(config, report, global_error):
 def work_precision(base, tols, reference, out_csv):
     """Run `base` at each tolerance, ascending, and write one CSV row per run.
 
-    A missing or malformed reference (OSError, ValueError), a reference of
-    another grid or final time than `base.scenario` (ValueError; a
-    reference stores the time it reached, so 1e-12 relative is allowed)
-    and a tolerance that RunConfig refuses (ValueError) raise before any
-    run, and so does a CSV directory that cannot be made.  A run that fails
-    (non-convergence, budget, an exception) is recorded with a NaN error;
-    its RunReport status names the failure, with the exception type and
-    message, and its CSV status reads failed.  A run that raised measured
-    nothing, so its counts, wall time and diagnostics are written empty.
+    An empty `tols` (ValueError), a missing or malformed reference (OSError,
+    ValueError), a reference of another grid or final time than
+    `base.scenario` (ValueError; a reference stores the time it reached, so
+    1e-12 relative is allowed) and a tolerance that RunConfig refuses
+    (ValueError) raise before any run, and so does a CSV directory that
+    cannot be made.  A run that fails (non-convergence, budget, an
+    exception) is recorded with a NaN error; its RunReport status names the
+    failure, with the exception type and message, and its CSV status reads
+    failed.  A run that raised measured nothing, so its counts, wall time
+    and diagnostics are written empty.
     """
+    if not tols:
+        raise ValueError("a sweep needs at least one tolerance")
     ref_state, t_ref = read_checkpoint(reference)
     spec = base.scenario
     if (ref_state.nx, ref_state.ny) != (spec.nx, spec.ny):

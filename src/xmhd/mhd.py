@@ -44,7 +44,9 @@ class Boundary(Enum):
 class MHDParams:
     """Dimensionless coefficients: mu = 1/Re, eta = 1/S (Lundquist), kappa = 1/Pr.
 
-    The units fix mu0 = 1 and gamma = GAMMA.
+    The units fix mu0 = 1 and gamma = GAMMA.  mhd_rhs has one resistive
+    path: zero coefficients give ideal MHD through the same arithmetic, at
+    the cost of a resistive evaluation.
     """
     mu: float
     eta: float
@@ -172,47 +174,41 @@ class RhsWorkspace:
         self.grad = grad.reshape(2, NVAR, ny + 4, nx + 4)
 
 
-def _total_flux(d, f, p, s, grad, params):
+def _total_flux(d, work, params):
     """Ideal minus diffusive flux of every field along direction d (0: x, 1: y).
 
-    p is the primitive block and s the scalar planes; grad holds the x and
-    y derivatives of p[1:] with the stress rows over the velocity rows, or
-    is None for ideal MHD.  The induction rows of f serve as scratch until
-    they are written, last.
+    Reads the primitive block, the scalar planes and grad[d], the d-derivatives
+    of prim[1:] with the stress rows over the velocity rows, and writes
+    work.flux.  The induction rows of the flux serve as scratch until they
+    are written, last.
     """
+    p, f, s, g = work.prim, work.flux, work.scalar, work.grad[d]
     ptot, e_ptot, bdotv, emf, b_grad_b = s[0], s[1], s[2], s[3], s[4 + d]
-    vel, mag = p[_VX:_VZ + 1], p[BX:BZ + 1]
+    vel, mag, tau = p[_VX:_VZ + 1], p[BX:BZ + 1], g[:3]
     mom, scratch, tmp = f[MX:MZ + 1], f[BX:BZ + 1], f[BX + d]
-    diffusive = grad is not None
-    if diffusive:
-        mu, eta = params.mu, params.eta
-        cond = mu * params.kappa * GAMMA / (GAMMA - 1.0)
-        g = grad[d]
-        tau = g[:3]
+    mu, eta = params.mu, params.eta
+    cond = mu * params.kappa * GAMMA / (GAMMA - 1.0)
     np.multiply(vel[d], e_ptot, out=f[EN])
     np.subtract(f[EN], np.multiply(mag[d], bdotv, out=tmp), out=f[EN])
-    if diffusive:
-        # mu tau_d.v + cond d_d T + eta (d_d(B.B)/2 - (B.grad) b_d)
-        q, a, b = scratch
-        np.multiply(tau, vel, out=scratch)
-        np.add(q, a, out=q)
-        np.add(q, b, out=q)
-        np.multiply(q, mu, out=q)
-        np.add(q, np.multiply(g[_GTEMP], cond, out=a), out=q)
-        np.multiply(g[_GB2], 0.5, out=b)
-        np.subtract(b, b_grad_b, out=b)
-        np.add(q, np.multiply(b, eta, out=b), out=q)
-        np.subtract(f[EN], q, out=f[EN])
+    # mu tau_d.v + cond d_d T + eta (d_d(B.B)/2 - (B.grad) b_d)
+    q, a, b = scratch
+    np.multiply(tau, vel, out=scratch)
+    np.add(q, a, out=q)
+    np.add(q, b, out=q)
+    np.multiply(q, mu, out=q)
+    np.add(q, np.multiply(g[_GTEMP], cond, out=a), out=q)
+    np.multiply(g[_GB2], 0.5, out=b)
+    np.subtract(b, b_grad_b, out=b)
+    np.add(q, np.multiply(b, eta, out=b), out=q)
+    np.subtract(f[EN], q, out=f[EN])
     np.multiply(vel[d], p[RHO], out=f[RHO])                   # rho v_d
     np.multiply(f[RHO], vel, out=mom)                         # rho v_d v_k
     np.add(f[MX + d], ptot, out=f[MX + d])
     np.subtract(mom, np.multiply(mag, mag[d], out=scratch), out=mom)
-    if diffusive:
-        np.subtract(mom, np.multiply(tau, mu, out=scratch), out=mom)
+    np.subtract(mom, np.multiply(tau, mu, out=scratch), out=mom)
     np.multiply(vel[d], mag[2], out=f[BZ])                    # v_d bz - b_d vz
     np.subtract(f[BZ], np.multiply(mag[d], vel[2], out=tmp), out=f[BZ])
-    if diffusive:
-        np.subtract(f[BZ], np.multiply(g[_GBZ], eta, out=tmp), out=f[BZ])
+    np.subtract(f[BZ], np.multiply(g[_GBZ], eta, out=tmp), out=f[BZ])
     # one shared total z-EMF, so the mixed divergence of the induction
     # rows cancels exactly in the divergence of B
     f[BX + d] = 0.0
@@ -241,8 +237,6 @@ def mhd_rhs(state, params, work=None):
     elif (work.nx, work.ny) != (state.nx, state.ny):
         raise ValueError(f"workspace built for a {work.nx}x{work.ny} grid, "
                          f"state is {state.nx}x{state.ny}")
-    mu, eta, kap = params.mu, params.eta, params.kappa
-    diffusive = mu != 0.0 or eta != 0.0 or kap != 0.0
     steps = (1, state.nx + 4)                   # flat offsets of x and y neighbours
     scales = (0.5 / state.dx, 0.5 / state.dy)
 
@@ -282,38 +276,34 @@ def mhd_rhs(state, params, work=None):
         np.multiply(vy, bx, out=emf)
         np.subtract(emf, np.multiply(by, vx, out=tmp), out=emf)
 
-        grad = None
-        if diffusive:
-            np.divide(pres, rho, out=p[_TEMP])
-            grad = work.grad
-            gx, gy = grad
-            for d in (0, 1):
-                _stencil(p[1:], steps[d], scales[d], grad[d])
-            # the stress rows over the velocity rows: (tau_xx, tau_xy, tau_xz)
-            # in gx, (tau_xy, tau_yy, tau_yz) in gy
-            divv = tmp
-            np.add(gx[_GVX], gy[_GVY], out=divv)
-            np.multiply(divv, 2.0 / 3.0, out=divv)
-            for d in (0, 1):
-                diag = grad[d, _GVX + d]
-                np.multiply(diag, 2.0, out=diag)
-                np.subtract(diag, divv, out=diag)
-            np.add(gy[_GVX], gx[_GVY], out=gx[_GVY])
-            np.copyto(gy[_GVX], gx[_GVY])
-            # the total z-EMF: vy bx - by vx + eta (d_x by - d_y bx), and
-            # (B.grad) b_d of each heat flux, while both gradients are whole
-            np.subtract(gx[_GBY], gy[_GBX], out=tmp)
-            np.add(emf, np.multiply(tmp, eta, out=tmp), out=emf)
-            for d in (0, 1):
-                np.multiply(gx[_GBX + d], bx, out=b_grad_b[d])
-                np.add(b_grad_b[d], np.multiply(gy[_GBX + d], by, out=tmp), out=b_grad_b[d])
+        np.divide(pres, rho, out=p[_TEMP])
+        gx, gy = grad = work.grad
+        for d in (0, 1):
+            _stencil(p[1:], steps[d], scales[d], grad[d])
+        # the stress rows over the velocity rows: (tau_xx, tau_xy, tau_xz)
+        # in gx, (tau_xy, tau_yy, tau_yz) in gy
+        divv = tmp
+        np.add(gx[_GVX], gy[_GVY], out=divv)
+        np.multiply(divv, 2.0 / 3.0, out=divv)
+        for d in (0, 1):
+            diag = grad[d, _GVX + d]
+            np.multiply(diag, 2.0, out=diag)
+            np.subtract(diag, divv, out=diag)
+        np.add(gy[_GVX], gx[_GVY], out=gx[_GVY])
+        np.copyto(gy[_GVX], gx[_GVY])
+        # the total z-EMF: vy bx - by vx + eta (d_x by - d_y bx), and
+        # (B.grad) b_d of each heat flux, while both gradients are whole
+        np.subtract(gx[_GBY], gy[_GBX], out=tmp)
+        np.add(emf, np.multiply(tmp, params.eta, out=tmp), out=emf)
+        for d in (0, 1):
+            np.multiply(gx[_GBX + d], bx, out=b_grad_b[d])
+            np.add(b_grad_b[d], np.multiply(gy[_GBX + d], by, out=tmp), out=b_grad_b[d])
 
-        # the y-flux reads no x-derivative, so each divergence goes there
-        div = work.grad[0]
+        # the y-flux reads no x-derivative, so each divergence goes into gx
         out = np.empty((NVAR, state.ny, state.nx))
         for d in (0, 1):
-            _total_flux(d, f, p, work.scalar, grad, params)
-            inner = _stencil(f, steps[d], scales[d], div)[:, 2:-2, 2:-2]
+            _total_flux(d, work, params)
+            inner = _stencil(f, steps[d], scales[d], gx)[:, 2:-2, 2:-2]
             if d == 0:
                 np.negative(inner, out=out)
             else:

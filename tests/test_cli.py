@@ -87,6 +87,23 @@ def test_sweep_against_reference_of_another_grid_is_config_error(tmp_path, capsy
     assert not (out / "work_precision.csv").exists()
 
 
+@pytest.mark.parametrize("spec,message", [("tol=", "at least one tolerance"),
+                                          ("", "sweep spec must look like")],
+                         ids=["no-tolerance", "empty-spec"])
+def test_empty_sweep_is_config_error(tmp_path, capsys, spec, message):
+    # with an existing reference, so that only the sweep spec is wrong
+    assert main(["--problem", "khi", "--nx", "8", "--ny", "8", "--tf", "0.001",
+                 "--make-reference", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    code = main(["--problem", "khi", "--nx", "8", "--ny", "8", "--tf", "0.001",
+                 "--sweep", spec, "--reference", str(tmp_path / "reference-khi-III.chk"),
+                 "--output", str(out)])
+    assert code == 2
+    assert message in one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_sweep_without_reference_is_config_error(tmp_path):
     code = main(["--problem", "khi", "--sweep", "tol=1e-3",
                  "--output", str(tmp_path)])
