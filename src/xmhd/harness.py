@@ -297,8 +297,9 @@ def work_precision(base, tols, reference, out_csv):
 
     An empty `tols` (ValueError), a missing or malformed reference (OSError,
     ValueError), a reference of another grid or final time than
-    `base.scenario` (ValueError; a reference stores the time it reached, so
-    1e-12 relative is allowed) and a tolerance that RunConfig refuses
+    `base.scenario` or with non-finite values (ValueError; a reference
+    stores the time it reached, so 1e-12 relative is allowed; the grid
+    includes its spacing) and a tolerance that RunConfig refuses
     (ValueError) raise before any run, and so does a CSV directory that
     cannot be made.  A run that fails (non-convergence, budget, an
     exception) is recorded with a NaN error; its RunReport status names the
@@ -308,15 +309,18 @@ def work_precision(base, tols, reference, out_csv):
     """
     if not tols:
         raise ValueError("a sweep needs at least one tolerance")
-    ref_state, t_ref = read_checkpoint(reference)
+    ref, t_ref = read_checkpoint(reference)
     spec = base.scenario
-    if (ref_state.nx, ref_state.ny) != (spec.nx, spec.ny):
-        raise ValueError(f"reference {reference} is on a {ref_state.nx}x{ref_state.ny} grid, "
-                         f"the sweep on {spec.nx}x{spec.ny}")
-    if abs(t_ref - spec.t_final) > 1e-12 * max(1.0, spec.t_final):
+    if (ref.nx, ref.ny, ref.dx, ref.dy) != (spec.nx, spec.ny, spec.dx, spec.dy):
+        raise ValueError(f"reference {reference} is on a {ref.nx}x{ref.ny} grid, the sweep on "
+                         f"{spec.nx}x{spec.ny} (spacing {ref.dx!r} x {ref.dy!r} against "
+                         f"{spec.dx!r} x {spec.dy!r})")
+    if not abs(t_ref - spec.t_final) <= 1e-12 * max(1.0, spec.t_final):  # NaN fails too
         raise ValueError(f"reference {reference} is at t = {t_ref!r}, "
                          f"the sweep ends at t = {spec.t_final!r}")
-    ref_flat = ref_state.flat()
+    ref_flat = ref.flat()
+    if not np.all(np.isfinite(ref_flat)):
+        raise ValueError(f"reference {reference} holds non-finite values")
     configs = [replace(base, tol=tol) for tol in sorted(tols)]
     Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
 

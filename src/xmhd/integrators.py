@@ -3,7 +3,9 @@
 Exponential schemes (Rosenbrock-Euler, EXPRB43, EXPRB54s4, EPIRK5P1)
 delegate every phi-function action to the Leja or Krylov engine; explicit
 embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince 5(4)) serve
-as baselines and never touch the phi machinery.  Every scheme reads f(u)
+as baselines and never touch the phi machinery: their stages are the rows of
+one block K, and each stage input, the new state and the embedded error
+dt (bhat - b) K is one BLAS product with them.  Every scheme reads f(u)
 from the step's frozen linearization, so a retry after a rejection
 evaluates nothing that depends on u alone.  A step reports its embedded
 error estimate, phi-action counts, and a converged flag; a failed step
@@ -80,16 +82,13 @@ class StepResult:
     new_rhs: np.ndarray | None = None
 
 
-def error_norm(a, b, scratch=None):
-    """Relative discrete l2 distance ||a - b|| / ||b|| (absolute if ||b|| = 0).
-
-    a - b is formed in `scratch` when one is given.
-    """
+def error_norm(a, b):
+    """Relative discrete l2 distance ||a - b|| / ||b|| (absolute if ||b|| = 0)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("error_norm requires arrays of equal shape")
-    diff = np.linalg.norm(np.subtract(a, b, out=scratch))
+    diff = np.linalg.norm(a - b)
     scale = np.linalg.norm(b)
     return diff if scale == 0.0 else diff / scale
 
@@ -272,38 +271,27 @@ _TABLEAUS = {
 }
 
 
-def _weighted_sum(u, dt, weights, stages, scratch, acc):
-    """u + dt * sum(w_j k_j) into acc, accumulated from zero as sum() does."""
-    acc.fill(0.0)
-    for wj, kj in zip(weights, stages):
-        if wj != 0.0:
-            acc += np.multiply(kj, wj, out=scratch)
-    acc *= dt
-    acc += u
-    return acc
-
-
 def _step_explicit(tableau, lin, broker, u, dt, rhs):
-    # an explicit pair reads only f(u) of the linearization and never the
-    # phi broker; when the last row of A is b (first same as last), the last
-    # stage is f(unew), evaluated at unew itself and handed to the next step.
-    # Every stage input is formed in one buffer, which then holds the
-    # embedded solution, and the error estimate differences in scratch.
+    # reads only f(u) of the linearization, never the phi broker.  A stage
+    # input is built in the row of k its stage then occupies.  When the last
+    # row of A is b (first same as last), the last stage is f(unew), handed on.
     a, b, bhat = tableau
     fsal = list(a[-1]) == list(b[:-1])
-    stages = [lin.base_rhs]
-    scratch, ui = np.empty_like(u), np.empty_like(u)
-    for row in a[1:len(a) - fsal]:
-        np.copyto(ui, u)
-        for coeff, kj in zip(row, stages):
-            if coeff != 0.0:
-                ui += np.multiply(kj, dt * coeff, out=scratch)
-        stages.append(np.asarray(rhs(ui), dtype=float))
-    unew = _weighted_sum(u, dt, b, stages, scratch, np.empty_like(u))
+    m = len(a) - fsal
+    k = np.empty((len(a), u.size))
+    k[0] = lin.base_rhs
+    for i in range(1, m):
+        np.dot(np.multiply(a[i], dt), k[:i], out=k[i])
+        k[i] += u
+        k[i] = rhs(k[i])
+    unew = np.dot(dt * b[:m], k[:m])
+    unew += u
     if fsal:
-        stages.append(np.asarray(rhs(unew), dtype=float))
-    ulow = _weighted_sum(u, dt, bhat, stages, scratch, ui)
-    return unew, error_norm(ulow, unew, scratch), stages[-1] if fsal else None
+        k[-1] = rhs(unew)
+    err = np.linalg.norm(np.dot(dt * (bhat - b), k))
+    scale = np.linalg.norm(unew)
+    # a copy, so that the handed-over f(unew) does not keep the block alive
+    return unew, err if scale == 0.0 else err / scale, k[-1].copy() if fsal else None
 
 
 #: scheme -> (order, embedded order, step function)
@@ -325,7 +313,7 @@ def fp_policy():
 
 
 def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
-    """Advance the state u by one step of the given scheme.
+    """Advance the flat state vector u by one step of the given scheme.
 
     `rhs` must be a counted operator (see RhsOperator); `method` is one of
     PHI_METHODS, checked before any evaluation; `alpha` is the spectral

@@ -363,11 +363,17 @@ def read_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         if nvar != NVAR:
             raise ValueError(f"expected {NVAR} fields, file has {nvar}")
+        if not (0 < dx < np.inf and 0 < dy < np.inf):
+            raise ValueError(f"checkpoint grid spacing must be positive and finite, "
+                             f"got dx = {dx!r}, dy = {dy!r}")
         payload_size = nvar * ny * nx * 8
         payload = fh.read(payload_size)
         if len(payload) != payload_size:
             raise ValueError(f"truncated checkpoint payload: expected {payload_size} "
                              f"bytes for {nvar}x{ny}x{nx} fields, got {len(payload)}")
+        if fh.read(1):
+            raise ValueError("checkpoint has bytes after its payload")
         raw = np.frombuffer(payload, dtype="<f8")
+    # the fields may be non-finite: abort.chk holds a diverged state
     data = raw.reshape(nvar, ny, nx).astype(float)
     return StateGrid(nx=nx, ny=ny, dx=dx, dy=dy, data=data), time

@@ -104,8 +104,8 @@ def make_scenario(name, nx=None, ny=None, t_final=None, tol=None):
         spec = replace(spec, **updates)
     if min(spec.nx, spec.ny) < 2:
         raise ValueError(f"grid must have at least 2 cells per direction, got {spec.nx}x{spec.ny}")
-    if spec.t_final < 0:
-        raise ValueError(f"final time must not be negative, got {spec.t_final!r}")
+    if not 0 <= spec.t_final < np.inf:
+        raise ValueError(f"final time must be finite and not negative, got {spec.t_final!r}")
     return spec
 
 

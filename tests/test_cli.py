@@ -206,6 +206,8 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--tol", "0"],
     ["--nx", "0"],
     ["--tf", "-1"],
+    ["--tf", "nan"],
+    ["--tf", "inf"],
     ["--problem", "recon", "--ny", "1"],  # one row between reflecting walls
     ["--spectrum-interval", "-3"],
     ["--spectrum-interval", "0"],
@@ -221,7 +223,7 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--output", "afile"],
     ["--output", "afile/sub"],
     ["--output", "afile/sub", "--checkpoint-every", "0.005"],
-], ids=["tol0", "nx0", "tf-1", "recon-ny1", "interval-3", "interval0", "maxsteps0",
+], ids=["tol0", "nx0", "tf-1", "tf-nan", "tf-inf", "recon-ny1", "interval-3", "interval0", "maxsteps0",
         "wallbudget-1", "checkpoint-1", "divb-0.5", "sweep-tol0", "sweep-missing-reference",
         "reference-and-sweep", "reference-without-sweep", "make-reference-with-reference",
         "output-is-a-file", "output-under-a-file",

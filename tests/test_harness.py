@@ -16,7 +16,7 @@ from xmhd.harness import CSV_COLUMNS, RunConfig, make_reference, run, work_preci
     write_csv
 from xmhd.integrators import Scheme, error_norm, step
 from xmhd.linearize import RhsOperator
-from xmhd.mhd import read_checkpoint
+from xmhd.mhd import read_checkpoint, write_checkpoint
 from xmhd.scenarios import initialize, make_scenario
 
 
@@ -181,11 +181,11 @@ _GOLDEN_RUNS = [
     (ControllerMode.COST, Scheme.EXPRB43,
      "6edf40772fdf2d47", (7, 5, 979, 400)),
     (ControllerMode.TRADITIONAL, Scheme.RK43,
-     "5c44c4732a7c9c28", (19, 2, 103, 0)),
+     "ef8168139704c474", (19, 2, 103, 0)),
     (ControllerMode.COST, Scheme.RK43,
-     "a3963c24c5b479c5", (19, 16, 159, 0)),
+     "11879e2ccf2e2a6a", (19, 16, 159, 0)),
     (ControllerMode.COMBINED, Scheme.RK43,
-     "5c44c4732a7c9c28", (19, 2, 103, 0)),
+     "ef8168139704c474", (19, 2, 103, 0)),
 ]
 
 
@@ -227,7 +227,7 @@ print(json.dumps([rep.status, rep.checksum[:12], rep.accepted, rep.rejected, rep
                            ["state_t10.403443.chk", "state_t20.684217.chk",
                             "state_t30.830067.chk", "state_t40.000000.chk"]]),
     ("khi3-krylov", ["cd284377a795", 17, 2, 794, 596, 0, 0, []]),
-    ("khi1-dopri-128", ["644eeb7402f4", 36, 2, 229, 0, 0, 0, []]),
+    ("khi1-dopri-128", ["50ca24a1dc2f", 36, 2, 229, 0, 0, 0, []]),
 ])
 def test_benchmark_workload_signature(name, signature):
     # a fresh process, so that the benchmark's one-thread BLAS pinning takes
@@ -307,6 +307,22 @@ def test_work_precision_refuses_reference_of_another_grid(monkeypatch, tmp_path)
     other_time = RunConfig(scenario=make_scenario("khi-III", nx=16, ny=16, t_final=0.003))
     with pytest.raises(ValueError, match=r"is at t = 0\.002\d*, the sweep ends at t = 0\.003"):
         work_precision(other_time, [1e-3, 1e-4], ref_path, csv_path)
+    # on the sweep's 16x16 grid, a NaN time, another spacing or a non-finite
+    # value still refuses the reference
+    same_grid = RunConfig(scenario=make_scenario("khi-III", nx=16, ny=16, t_final=0.002))
+    state, t = read_checkpoint(ref_path)
+    non_finite = replace(state, data=state.data.copy())
+    non_finite.data[0, 3, 5] = math.inf
+    spacing = r"16x16 grid, the sweep on 16x16 \(spacing {} against 0\.15625 x 0\.0625\)"
+    for edited, t_edited, message in [
+        (state, math.nan, r"is at t = nan, the sweep ends at t = 0\.002"),
+        (replace(state, dx=2 * state.dx), t, spacing.format(r"0\.3125 x 0\.0625")),
+        (replace(state, dy=2 * state.dy), t, spacing.format(r"0\.15625 x 0\.125")),
+        (non_finite, t, "holds non-finite values"),
+    ]:
+        write_checkpoint(ref_path, edited, t_edited)
+        with pytest.raises(ValueError, match=message):
+            work_precision(same_grid, [1e-3, 1e-4], ref_path, csv_path)
     assert runs == [] and not csv_path.exists()
 
 

@@ -57,13 +57,23 @@ def test_error_norm_matches_componentwise_oracle():
     assert error_norm(a, b) == pytest.approx(num / den, rel=1e-14)
 
 
-@pytest.mark.parametrize("scheme", [Scheme.RK43, Scheme.DOPRI54])
-def test_explicit_step_matches_generator_sum_reference(scheme):
-    # the in-place stage sums must keep the arithmetic of the plain sums
-    a, b, bhat = _TABLEAUS[scheme]
+EXPLICIT = [Scheme.RK43, Scheme.DOPRI54]
+EPS = np.finfo(float).eps
+
+
+def _explicit_problem():
     f = lambda u: np.sin(3.0 * u) - 0.5 * u * u * u
-    u = np.random.default_rng(9).standard_normal(50)
-    dt = 0.07
+    return f, np.random.default_rng(9).standard_normal(50), 0.07
+
+
+@pytest.mark.parametrize("scheme", EXPLICIT)
+def test_explicit_step_matches_generator_sum_reference(scheme):
+    # an independent check from plain sums, which round differently from the
+    # step's BLAS products: the new state agrees to 4 ulp of its max norm,
+    # and the error estimate to 8 eps of the magnitudes it sums, since the
+    # plain form takes it as the cancelling difference ulow - unew
+    a, b, bhat = _TABLEAUS[scheme]
+    f, u, dt = _explicit_problem()
     fsal = scheme is Scheme.DOPRI54
     stages = []
     for row in a[:len(a) - fsal]:
@@ -78,8 +88,74 @@ def test_explicit_step_matches_generator_sum_reference(scheme):
         stages.append(f(unew))
     ulow = u + dt * sum(bi * ki for bi, ki in zip(bhat, stages) if bi != 0.0)
     res = step(scheme, RhsOperator(f), u, dt)
+    assert np.abs(res.new_state - unew).max() <= 4 * np.spacing(np.abs(unew).max())
+    magnitude = np.linalg.norm(u) + dt * sum((abs(bi) + abs(ci)) * np.linalg.norm(ki)
+                                             for bi, ci, ki in zip(b, bhat, stages))
+    assert abs(res.error_estimate - error_norm(ulow, unew)) \
+        <= 8 * EPS * magnitude / np.linalg.norm(unew)
+
+
+@pytest.mark.parametrize("scheme", EXPLICIT)
+def test_explicit_step_is_one_dot_product_per_stage_combination(scheme):
+    # bit for bit: each stage input, the new state and the error vector are
+    # np.dot of the dt-scaled coefficients of _TABLEAUS with the stages so far
+    a, b, bhat = _TABLEAUS[scheme]
+    f, u, dt = _explicit_problem()
+    fsal = scheme is Scheme.DOPRI54
+    m = len(a) - fsal
+    stages = [f(u)]
+    for row in a[1:m]:
+        stages.append(f(np.dot(dt * np.array(row), np.array(stages)) + u))
+    unew = np.dot(dt * b[:m], np.array(stages)) + u
+    if fsal:
+        stages.append(f(unew))
+    err = np.linalg.norm(np.dot(dt * (bhat - b), np.array(stages))) / np.linalg.norm(unew)
+    res = step(scheme, RhsOperator(f), u, dt)
     assert res.new_state.tobytes() == unew.tobytes()
-    assert res.error_estimate == error_norm(ulow, unew)
+    assert res.error_estimate == err
+    if fsal:
+        assert res.new_rhs.tobytes() == stages[-1].tobytes()
+
+
+@pytest.mark.parametrize("scheme", EXPLICIT)
+def test_explicit_stage_inputs_are_u_plus_dt_sum_a_k(scheme):
+    # a spy sees the base evaluation at u, then each stage input
+    # u + dt sum_j a_ij k_j with the k_j it returned before (to 8 eps of the
+    # magnitudes summed), then, first same as last, the new state itself
+    a = _TABLEAUS[scheme][0]
+    f, u, dt = _explicit_problem()
+    seen, returned = [], []
+
+    def spy(v):
+        seen.append(np.array(v))
+        returned.append(f(v))
+        return returned[-1]
+
+    res = step(scheme, RhsOperator(spy), u, dt)
+    fsal = scheme is Scheme.DOPRI54
+    assert res.converged and len(seen) == len(a)
+    assert seen[0].tobytes() == u.tobytes()
+    for i in range(1, len(a) - fsal):
+        expected = u + dt * sum(aij * kj for aij, kj in zip(a[i], returned))
+        magnitude = np.abs(u) + dt * sum(abs(aij) * np.abs(kj) for aij, kj in zip(a[i], returned))
+        assert np.all(np.abs(seen[i] - expected) <= 8 * EPS * magnitude), i
+    if fsal:
+        assert seen[-1].tobytes() == res.new_state.tobytes()
+        assert res.new_rhs.tobytes() == returned[-1].tobytes()
+
+
+@pytest.mark.parametrize("scheme", EXPLICIT)
+def test_overflow_in_a_stage_combination_fails_the_attempt(scheme):
+    # f = 1e300 everywhere and dt = 1e10: dt a_21 k_1 overflows in the first
+    # stage product, which under fp_policy fails the attempt before a second
+    # evaluation
+    op = RhsOperator(lambda v: np.full_like(v, 1e300))
+    u = np.zeros(4)
+    res = step(scheme, op, u, 1e10)
+    assert not res.converged
+    assert res.error_estimate == np.inf
+    assert np.array_equal(res.new_state, u) and res.new_rhs is None
+    assert op.calls == 1
 
 
 def test_dopri54_hands_over_f_of_its_new_state():

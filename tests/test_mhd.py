@@ -1,4 +1,6 @@
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -438,6 +440,38 @@ def test_checkpoint_rejects_wrong_header_field(tmp_path, offset, value, message)
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=message):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dx", 0.0), ("dx", -0.1), ("dx", math.nan), ("dy", math.inf), ("dy", -math.inf),
+])
+def test_checkpoint_rejects_grid_spacing_not_positive_and_finite(tmp_path, field, value):
+    path = tmp_path / "state.chk"
+    write_checkpoint(path, uniform_state(), 0.5)
+    raw = bytearray(path.read_bytes())
+    offset = {"dx": 28, "dy": 36}[field]
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="grid spacing must be positive and finite"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_bytes_after_the_payload(tmp_path):
+    path = tmp_path / "long.chk"
+    write_checkpoint(path, uniform_state(), 0.5)
+    path.write_bytes(path.read_bytes() + bytes(1))
+    with pytest.raises(ValueError, match="bytes after its payload"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_keeps_non_finite_fields(tmp_path):
+    # abort.chk can hold a diverged state, so the reader passes it through
+    g = uniform_state()
+    g.data[0, 0, 0], g.data[1, 0, 0], g.data[2, 0, 0] = math.nan, math.inf, -math.inf
+    path = tmp_path / "abort.chk"
+    write_checkpoint(path, g, 0.5)
+    loaded, t = read_checkpoint(path)
+    assert t == 0.5 and loaded.data.tobytes() == g.data.tobytes()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
