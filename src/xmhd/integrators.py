@@ -94,20 +94,16 @@ def error_norm(a, b):
 
 
 class _PhiBroker:
-    """Routes phi-actions to the configured engine and keeps the counters.
+    """Routes the phi actions of one step attempt to the configured engine
+    and keeps the counters.
 
-    One broker lives for one step attempt.  Each action serves every (order
-    l, stage fraction c) column of one vector from one engine chain, so phi_l
-    of a combination of vectors is combined from their columns:
-    `applications` counts each column, `iterations` each matvec of the chain
-    once.  The zero vector is short-circuited to zeros here, so both
-    engines only ever see a nonzero vector.  Only the Leja engine reads
-    alpha: its degenerate (zero) spectrum is short-circuited to v / l! per
-    column, so it only ever sees a positive interval, while a zero Jacobian
-    ends a Krylov chain in a happy breakdown at v / l!.  For the Leja engine
-    the broker holds one NewtonTable per stage fraction c, shared by every
-    phi order applied at that c; every chain runs on the interval of
-    fraction 1.
+    An action serves every (order l, stage fraction c) column of one vector
+    from one engine chain: `applications` counts each column, `iterations`
+    each matvec.  The zero vector gives zeros without an engine, and on Leja
+    so does a zero spectrum (v / l! per column; on Krylov a zero Jacobian
+    ends in a happy breakdown at v / l!).  Leja chains run on the interval
+    of fraction 1, each column reading the NewtonTable of its fraction,
+    which the broker keeps for every order applied at that c.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -125,10 +121,9 @@ class _PhiBroker:
         return jvp(self.lin, w)
 
     def _table(self, c):
-        table = self._tables.get(c)
-        if table is None:
-            table = self._tables[c] = NewtonTable(shift_and_scale(self.alpha * (c * self.dt)))
-        return table
+        if c not in self._tables:
+            self._tables[c] = NewtonTable(shift_and_scale(self.alpha * (c * self.dt)))
+        return self._tables[c]
 
     def apply(self, l, fractions, vec):
         """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
@@ -334,12 +329,12 @@ def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
     if scheme.is_exponential and alpha is None and method == "leja":
         raise ValueError(f"exponential scheme {scheme.value} needs the spectral "
                          "magnitude alpha on the Leja engine")
-    if lin is None:
-        lin = FrozenLinearization(rhs, u)
     # explicit schemes never apply the broker, so they report zero phi work
     broker = _PhiBroker(lin, dt, alpha, tol, method)
     try:
         with fp_policy():
+            if lin is None:
+                lin = broker.lin = FrozenLinearization(rhs, u)
             unew, err, new_rhs = _SCHEMES[scheme][2](lin, broker, u, dt, rhs)
     except (RhsBlowupError, FloatingPointError):
         unew, err, new_rhs = u, np.inf, None

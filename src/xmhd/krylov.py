@@ -10,7 +10,7 @@ One exponential of the projected matrix augmented by e1 and a shift chain
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, PhiApplyResult, _column_orders, _expm_taylor
+from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm_taylor
 
 #: ceiling on the basis size; beyond this the O(m^2) orthogonalization
 #: cost dominates and the step should be rejected instead
@@ -56,24 +56,19 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     """Approximate phi_l(c J dt) v by Arnoldi projection, for one or several
     (order, fraction) columns of one vector, on one basis.
 
-    The basis grows from v/||v||; after each expansion one exponential per
-    live fraction c gives phi_l(c dt H_m) e1 of every order, and the standard
-    residual surrogate
+    The chain grows the basis from v/||v|| by one arnoldi_step per matvec,
+    to at most min(M_DEFAULT, n) vectors; after each, one exponential per
+    live fraction c gives phi_l(c dt H_m) e1 of every order.  A column's
+    error estimate is the residual surrogate
     ||v|| * |h_{m+1,m}| * |(phi_j(c dt H_m))_{m,1}| * c dt, with j = max(l_k, 1)
-    (for l_k = 0 this is Saad's 1992 estimate), decides that column's
-    convergence; a converged column is frozen, so it equals what a call with
-    its order at c dt alone returns.  With `fractions`, row k of `vector`
-    holds order l_k at fraction fractions[k], where `l` is one order or a
-    tuple of one per fraction; without, the one column is c = 1 and
-    `vector` is 1-D.  Happy breakdown counts as exact convergence.  The
-    basis holds at most min(M_DEFAULT, n) vectors.
+    (for l_k = 0 this is Saad's 1992 estimate), and 0 at a happy breakdown
+    or once the basis spans R^n.  With `fractions`, row k of `vector` holds
+    order l_k at fraction fractions[k], where `l` is one order or a tuple of
+    one per fraction; without, the one column is c = 1 and `vector` is 1-D.
+    phi._drive_columns applies the stop rule.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     steps = [dt] if fractions is None else [c * dt for c in fractions]
     orders = _column_orders(l, len(steps))
-    # each column reads the rows of the first column at its fraction
-    lead = [steps.index(s) for s in steps]
     v = np.asarray(v, dtype=float)
     beta = np.linalg.norm(v)
     if beta == 0:
@@ -86,29 +81,22 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     basis = np.empty((m_max + 1, n))
     hess = np.zeros((m_max + 1, m_max))
     basis[0] = v / beta
-    out = np.empty((len(steps), n))
-    phicols = [None] * len(steps)
-    residual = np.full(len(steps), np.inf)
-    live = list(range(len(steps)))
-    matvecs = 0
-    for j in range(m_max):
-        breakdown = arnoldi_step(basis, hess, j, matvec(basis[j]))
-        matvecs += 1
-        hnext = hess[j + 1, j]
-        m = j + 1
-        rows = [None] * len(steps)
-        for k in tuple(live):
-            if rows[lead[k]] is None:
-                rows[lead[k]] = _phi_rows(steps[k] * hess[:m, :m])
-            phicols[k] = rows[lead[k]][orders[k]]
-            last = rows[lead[k]][max(orders[k], 1)][m - 1]
-            residual[k] = 0.0 if breakdown else beta * hnext * abs(last) * steps[k]
-            if breakdown or residual[k] <= tol or m == n:
-                out[k] = beta * (basis[:m].T @ phicols[k])
-                live.remove(k)
-        if not live:
-            break
-    for k in live:
-        out[k] = beta * (basis[:m_max].T @ phicols[k])
-    return PhiApplyResult(vector=out[0] if fractions is None else out, iterations=matvecs,
-                          converged=not live, residual=float(residual.max()))
+    # each column's last coefficients on basis[:m], which no later step
+    # rewrites, so every column is assembled once, at the end
+    coefs = [None] * len(steps)
+
+    def extend(m, live):
+        breakdown = arnoldi_step(basis, hess, m - 1, matvec(basis[m - 1]))
+        rows = {s: _phi_rows(s * hess[:m, :m]) for s in {steps[k] for k in live}}
+        for k in live:
+            coefs[k] = rows[steps[k]][orders[k]]
+        if breakdown or m == n:
+            return [0.0] * len(live)
+        return [beta * hess[m, m - 1] * abs(rows[steps[k]][max(orders[k], 1)][m - 1]) * steps[k]
+                for k in live]
+
+    def vectors():
+        out = np.array([beta * (basis[:c.size].T @ c) for c in coefs])
+        return out[0] if fractions is None else out
+
+    return _drive_columns(extend, vectors, len(steps), tol, m_max)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, PhiApplyResult, _column_orders, _phi_divided_diffs
+from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _phi_divided_diffs
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
@@ -115,70 +115,52 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
     """Approximate phi_l(c J dt) v for one or several (order l, fraction c)
     columns from one chain of matvecs; J is available only through `matvec`.
 
-    The Newton basis of X = dt J / theta + 2 on `shift`'s interval
-    [-4 theta, 0] is built once, one matvec per term, and every output column
-    reads row l of its own NewtonTable.  With theta = alpha dt / 4, X =
-    4 J / alpha + 2 depends on neither dt nor a fraction, and the table of
-    shift_and_scale(alpha c dt) interpolates phi_l(c J dt) on it.  With
+    The chain builds the Newton basis y_m of X = dt J / theta + 2 on
+    `shift`'s interval [-4 theta, 0], one matvec per term, and each column
+    adds c_m y_m with c_m from row l of its own NewtonTable; the table of
+    shift_and_scale(alpha c dt) interpolates phi_l(c J dt) on X.  With
     `tables`, row k of `vector` approximates phi_{l_k}(c_k J dt) v with
     c_k = tables[k].shift.theta / shift.theta, and `l` is one order or a
     tuple of one per table; without, the one column is phi_l(J dt) v on a
-    fresh table of `shift` and `vector` is 1-D.  The caller owns the tables,
-    so several actions share one.
+    fresh table of `shift` and `vector` is 1-D.
 
-    A column stops once its increment norm falls below tol relative to
-    max(1, ||column||) for two consecutive terms and is frozen there, so it
-    equals what a call with its order and table alone returns; the chain
-    runs until every column has stopped.  LEJA_MAX terms, or overflow of the
-    Newton basis, fail every unfinished column.  Non-convergence is reported,
-    not raised: the caller rejects the step and retries with a smaller dt.
+    A column's error estimate is the larger of its last two terms
+    |c_m| ||y_m|| / max(1, ||column||).  The basis escapes when ||y_m|| is
+    not finite or exceeds 1e120 max(1, ||v||), which happens only when the
+    spectrum left the interval.  The chain makes at most LEJA_MAX - 1
+    matvecs; phi._drive_columns applies the stop rule.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     columns = (NewtonTable(shift),) if tables is None else tuple(tables)
     orders = _column_orders(l, len(columns))
-    xi = leja_points(_TABLE_SIZES[0])
     theta = shift.theta
-
     coeffs = [table.coeffs(o) for table, o in zip(columns, orders)]
     y = np.array(v, dtype=float, copy=True)
     blowup = 1e120 * max(1.0, np.linalg.norm(y))
-    out = np.empty((len(columns), y.size))
-    for p, c in zip(out, coeffs):
-        np.multiply(y, c[0], out=p)
+    out = np.array([y * c[0] for c in coeffs])
     buf = np.empty_like(y)
-    residual = np.full(len(columns), np.inf)
-    small_prev = [False] * len(columns)
-    live = list(range(len(columns)))
-    matvecs = 0
-    for m in range(1, LEJA_MAX):
-        if m > xi.size:
-            xi = leja_points(_table_size(m))
-        w = matvec(y)
-        matvecs += 1
+    last = np.full(len(columns), np.inf)
+
+    def extend(m, live):
         # y <- dt w / theta + (2 - xi_{m-1}) y, without temporaries; w is
         # read before y changes in case matvec hands y back
-        np.multiply(w, dt / theta, out=buf)
-        y *= 2.0 - xi[m - 1]
-        y += buf
+        np.multiply(matvec(y), dt / theta, out=buf)
+        np.multiply(y, 2.0 - leja_points(m)[m - 1], out=y)
+        np.add(y, buf, out=y)
         with np.errstate(over="ignore"):
             # an escaping basis may overflow the squared norm: inf is caught below
             norm_y = np.linalg.norm(y)
         if not np.isfinite(norm_y) or norm_y > blowup:
-            # the Newton basis only explodes like this when the spectrum
-            # escaped the interpolation interval; report non-convergence
-            residual[live] = np.inf
-            break
-        for k in tuple(live):
+            return None
+        estimates = []
+        for k in live:
             if m >= coeffs[k].size:
                 coeffs[k] = columns[k].coeffs(orders[k], m + 1)
             np.multiply(y, coeffs[k][m], out=buf)
             out[k] += buf
-            residual[k] = abs(coeffs[k][m]) * norm_y / max(1.0, np.linalg.norm(out[k]))
-            if residual[k] <= tol and small_prev[k]:
-                live.remove(k)
-            small_prev[k] = residual[k] <= tol
-        if not live:
-            break
-    return PhiApplyResult(vector=out[0] if tables is None else out, iterations=matvecs,
-                          converged=not live, residual=float(residual.max()))
+            term = abs(coeffs[k][m]) * norm_y / max(1.0, np.linalg.norm(out[k]))
+            estimates.append(np.maximum(term, last[k]))
+            last[k] = term
+        return estimates
+
+    return _drive_columns(extend, lambda: out[0] if tables is None else out,
+                          len(columns), tol, LEJA_MAX - 1)

@@ -363,6 +363,8 @@ def read_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         if nvar != NVAR:
             raise ValueError(f"expected {NVAR} fields, file has {nvar}")
+        if not np.isfinite(time):
+            raise ValueError(f"checkpoint time must be finite, got {time!r}")
         if not (0 < dx < np.inf and 0 < dy < np.inf):
             raise ValueError(f"checkpoint grid spacing must be positive and finite, "
                              f"got dx = {dx!r}, dy = {dy!r}")

@@ -3,7 +3,7 @@
 phi_0(z) = exp(z) and phi_{l+1}(z) = (phi_l(z) - 1/l!) / z.  These entire
 functions are the building blocks of exponential integrators; the routines
 here favour accuracy over speed and serve as the correctness oracle for the
-iterative (Leja / Krylov) engines.
+iterative (Leja / Krylov) engines, whose columns one driver here runs.
 """
 
 import math
@@ -45,12 +45,44 @@ class PhiApplyResult:
 
     `vector` has one row per output column, or is 1-D for a one-column call;
     `converged` holds when every column converged, and `residual` is the
-    largest column residual.
+    largest of the columns' last error estimates, the values the stop rule
+    of _drive_columns compared with tol (inf for a column an escape failed).
     """
     vector: np.ndarray
     iterations: int
     converged: bool
     residual: float
+
+
+def _drive_columns(extend, vectors, count, tol, cap):
+    """Run the `count` columns of one phi action on a basis that grows by one
+    matvec per call of `extend`, the engine's chain; `vectors()` gives the
+    result's `vector` once the chain has ended.
+
+    `extend(m, live)` makes the m-th matvec, updates the columns indexed by
+    `live` and returns their error estimates in that order, or None when the
+    basis escaped.  A column stops at its first estimate <= tol and is
+    frozen there: it is never passed to `extend` again, so it equals what an
+    action of that column alone returns.  An escape fails every unfinished
+    column (its estimate becomes inf); after `cap` matvecs the unfinished
+    columns fail as they stand.  Failure is reported, not raised: the caller
+    rejects the step and retries with a smaller dt.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    estimate = np.full(count, np.inf)
+    live = list(range(count))
+    matvecs = 0
+    while live and matvecs < cap:
+        matvecs += 1
+        found = extend(matvecs, live)
+        if found is None:
+            estimate[live] = np.inf
+            break
+        estimate[live] = found
+        live = [k for k in live if not estimate[k] <= tol]
+    return PhiApplyResult(vector=vectors(), iterations=matvecs, converged=not live,
+                          residual=float(estimate.max()))
 
 
 def phi_scalar(l, z):

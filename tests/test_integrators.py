@@ -158,6 +158,14 @@ def test_overflow_in_a_stage_combination_fails_the_attempt(scheme):
     assert op.calls == 1
 
 
+def test_overflow_in_the_base_evaluation_fails_the_attempt():
+    # ||u|| overflows while the step builds its own linearization, which
+    # under fp_policy fails the attempt instead of warning
+    res = step(Scheme.RK43, RhsOperator(lambda u: -u), np.full(4, 1.7e308), 1.0)
+    assert not res.converged
+    assert res.error_estimate == np.inf and res.new_rhs is None
+
+
 def test_dopri54_hands_over_f_of_its_new_state():
     # first same as last: the last stage is f(unew) at unew's own bits, and a
     # step frozen on it makes no base evaluation, so it costs six

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from xmhd.leja import (LEJA_MAX, NewtonTable, PhiApplyResult, apply_phi_leja,
-                       leja_points, shift_and_scale)
-from xmhd.phi import phi_dense, phi_scalar
+from xmhd.leja import (LEJA_MAX, NewtonTable, apply_phi_leja, leja_points,
+                       shift_and_scale)
+from xmhd.phi import PhiApplyResult, phi_dense, phi_scalar
 from tests._problems import random_negative_spectrum
 
 

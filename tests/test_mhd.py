@@ -456,6 +456,17 @@ def test_checkpoint_rejects_grid_spacing_not_positive_and_finite(tmp_path, field
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_checkpoint_rejects_time_not_finite(tmp_path, value):
+    path = tmp_path / "state.chk"
+    write_checkpoint(path, uniform_state(), 0.5)
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"checkpoint time must be finite, got {value!r}"):
+        read_checkpoint(path)
+
+
 def test_checkpoint_rejects_bytes_after_the_payload(tmp_path):
     path = tmp_path / "long.chk"
     write_checkpoint(path, uniform_state(), 0.5)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from xmhd.leja import leja_points
-from xmhd.phi import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, MAX_ORDER, _expm_taylor,
-                      _phi_divided_diffs, phi_dense, phi_scalar)
+from xmhd.phi import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, MAX_ORDER, _drive_columns,
+                      _expm_taylor, _phi_divided_diffs, phi_dense, phi_scalar)
 
 
 def test_phi_scalar_at_zero():
@@ -185,3 +185,59 @@ def test_table_prefix_does_not_depend_on_its_length():
     short = _phi_divided_diffs(xs[:64], subdiag=theta)
     long = _phi_divided_diffs(xs, subdiag=theta)
     assert np.all(np.abs(long[:, :64] - short) <= 1e-12 * np.abs(short))
+
+
+class ScriptedChain:
+    """A fake engine chain for _drive_columns.  Matvec m returns row m - 1 of
+    `script` for the live columns, or escapes where that row is None; each
+    column's value is the number of the last matvec that updated it."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+        self.value = np.zeros(len(script[0]))
+
+    def extend(self, m, live):
+        self.calls.append(list(live))
+        if self.script[m - 1] is None:
+            return None
+        self.value[live] = m
+        return [self.script[m - 1][k] for k in live]
+
+    def vectors(self):
+        return self.value.copy()
+
+
+def test_driver_stops_a_column_at_its_first_estimate_within_tol():
+    chain = ScriptedChain([[1.0, 1.0, 1.0], [0.5, 2.0, 0.1], [0.01, 2.0, 9.0], [9.0, 0.2, 9.0]])
+    res = _drive_columns(chain.extend, chain.vectors, 3, 0.2, 10)
+    assert chain.calls == [[0, 1, 2], [0, 1, 2], [0, 1], [1]]
+    assert res.converged and res.iterations == 4
+    assert np.array_equal(res.vector, [3, 4, 2])
+    assert res.residual == 0.2
+
+
+def test_driver_escape_fails_every_unfinished_column_and_counts_its_matvec():
+    chain = ScriptedChain([[1.0, 0.1, 1.0], None, [0.0, 0.0, 0.0]])
+    res = _drive_columns(chain.extend, chain.vectors, 3, 0.2, 10)
+    assert chain.calls == [[0, 1, 2], [0, 2]]
+    assert not res.converged and res.iterations == 2
+    assert np.array_equal(res.vector, [1, 1, 1])
+    assert res.residual == np.inf
+
+
+def test_driver_cap_fails_the_remaining_columns_where_they_stand():
+    chain = ScriptedChain([[1.0, 1.0], [0.5, 0.1], [0.3, 9.0], [0.0, 0.0]])
+    res = _drive_columns(chain.extend, chain.vectors, 2, 0.2, 3)
+    assert chain.calls == [[0, 1], [0, 1], [0]]
+    assert not res.converged and res.iterations == 3
+    assert np.array_equal(res.vector, [3, 2])
+    assert res.residual == 0.3
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+def test_driver_rejects_non_positive_tolerance_before_any_matvec(tol):
+    chain = ScriptedChain([[0.0]])
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        _drive_columns(chain.extend, chain.vectors, 1, tol, 10)
+    assert chain.calls == []
