@@ -5,11 +5,15 @@ the CFL step.  Per step: freeze the linearization, whose base evaluation
 f(u) every attempt of every scheme reads (an accepted first-same-as-last
 step has already evaluated it), and, for an exponential scheme on the Leja
 engine, refresh the spectral estimate every spectrum_interval accepted
-steps; take scheme steps until one's error estimate is at most tol, and
-let the step-size controller propose the next dt.  A failed attempt
-reports error inf, whose traditional proposal is dt / 2; ten consecutive
-rejections, a failed linearization, or a dt too small to advance t abort
-the run.  Runs are deterministic for a fixed config.
+steps; cap dt at t_final - t and, on the Leja engine, at LEJA_REACH /
+alpha, so that no Leja chain of the step reaches past alpha dt =
+LEJA_REACH; take scheme steps until one's error estimate is at most tol
+and its new state has positive density and pressure in every cell, and
+let the step-size controller propose the next dt.  A failed attempt,
+including one whose state is not physical, reports error inf, whose
+traditional proposal is dt / 2; ten consecutive rejections, a failed
+linearization, or a dt too small to advance t abort the run.  Runs are
+deterministic for a fixed config.
 """
 
 import csv
@@ -25,8 +29,9 @@ import numpy as np
 from xmhd.controllers import ControllerMode, ControllerState, accept
 from xmhd.integrators import PHI_METHODS, Scheme, error_norm, fp_policy, step
 from xmhd.linearize import FrozenLinearization, RhsBlowupError, RhsOperator, estimate_alpha
-from xmhd.mhd import BX, BY, BZ, EN, GAMMA, MX, MY, MZ, RHO, RhsWorkspace, discrete_div_b, \
-    mhd_rhs, conserved_totals, read_checkpoint, write_checkpoint
+from xmhd.leja import LEJA_REACH
+from xmhd.mhd import BX, BY, BZ, GAMMA, MX, MY, RHO, RhsWorkspace, discrete_div_b, mhd_rhs, \
+    conserved_totals, pressure, read_checkpoint, write_checkpoint
 from xmhd.scenarios import initialize
 
 #: CSV column order of every report row
@@ -121,12 +126,16 @@ def _initial_dt(state):
     vx = np.abs(state.data[MX] / rho)
     vy = np.abs(state.data[MY] / rho)
     b2 = state.data[BX] ** 2 + state.data[BY] ** 2 + state.data[BZ] ** 2
-    kin = 0.5 * (state.data[MX] ** 2 + state.data[MY] ** 2
-                 + state.data[MZ] ** 2) / rho
-    pres = (GAMMA - 1.0) * (state.data[EN] - kin - 0.5 * b2)
-    cfast = np.sqrt(np.maximum(GAMMA * pres + b2, 0.0) / rho)
+    cfast = np.sqrt(np.maximum(GAMMA * pressure(state) + b2, 0.0) / rho)
     speed = max(float(np.max(vx + cfast)), float(np.max(vy + cfast)), 1e-12)
     return 0.1 * min(state.dx, state.dy) / speed
+
+
+def _physical(state):
+    """Whether every cell has positive density and pressure (NaN is not)."""
+    with np.errstate(all="ignore"):
+        # a diverging state may overflow the squares: inf and NaN fail below
+        return bool(state.data[RHO].min() > 0.0 and pressure(state).min() > 0.0)
 
 
 class _Observer:
@@ -179,7 +188,6 @@ def run(config):
         if _time.perf_counter() - started > config.wall_budget:
             report.status = "failed: wall-clock budget exceeded"
             break
-        dt = min(dt, t_final - t)
 
         step_calls_start = rhs_op.calls
         refresh_calls = 0
@@ -194,6 +202,10 @@ def run(config):
             report.status = f"failed: {type(exc).__name__}: {exc}"
             break
         report.spectrum_rhs_evals += refresh_calls
+        # every Leja chain of every attempt runs on the fraction-1 interval
+        # [-alpha dt, 0], and a rejection only shrinks dt: one cap bounds them all
+        reach = LEJA_REACH / alpha if refreshes and alpha > 0 else math.inf
+        dt = min(dt, t_final - t, reach)
 
         # a failed attempt reports error inf, for which after_reject halves dt
         for _ in range(MAX_CONSECUTIVE_REJECTIONS):
@@ -206,6 +218,9 @@ def run(config):
             res = step(config.scheme, rhs_op, u, dt, method=config.method,
                        alpha=alpha, tol=config.tol, lin=lin)
             ok = bool(accept(res.error_estimate, config.tol))
+            if ok and not _physical(state0.with_flat(res.new_state)):
+                # a state with rho <= 0 or p <= 0 fails the attempt
+                res.error_estimate, ok = math.inf, False
             # an accepted step counts every rhs evaluation the step needed
             # (base evaluation, spectral refresh, rejected attempts included)
             spent = rhs_op.calls - (step_calls_start if ok else attempt_start)

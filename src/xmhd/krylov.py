@@ -31,24 +31,26 @@ def _phi_rows(h):
 def arnoldi_step(basis, hess, j, w):
     """Extend an Arnoldi process by w, the operator applied to basis[j].
 
-    Orthogonalises w against basis[:j + 1] by block classical Gram-Schmidt
-    applied twice (CGS2), writes the coefficients into column j of the
-    Hessenberg matrix `hess` (zero on entry) and, unless the process broke
-    down (w lies in the span up to roundoff), the next basis vector into
-    basis[j + 1].  Returns whether it broke down.
+    Copies w into basis[j + 1] and orthogonalises it there, in place,
+    against basis[:j + 1] by block classical Gram-Schmidt applied twice
+    (CGS2); the caller's w is left as it was.  Writes the coefficients into
+    column j of the Hessenberg matrix `hess` (zero on entry) and, unless the
+    process broke down (w lies in the span up to roundoff), normalises
+    basis[j + 1].  On breakdown that row keeps the unnormalised residual,
+    which no caller reads.  Returns whether it broke down.
     """
-    # a copy: the projections below update w in place
-    w = np.array(w, dtype=float)
-    q = basis[:j + 1]
+    q, r = basis[:j + 1], basis[j + 1]
+    np.copyto(r, w)
+    proj = np.empty_like(r)
     for _ in range(2):
-        c = q @ w
-        w -= c @ q
+        c = q @ r
+        r -= np.dot(c, q, out=proj)
         hess[:j + 1, j] += c
-    hnext = np.linalg.norm(w)
+    hnext = np.linalg.norm(r)
     hess[j + 1, j] = hnext
     breakdown = hnext <= 1e-14 * max(1.0, np.abs(hess[:j + 1, :j + 1]).max())
     if not breakdown:
-        basis[j + 1] = w / hnext
+        r /= hnext
     return breakdown
 
 

@@ -9,6 +9,13 @@ interval is [-alpha c dt, 0] = [-4 theta, 0], so the normalised operator
 4 J / alpha + 2 depends only on alpha: one chain of matvecs serves every
 (order, fraction) column of a vector, each reading its row of its own
 table.  The caller owns the tables; the module keeps no coefficient cache.
+
+The interpolation is accurate only while the interval stays short: past
+alpha dt of about 20 a chain's largest Newton term outgrows its column by
+orders of magnitude (1e3-1e4 at 30, 1e13-1e15 at 70), so the noise of a
+finite-difference matvec swamps the action, and the embedded error
+estimate of a step does not see it.  The run loop therefore keeps alpha dt
+of every chain at most LEJA_REACH.
 """
 
 from dataclasses import dataclass
@@ -19,6 +26,9 @@ from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _phi_divided_dif
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
+
+#: largest alpha dt of a chain's interval that the run loop lets a step reach
+LEJA_REACH = 20
 
 # uniform candidate grid for the sequential argmax
 _GRID_SIZE = 10001

@@ -319,6 +319,14 @@ def mhd_rhs(state, params, work=None):
     return out.reshape(-1)
 
 
+def pressure(state):
+    """Thermal pressure (GAMMA - 1) (E - |m|^2 / (2 rho) - |B|^2 / 2) of every cell."""
+    d = state.data
+    kin = 0.5 * (d[MX] ** 2 + d[MY] ** 2 + d[MZ] ** 2) / d[RHO]
+    b2 = d[BX] ** 2 + d[BY] ** 2 + d[BZ] ** 2
+    return (GAMMA - 1.0) * (d[EN] - kin - 0.5 * b2)
+
+
 def discrete_div_b(state, params):
     """Centered-difference divergence of (bx, by) at every interior cell."""
     p = _pad(state.data, 1, params)

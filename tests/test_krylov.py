@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xmhd.krylov import apply_phi_krylov
+from xmhd.krylov import _phi_rows, apply_phi_krylov, arnoldi_step
 from xmhd.leja import apply_phi_leja, shift_and_scale
 from xmhd.phi import MAX_ORDER, phi_dense, phi_scalar
 from tests._problems import random_negative_spectrum
@@ -91,31 +91,20 @@ def test_full_basis_reproduces_dense_result():
 
 
 def test_arnoldi_relation_and_orthonormality():
-    # exercised indirectly elsewhere; here check the basis property directly
+    # the basis and Hessenberg matrix that arnoldi_step builds, step by step
     rng = np.random.default_rng(14)
     a = rng.standard_normal((30, 30))
     a = a - 5.0 * np.eye(30)
     v = rng.standard_normal(30)
-    # rebuild the pieces apply_phi_krylov builds internally
-    from xmhd.krylov import _phi_rows
-
-    beta = np.linalg.norm(v)
-    basis = [v / beta]
     m = 12
+    vmat = np.empty((m + 1, 30))
     hess = np.zeros((m + 1, m))
+    vmat[0] = v / np.linalg.norm(v)
     for j in range(m):
-        w = a @ basis[j]
-        for i in range(j + 1):
-            h = basis[i] @ w
-            w = w - h * basis[i]
-            hess[i, j] += h
-        for i in range(j + 1):
-            c = basis[i] @ w
-            w = w - c * basis[i]
-            hess[i, j] += c
-        hess[j + 1, j] = np.linalg.norm(w)
-        basis.append(w / hess[j + 1, j])
-    vmat = np.stack(basis)
+        w = a @ vmat[j]
+        kept = w.copy()
+        assert not arnoldi_step(vmat, hess, j, w)
+        assert np.array_equal(w, kept)
     gram = vmat[:m] @ vmat[:m].T
     assert np.abs(gram - np.eye(m)).max() <= 1e-10
     lhs = a @ vmat[:m].T
@@ -128,6 +117,20 @@ def test_arnoldi_relation_and_orthonormality():
     for l in range(MAX_ORDER + 1):
         dense_col = phi_dense(l, hess[:m, :m])[:, 0]
         assert np.allclose(rows[l], dense_col, rtol=1e-12, atol=1e-14)
+
+
+def test_arnoldi_step_breaks_down_at_an_eigenvector():
+    # A x lies in span{x}: the first step reports breakdown, with h_00 the eigenvalue
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((20, 20))
+    a = a + a.T
+    lam, vecs = np.linalg.eigh(a)
+    basis = np.empty((2, 20))
+    hess = np.zeros((2, 1))
+    basis[0] = vecs[:, 3]
+    assert arnoldi_step(basis, hess, 0, a @ basis[0])
+    assert hess[0, 0] == pytest.approx(lam[3], rel=1e-12)
+    assert hess[1, 0] <= 1e-14 * max(1.0, abs(lam[3]))
 
 
 @pytest.mark.parametrize("orders,fractions,per_step", [
