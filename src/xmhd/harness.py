@@ -28,7 +28,7 @@ import numpy as np
 
 from xmhd.controllers import ControllerMode, ControllerState, accept
 from xmhd.integrators import PHI_METHODS, Scheme, error_norm, fp_policy, step
-from xmhd.linearize import FrozenLinearization, RhsBlowupError, RhsOperator, estimate_alpha
+from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.leja import LEJA_REACH
 from xmhd.mhd import BX, BY, BZ, GAMMA, MX, MY, RHO, RhsWorkspace, discrete_div_b, mhd_rhs, \
     conserved_totals, pressure, read_checkpoint, write_checkpoint
@@ -173,7 +173,7 @@ def run(config):
     observe(state0, 0.0)
 
     u, t, t_final = state0.flat().copy(), 0.0, spec.t_final
-    dt = min(_initial_dt(state0), t_final) if t_final > 0 else 0.0
+    dt = _initial_dt(state0)
     alpha = None
     base_rhs = None     # f(u), when the last accepted step handed it over
     # only the Leja interval reads alpha
@@ -198,7 +198,7 @@ def run(config):
                     refresh_start = rhs_op.calls
                     alpha = estimate_alpha(lin).alpha
                     refresh_calls = rhs_op.calls - refresh_start
-        except (RhsBlowupError, FloatingPointError) as exc:
+        except ArithmeticError as exc:
             report.status = f"failed: {type(exc).__name__}: {exc}"
             break
         report.spectrum_rhs_evals += refresh_calls
@@ -215,8 +215,7 @@ def run(config):
                 report.status = f"failed: step size underflow at t={float(t)!r}"
                 break
             attempt_start = rhs_op.calls
-            res = step(config.scheme, rhs_op, u, dt, method=config.method,
-                       alpha=alpha, tol=config.tol, lin=lin)
+            res = step(config.scheme, lin, dt, method=config.method, alpha=alpha, tol=config.tol)
             ok = bool(accept(res.error_estimate, config.tol))
             if ok and not _physical(state0.with_flat(res.new_state)):
                 # a state with rho <= 0 or p <= 0 fails the attempt

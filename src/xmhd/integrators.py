@@ -5,12 +5,10 @@ delegate every phi-function action to the Leja or Krylov engine; explicit
 embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince 5(4)) serve
 as baselines and never touch the phi machinery: their stages are the rows of
 one block K, and each stage input, the new state and the embedded error
-dt (bhat - b) K is one BLAS product with them.  Every scheme reads f(u)
-from the step's frozen linearization, so a retry after a rejection
-evaluates nothing that depends on u alone.  A step reports its embedded
-error estimate, phi-action counts, and a converged flag; a failed step
-reports the error estimate inf, which the run loop rejects like any other
-error excess.  Dormand-Prince is first-same-as-last: its last stage is
+dt (bhat - b) K is one BLAS product with them.  A step's one input is the
+FrozenLinearization at u (u, f(u), the counted rhs and the Jacobian
+action), so a retry after a rejection evaluates nothing that depends on u
+alone.  Dormand-Prince is first-same-as-last: its last stage is
 f(new state), which the step hands over for the next step's linearization.
 """
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from xmhd.leja import NewtonTable, apply_phi_leja, shift_and_scale
 from xmhd.krylov import apply_phi_krylov
-from xmhd.linearize import FrozenLinearization, RhsBlowupError, jvp
+from xmhd.linearize import jvp
 from xmhd.phi import _column_orders
 
 
@@ -93,32 +91,34 @@ def error_norm(a, b):
     return diff if scale == 0.0 else diff / scale
 
 
+class _PhiFailure(ArithmeticError):
+    """A phi action of the attempt did not converge: the attempt ends there."""
+
+
 class _PhiBroker:
     """Routes the phi actions of one step attempt to the configured engine
     and keeps the counters.
 
     An action serves every (order l, stage fraction c) column of one vector
     from one engine chain: `applications` counts each column, `iterations`
-    each matvec.  The zero vector gives zeros without an engine, and on Leja
-    so does a zero spectrum (v / l! per column; on Krylov a zero Jacobian
-    ends in a happy breakdown at v / l!).  Leja chains run on the interval
-    of fraction 1, each column reading the NewtonTable of its fraction,
-    which the broker keeps for every order applied at that c.
+    each matvec, a failed chain's too; an action that does not converge
+    raises _PhiFailure, so no stage is built from it.  The zero vector gives
+    zeros without an engine, and on Leja so does a zero spectrum (v / l!
+    per column; on Krylov a zero Jacobian ends in a happy breakdown at
+    v / l!).  Leja chains run on the interval of fraction 1, each column
+    reading the NewtonTable of its fraction, which the broker keeps for
+    every order applied at that c.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
-        self.lin = lin
+        self._matvec = partial(jvp, lin)
         self.dt = dt
         self.alpha = alpha
         self.tol = tol
         self.method = method
         self.applications = 0
         self.iterations = 0
-        self.failed = False
         self._tables = {}
-
-    def _matvec(self, w):
-        return jvp(self.lin, w)
 
     def _table(self, c):
         if c not in self._tables:
@@ -141,37 +141,38 @@ class _PhiBroker:
             res = apply_phi_krylov(l, self._matvec, vec, self.dt, self.tol, fractions=fractions)
         self.iterations += res.iterations
         if not res.converged:
-            self.failed = True
+            raise _PhiFailure(f"a phi action failed after {res.iterations} iterations")
         return tuple(res.vector)
 
 
-def _step_euler(lin, broker, u, dt, rhs):
+def _step_euler(lin, broker, dt):
     # with the linearization frozen at u this is the Rosenbrock-Euler update;
     # no embedded estimate exists, the error is reported as zero
     (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs)
-    return u + dt * phi1_fu, 0.0, None
+    return lin.base_state + dt * phi1_fu, 0.0, None
 
 
-def _stage_difference(lin, rhs, stage, u, fu):
-    """Remainder difference F(stage) - F(u) = f(stage) - f(u) - J (stage - u).
+def _stage_difference(lin, stage):
+    """F(stage) - F(u) = f(stage) - f(u) - J (stage - u) at the u of `lin`.
 
     One rhs call plus one Jacobian action on the stage increment; acting on
     the small increment (rather than differencing two remainders) keeps the
     finite-difference contamination proportional to ||stage - u||.
     """
-    return (np.asarray(rhs(stage), dtype=float) - fu) - jvp(lin, stage - u)
+    return ((np.asarray(lin.rhs(stage), dtype=float) - lin.base_rhs)
+            - jvp(lin, stage - lin.base_state))
 
 
-def _step_exprb43(lin, broker, u, dt, rhs):
-    fu = lin.base_rhs
+def _step_exprb43(lin, broker, dt):
+    u, fu = lin.base_state, lin.base_rhs
     phi1_half_fu, phi1_fu = broker.apply(1, (0.5, 1.0), fu)
 
     a = u + 0.5 * dt * phi1_half_fu
-    da = _stage_difference(lin, rhs, a, u, fu)
+    da = _stage_difference(lin, a)
 
     phi1_da, phi3_da, phi4_da = broker.apply((1, 3, 4), (1.0, 1.0, 1.0), da)
     b = u + dt * phi1_fu + dt * phi1_da
-    db = _stage_difference(lin, rhs, b, u, fu)
+    db = _stage_difference(lin, b)
 
     # phi3 w3 and phi4 w4 by linearity: w3 = 16 da - 2 db and w4 = -48 da + 12 db
     phi3_db, phi4_db = broker.apply((3, 4), (1.0, 1.0), db)
@@ -182,20 +183,20 @@ def _step_exprb43(lin, broker, u, dt, rhs):
     return u4, error_norm(u3, u4), None
 
 
-def _step_exprb54s4(lin, broker, u, dt, rhs):
-    fu = lin.base_rhs
+def _step_exprb54s4(lin, broker, dt):
+    u, fu = lin.base_state, lin.base_rhs
     phi1_fu_a, phi1_fu_b, phi1_fu_c, phi1_fu = broker.apply(1, (0.25, 0.5, 0.9, 1.0), fu)
 
     a = u + 0.25 * dt * phi1_fu_a
-    da = _stage_difference(lin, rhs, a, u, fu)
+    da = _stage_difference(lin, a)
 
     phi3_da_b, phi3_da, phi4_da = broker.apply((3, 3, 4), (0.5, 1.0, 1.0), da)
     b = u + 0.5 * dt * phi1_fu_b + 4.0 * dt * phi3_da_b
-    db = _stage_difference(lin, rhs, b, u, fu)
+    db = _stage_difference(lin, b)
 
     phi3_db_c, phi3_db, phi4_db = broker.apply((3, 3, 4), (0.9, 1.0, 1.0), db)
     c = u + 0.9 * dt * phi1_fu_c + (729.0 / 125.0) * dt * phi3_db_c
-    dc = _stage_difference(lin, rhs, c, u, fu)
+    dc = _stage_difference(lin, c)
 
     # phi_l of the remainder combinations w1..w4 of the 4th- and 5th-order solutions
     phi3_dc, phi4_dc = broker.apply((3, 4), (1.0, 1.0), dc)
@@ -208,17 +209,17 @@ def _step_exprb54s4(lin, broker, u, dt, rhs):
     return u5, error_norm(u4, u5), None
 
 
-def _step_epirk5p1(lin, broker, u, dt, rhs):
-    fu = lin.base_rhs
+def _step_epirk5p1(lin, broker, dt):
+    u, fu = lin.base_state, lin.base_rhs
     phi1_fu_a, phi1_fu_b, phi1_fu = broker.apply(1, (EPIRK_G11, EPIRK_G21, EPIRK_G31), fu)
 
     a = u + EPIRK_A11 * dt * phi1_fu_a
-    da = _stage_difference(lin, rhs, a, u, fu)
+    da = _stage_difference(lin, a)
 
     phi1_da_b, phi1_da, phi1_da_emb = broker.apply(
         1, (EPIRK_G22, EPIRK_G32, EPIRK_G32_EMBEDDED), da)
     b = u + EPIRK_A21 * dt * phi1_fu_b + EPIRK_A22 * dt * phi1_da_b
-    db = _stage_difference(lin, rhs, b, u, fu)
+    db = _stage_difference(lin, b)
     # F(u) - 2 F(a) + F(b)
     w = db - 2.0 * da
 
@@ -266,11 +267,12 @@ _TABLEAUS = {
 }
 
 
-def _step_explicit(tableau, lin, broker, u, dt, rhs):
-    # reads only f(u) of the linearization, never the phi broker.  A stage
-    # input is built in the row of k its stage then occupies.  When the last
-    # row of A is b (first same as last), the last stage is f(unew), handed on.
+def _step_explicit(tableau, lin, broker, dt):
+    # never applies the phi broker.  A stage input is built in the row of k
+    # its stage then occupies.  When the last row of A is b (first same as
+    # last), the last stage is f(unew), handed on.
     a, b, bhat = tableau
+    u, rhs = lin.base_state, lin.rhs
     fsal = list(a[-1]) == list(b[:-1])
     m = len(a) - fsal
     k = np.empty((len(a), u.size))
@@ -307,39 +309,34 @@ def fp_policy():
     return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-def step(scheme, rhs, u, dt, method="leja", alpha=None, tol=1e-8, lin=None):
-    """Advance the flat state vector u by one step of the given scheme.
+def step(scheme, lin, dt, method="leja", alpha=None, tol=1e-8):
+    """Take one step attempt of `scheme` from the state u of `lin`, the
+    FrozenLinearization at u whose counted rhs (see RhsOperator) makes every
+    evaluation, and return its StepResult.
 
-    `rhs` must be a counted operator (see RhsOperator); `method` is one of
-    PHI_METHODS, checked before any evaluation; `alpha` is the spectral
-    magnitude (a float) that an exponential scheme on the Leja engine needs
-    (the Krylov engine reads none); `lin` is the FrozenLinearization at u,
-    built here (one rhs evaluation) when None.
-    Returns a StepResult; converged=False means a phi action failed to
-    converge, the step produced non-finite values or the right-hand side or
-    a floating-point operation (under fp_policy) failed.  Such a step
-    reports error_estimate = inf and no new_rhs, so the caller rejects it
-    and retries with a smaller dt.
+    `method` is one of PHI_METHODS, checked before any evaluation; `alpha`
+    is the spectral magnitude that an exponential scheme on the Leja engine
+    needs (Krylov reads none).  An attempt fails at its first fault (a phi
+    action that does not converge, an rhs blow-up or a floating-point fault
+    under fp_policy: each an ArithmeticError) or with a non-finite result,
+    and then returns converged=False, lin.base_state, error_estimate inf and
+    no new_rhs: the caller rejects it and retries with a smaller dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if method not in PHI_METHODS:
         raise ValueError(f"unknown phi method {method!r}")
-    u = np.asarray(u, dtype=float)
     if scheme.is_exponential and alpha is None and method == "leja":
         raise ValueError(f"exponential scheme {scheme.value} needs the spectral "
                          "magnitude alpha on the Leja engine")
-    # explicit schemes never apply the broker, so they report zero phi work
     broker = _PhiBroker(lin, dt, alpha, tol, method)
     try:
         with fp_policy():
-            if lin is None:
-                lin = broker.lin = FrozenLinearization(rhs, u)
-            unew, err, new_rhs = _SCHEMES[scheme][2](lin, broker, u, dt, rhs)
-    except (RhsBlowupError, FloatingPointError):
-        unew, err, new_rhs = u, np.inf, None
-    ok = not broker.failed and np.all(np.isfinite(unew)) and np.isfinite(err)
-    return StepResult(new_state=unew, error_estimate=err if ok else np.inf,
-                      phi_iterations=broker.iterations,
-                      phi_applications=broker.applications, converged=bool(ok),
-                      new_rhs=new_rhs if ok else None)
+            unew, err, new_rhs = _SCHEMES[scheme][2](lin, broker, dt)
+        ok = bool(np.all(np.isfinite(unew)) and np.isfinite(err))
+    except ArithmeticError:
+        ok = False
+    if not ok:
+        unew, err, new_rhs = lin.base_state, np.inf, None
+    return StepResult(new_state=unew, error_estimate=err, phi_iterations=broker.iterations,
+                      phi_applications=broker.applications, converged=ok, new_rhs=new_rhs)

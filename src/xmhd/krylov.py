@@ -83,9 +83,9 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     basis = np.empty((m_max + 1, n))
     hess = np.zeros((m_max + 1, m_max))
     basis[0] = v / beta
-    # each column's last coefficients on basis[:m], which no later step
-    # rewrites, so every column is assembled once, at the end
-    coefs = [None] * len(steps)
+    # each column's last coefficients on basis[:m] (none before the first
+    # matvec), which no later step rewrites: columns are assembled at the end
+    coefs = [np.zeros(0)] * len(steps)
 
     def extend(m, live):
         breakdown = arnoldi_step(basis, hess, m - 1, matvec(basis[m - 1]))

@@ -61,12 +61,13 @@ def _drive_columns(extend, vectors, count, tol, cap):
 
     `extend(m, live)` makes the m-th matvec, updates the columns indexed by
     `live` and returns their error estimates in that order, or None when the
-    basis escaped.  A column stops at its first estimate <= tol and is
-    frozen there: it is never passed to `extend` again, so it equals what an
-    action of that column alone returns.  An escape fails every unfinished
-    column (its estimate becomes inf); after `cap` matvecs the unfinished
-    columns fail as they stand.  Failure is reported, not raised: the caller
-    rejects the step and retries with a smaller dt.
+    basis escaped, as it has when it raises ArithmeticError (a matvec that
+    overflowed).  A column stops at its first estimate <= tol, frozen: it is
+    never passed to `extend` again, so it equals what an action of that
+    column alone returns.  An escape fails every unfinished column (estimate
+    inf), its matvec counted; after `cap` matvecs the unfinished columns
+    fail as they stand.  Failure is reported, not raised: the caller rejects
+    the step and retries with a smaller dt.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -75,7 +76,10 @@ def _drive_columns(extend, vectors, count, tol, cap):
     matvecs = 0
     while live and matvecs < cap:
         matvecs += 1
-        found = extend(matvecs, live)
+        try:
+            found = extend(matvecs, live)
+        except ArithmeticError:
+            found = None
         if found is None:
             estimate[live] = np.inf
             break

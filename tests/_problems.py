@@ -3,7 +3,7 @@
 import numpy as np
 
 from xmhd.integrators import step
-from xmhd.linearize import RhsOperator
+from xmhd.linearize import FrozenLinearization, RhsOperator
 
 RICCATI_TF = 0.5
 
@@ -21,7 +21,7 @@ def riccati_l1_error(scheme, nsteps, tol=1e-13):
     acc = 0.0
     t = 0.0
     for _ in range(nsteps):
-        r = step(scheme, op, u, dt, method="leja",
+        r = step(scheme, FrozenLinearization(op, u), dt, method="leja",
                  alpha=max(2.0 * abs(u[0]), 0.1), tol=tol)
         assert r.converged
         u = r.new_state
@@ -57,7 +57,8 @@ def rd_endpoint_error(scheme, nsteps, reference, tol=1e-13):
     u = rd_initial()
     op = RhsOperator(rd_rhs)
     for _ in range(nsteps):
-        r = step(scheme, op, u, dt, method="leja", alpha=1.25 * RD_ALPHA, tol=tol)
+        r = step(scheme, FrozenLinearization(op, u), dt, method="leja",
+                 alpha=1.25 * RD_ALPHA, tol=tol)
         assert r.converged
         u = r.new_state
     return np.linalg.norm(u - reference) / np.linalg.norm(reference)

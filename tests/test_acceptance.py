@@ -150,7 +150,8 @@ def test_criterion_3_convergence_orders(rd_reference):
     diffs = []
     for dt in dts:
         op = RhsOperator(lambda v: v * v)
-        res = step(Scheme.EXPRB43, op, np.array([1.0]), dt, alpha=4.0, tol=1e-13)
+        res = step(Scheme.EXPRB43, FrozenLinearization(op, np.array([1.0])), dt, alpha=4.0,
+                   tol=1e-13)
         diffs.append(res.error_estimate * np.linalg.norm(res.new_state))
     slope = observed_order(dts, diffs, floor=1e-14)
     assert abs(slope - 4.0) <= 0.4, slope
@@ -171,7 +172,8 @@ def test_criterion_4_stage_count_ledger():
     expected = {Scheme.EXPRB43: 7, Scheme.EPIRK5P1: 8, Scheme.EXPRB54S4: 12}
     for scheme, count in expected.items():
         op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-        res = step(scheme, op, np.array([0.5, 0.8, 1.1]), 0.05, alpha=2.0, tol=1e-10)
+        res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, alpha=2.0,
+                   tol=1e-10)
         assert res.converged
         assert res.phi_applications == count, (scheme.value, res.phi_applications)
     report(4, "phi-application counters read 7 (EXPRB43), 8 (EPIRK5P1), "
@@ -286,8 +288,7 @@ def test_criterion_10_cross_engine_agreement():
         op = RhsOperator(lambda f: mhd_rhs(state.with_flat(f), spec.params))
         lin = FrozenLinearization(op, u)
         est = estimate_alpha(lin, None)
-        res = step(Scheme.EXPRB43, op, u, dt, method=method, alpha=est.alpha,
-                   tol=tol, lin=lin)
+        res = step(Scheme.EXPRB43, lin, dt, method=method, alpha=est.alpha, tol=tol)
         assert res.converged
         results[method] = res.new_state
     diff = error_norm(results["leja"], results["krylov"])
@@ -301,7 +302,8 @@ def test_criterion_11_linear_exactness():
     u = rng.standard_normal(100)
     dt = 0.3
     op = RhsOperator(lambda v: a @ v)
-    res = step(Scheme.EXPRB43, op, u, dt, method="leja", alpha=12.0, tol=1e-11)
+    res = step(Scheme.EXPRB43, FrozenLinearization(op, u), dt, method="leja", alpha=12.0,
+               tol=1e-11)
     assert res.converged
     exact = phi_dense(0, dt * a) @ u
     err = error_norm(res.new_state, exact)

@@ -239,20 +239,46 @@ def test_benchmark_workload_signature(name, signature):
     assert json.loads(out.stdout) == ["ok", *signature]
 
 
-@pytest.mark.parametrize("method", ["leja", "krylov"])
-def test_benchmark_layer_trace_agrees_with_report(monkeypatch, method):
+def _overflow_in_step(monkeypatch):
+    # every rhs evaluation after the first step's base evaluation and
+    # spectral refresh returns the largest float, which the step's own
+    # arithmetic overflows: each attempt of that step fails
+    import xmhd.harness
+    from xmhd.linearize import ARNOLDI_STEPS
+    real, calls = xmhd.harness.mhd_rhs, []
+
+    def mhd_rhs(state, params, work):
+        calls.append(None)
+        if len(calls) <= 1 + ARNOLDI_STEPS:
+            return real(state, params, work)
+        return np.full(state.data.size, np.finfo(float).max)
+
+    monkeypatch.setattr(xmhd.harness, "mhd_rhs", mhd_rhs)
+    return small_khi()
+
+
+@pytest.mark.parametrize("method,fault", [("leja", None), ("krylov", None),
+                                          ("leja", _overflow_in_step)],
+                         ids=["leja", "krylov", "leja-overflow-in-step"])
+def test_benchmark_layer_trace_agrees_with_report(monkeypatch, method, fault):
     # every phi chain goes through a binding the benchmark traces and counts
-    # its matvecs once, so the per-layer trace agrees with the run report
+    # its matvecs once, so the per-layer trace agrees with the run report;
+    # a phi action whose matvec overflows reports its failure and returns,
+    # so each failed attempt traces the phi iterations its record holds
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import layertrace
+    config = small_khi() if fault is None else fault(monkeypatch)
     tracer = layertrace.Tracer()
     with layertrace.patched(tracer):
-        rep = tracer.wrap(layertrace.RUN, run)(replace(small_khi(), method=method))
-    assert rep.status == "ok"
+        rep = tracer.wrap(layertrace.RUN, run)(replace(config, method=method))
+    assert rep.status == ("ok" if fault is None else "failed: too many consecutive rejections")
     metrics, failures = layertrace.analyse(tracer.spans, rep)
     assert failures == []
     assert metrics[f"{method}.apply.iters"] == metrics["phi_iters.all"] > 0
+    if fault is not None:
+        failed = [s for s in rep.steps if not s.accepted]
+        assert len(failed) == 10 and all(s.phi_iterations > 0 for s in failed)
 
 
 def test_invariants_on_small_run():
@@ -442,9 +468,9 @@ def test_explicit_retries_do_not_evaluate_the_rhs_at_u(monkeypatch, scheme):
             evaluated[np.asarray(u).tobytes()] += 1
             return super().__call__(u)
 
-    def recording_step(scheme, rhs, u, *args, **kw):
-        starts.append(u.tobytes())
-        return step(scheme, rhs, u, *args, **kw)
+    def recording_step(scheme, lin, *args, **kw):
+        starts.append(lin.base_state.tobytes())
+        return step(scheme, lin, *args, **kw)
 
     monkeypatch.setattr(xmhd.harness, "RhsOperator", Recording)
     monkeypatch.setattr(xmhd.harness, "step", recording_step)
@@ -552,19 +578,13 @@ def diverging_khi(**kw):
     return RunConfig(scenario=spec, tol=1.0, **kw)
 
 
-def _overflow_in_step(monkeypatch):
-    # every rhs evaluation after the first step's base evaluation and
-    # spectral refresh returns the largest float, which the step's own
-    # arithmetic overflows: each attempt of that step fails
+def _overflow_in_base_evaluation(monkeypatch):
+    # the first step's base evaluation f(u) overflows, which fails the
+    # linearization and so the run, before any attempt
     import xmhd.harness
-    from xmhd.linearize import ARNOLDI_STEPS
-    real, calls = xmhd.harness.mhd_rhs, []
 
     def mhd_rhs(state, params, work):
-        calls.append(None)
-        if len(calls) <= 1 + ARNOLDI_STEPS:
-            return real(state, params, work)
-        return np.full(state.data.size, np.finfo(float).max)
+        return np.full(state.data.size, np.finfo(float).max) * 2.0
 
     monkeypatch.setattr(xmhd.harness, "mhd_rhs", mhd_rhs)
     return small_khi()
@@ -590,11 +610,13 @@ def _overflow_in_second_refresh(monkeypatch):
 @pytest.mark.parametrize("config,status,accepted", [
     (_overflow_in_step, "failed: too many consecutive rejections", None),
     (_overflow_in_second_refresh, "failed: FloatingPointError: overflow", 1),
-], ids=["in-step", "in-refresh"])
+    (_overflow_in_base_evaluation, "failed: FloatingPointError: overflow", 0),
+], ids=["in-step", "in-refresh", "in-base-evaluation"])
 def test_floating_point_faults_end_as_a_reported_failure(tmp_path, monkeypatch, config,
                                                          status, accepted):
     # an overflow inside a step fails the attempt, one in the spectral
-    # refresh fails the run; neither warns nor raises out of run()
+    # refresh or the base evaluation fails the run; none warns or raises out
+    # of run()
     cfg = replace(config(monkeypatch), output_dir=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -626,17 +648,21 @@ def test_lenient_leja_runs_finish_within_reach(monkeypatch, scheme, tol):
     # every Leja chain of every attempt runs on an interval of alpha dt at
     # most LEJA_REACH, and the run ends ok with div B intact
     import xmhd.integrators
-    real, reach = xmhd.integrators.apply_phi_leja, []
+    real, reach, iterations = xmhd.integrators.apply_phi_leja, [], []
 
     def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
         reach.append(4.0 * shift.theta)
-        return real(l, matvec, v, dt, shift, tol, tables=tables)
+        res = real(l, matvec, v, dt, shift, tol, tables=tables)
+        iterations.append(res.iterations)
+        return res
 
     monkeypatch.setattr(xmhd.integrators, "apply_phi_leja", apply_phi_leja)
     spec = make_scenario("recon-VI", nx=64, ny=64, t_final=40.0)
     rep = run(RunConfig(scenario=spec, scheme=scheme, tol=tol))
     assert rep.status == "ok"
     assert reach and max(reach) <= LEJA_REACH * (1.0 + 1e-12)
+    # within the reach no chain outgrows the first Newton table's 64 terms
+    assert max(iterations) < 64
     divb0 = float(np.max(np.abs(discrete_div_b(initialize(spec), spec.params))))
     assert rep.max_divb - divb0 <= 1e-9
 

@@ -87,7 +87,7 @@ def test_explicit_step_matches_generator_sum_reference(scheme):
         # first same as last: the last stage is evaluated at unew itself
         stages.append(f(unew))
     ulow = u + dt * sum(bi * ki for bi, ki in zip(bhat, stages) if bi != 0.0)
-    res = step(scheme, RhsOperator(f), u, dt)
+    res = step(scheme, FrozenLinearization(RhsOperator(f), u), dt)
     assert np.abs(res.new_state - unew).max() <= 4 * np.spacing(np.abs(unew).max())
     magnitude = np.linalg.norm(u) + dt * sum((abs(bi) + abs(ci)) * np.linalg.norm(ki)
                                              for bi, ci, ki in zip(b, bhat, stages))
@@ -110,7 +110,7 @@ def test_explicit_step_is_one_dot_product_per_stage_combination(scheme):
     if fsal:
         stages.append(f(unew))
     err = np.linalg.norm(np.dot(dt * (bhat - b), np.array(stages))) / np.linalg.norm(unew)
-    res = step(scheme, RhsOperator(f), u, dt)
+    res = step(scheme, FrozenLinearization(RhsOperator(f), u), dt)
     assert res.new_state.tobytes() == unew.tobytes()
     assert res.error_estimate == err
     if fsal:
@@ -131,7 +131,7 @@ def test_explicit_stage_inputs_are_u_plus_dt_sum_a_k(scheme):
         returned.append(f(v))
         return returned[-1]
 
-    res = step(scheme, RhsOperator(spy), u, dt)
+    res = step(scheme, FrozenLinearization(RhsOperator(spy), u), dt)
     fsal = scheme is Scheme.DOPRI54
     assert res.converged and len(seen) == len(a)
     assert seen[0].tobytes() == u.tobytes()
@@ -151,19 +151,11 @@ def test_overflow_in_a_stage_combination_fails_the_attempt(scheme):
     # evaluation
     op = RhsOperator(lambda v: np.full_like(v, 1e300))
     u = np.zeros(4)
-    res = step(scheme, op, u, 1e10)
+    res = step(scheme, FrozenLinearization(op, u), 1e10)
     assert not res.converged
     assert res.error_estimate == np.inf
     assert np.array_equal(res.new_state, u) and res.new_rhs is None
     assert op.calls == 1
-
-
-def test_overflow_in_the_base_evaluation_fails_the_attempt():
-    # ||u|| overflows while the step builds its own linearization, which
-    # under fp_policy fails the attempt instead of warning
-    res = step(Scheme.RK43, RhsOperator(lambda u: -u), np.full(4, 1.7e308), 1.0)
-    assert not res.converged
-    assert res.error_estimate == np.inf and res.new_rhs is None
 
 
 def test_dopri54_hands_over_f_of_its_new_state():
@@ -172,37 +164,44 @@ def test_dopri54_hands_over_f_of_its_new_state():
     f = lambda u: np.sin(3.0 * u) - 0.5 * u * u * u
     op = RhsOperator(f)
     u = np.random.default_rng(10).standard_normal(50)
-    res = step(Scheme.DOPRI54, op, u, 0.07)
+    res = step(Scheme.DOPRI54, FrozenLinearization(op, u), 0.07)
     assert res.converged and op.calls == 7
     assert res.new_rhs.tobytes() == f(res.new_state).tobytes()
     lin = FrozenLinearization(op, res.new_state, res.new_rhs)
     assert op.calls == 7
-    assert step(Scheme.DOPRI54, op, res.new_state, 0.07, lin=lin).converged
+    assert step(Scheme.DOPRI54, lin, 0.07).converged
     assert op.calls == 13
     # the other schemes do not evaluate f at their new state
     for scheme in (Scheme.RK43, Scheme.EXPRB43):
-        assert step(scheme, op, u, 0.07, alpha=10.0).new_rhs is None
+        assert step(scheme, FrozenLinearization(op, u), 0.07, alpha=10.0).new_rhs is None
 
 
 def test_rosenbrock_euler_exact_on_linear():
     op = RhsOperator(lambda u: -u)
-    res = step(Scheme.ROS_EULER, op, np.array([1.0]), 0.5, alpha=1.0, tol=1e-12)
+    res = step(Scheme.ROS_EULER, FrozenLinearization(op, np.array([1.0])), 0.5, alpha=1.0,
+               tol=1e-12)
     assert res.converged
     assert res.new_state[0] == pytest.approx(np.exp(-0.5), abs=1e-6)
+
+
+def _handed_over(op):
+    # the linearization at u = 1 of f(u) = -u with f(u) handed over, so that
+    # any rhs evaluation would be the step's own
+    return FrozenLinearization(op, np.array([1.0]), np.array([-1.0]))
 
 
 @pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
 def test_exponential_step_without_alpha_names_the_scheme(scheme):
     op = RhsOperator(lambda u: -u)
     with pytest.raises(ValueError, match=scheme.value):
-        step(scheme, op, np.array([1.0]), 0.5)
+        step(scheme, _handed_over(op), 0.5)
     assert op.calls == 0
 
 
 @pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
 def test_krylov_step_needs_no_alpha(scheme):
     op = RhsOperator(lambda u: -u)
-    res = step(scheme, op, np.array([1.0]), 0.5, method="krylov", tol=1e-12)
+    res = step(scheme, FrozenLinearization(op, np.array([1.0])), 0.5, method="krylov", tol=1e-12)
     assert res.converged
     assert res.new_state[0] == pytest.approx(np.exp(-0.5), abs=1e-6)
 
@@ -212,7 +211,7 @@ def test_krylov_step_needs_no_alpha(scheme):
 def test_step_refuses_non_positive_dt(scheme, dt):
     op = RhsOperator(lambda u: -u)
     with pytest.raises(ValueError, match="dt must be positive"):
-        step(scheme, op, np.array([1.0]), dt, alpha=1.0)
+        step(scheme, _handed_over(op), dt, alpha=1.0)
     assert op.calls == 0
 
 
@@ -220,7 +219,7 @@ def test_step_refuses_non_positive_dt(scheme, dt):
 def test_step_refuses_unknown_phi_method(scheme):
     op = RhsOperator(lambda u: -u)
     with pytest.raises(ValueError, match="unknown phi method"):
-        step(scheme, op, np.array([1.0]), 0.5, method="lejaa", alpha=1.0)
+        step(scheme, _handed_over(op), 0.5, method="lejaa", alpha=1.0)
     assert op.calls == 0
 
 
@@ -229,7 +228,7 @@ def test_stage_difference_vanishes_for_linear_rhs():
     op = RhsOperator(lambda u: a @ u)
     u = np.array([1.0, -1.0])
     lin = FrozenLinearization(op, u)
-    diff = _stage_difference(lin, op, np.array([0.4, 0.6]), u, lin.base_rhs)
+    diff = _stage_difference(lin, np.array([0.4, 0.6]))
     assert np.linalg.norm(diff) <= 1e-6
 
 
@@ -240,7 +239,7 @@ def test_stage_difference_matches_dense_jacobian_oracle():
     u = np.array([0.9, -0.5, 0.2])
     stage = np.array([1.2, -0.1, 0.0])
     lin = FrozenLinearization(op, u)
-    diff = _stage_difference(lin, op, stage, u, lin.base_rhs)
+    diff = _stage_difference(lin, stage)
     oracle = op.fn(stage) - op.fn(u) - (a + np.diag(u)) @ (stage - u)
     assert np.linalg.norm(diff - oracle) <= 1e-6 * max(1.0, np.linalg.norm(oracle))
 
@@ -249,7 +248,7 @@ def test_exprb43_embedded_error_vanishes_on_linear():
     a = np.array([[-2.0, 1.0], [0.5, -1.0]])
     op = RhsOperator(lambda u: a @ u)
     u = np.array([1.0, 2.0])
-    res = step(Scheme.EXPRB43, op, u, 0.3, alpha=3.0, tol=1e-12)
+    res = step(Scheme.EXPRB43, FrozenLinearization(op, u), 0.3, alpha=3.0, tol=1e-12)
     assert res.converged
     assert res.error_estimate <= 1e-6
 
@@ -260,7 +259,7 @@ def test_exprb43_linear_exactness():
     op = RhsOperator(lambda u: a @ u)
     u = rng.standard_normal(40)
     dt = 0.4
-    res = step(Scheme.EXPRB43, op, u, dt, alpha=10.0, tol=1e-11)
+    res = step(Scheme.EXPRB43, FrozenLinearization(op, u), dt, alpha=10.0, tol=1e-11)
     assert res.converged
     exact = phi_dense(0, dt * a) @ u
     assert error_norm(res.new_state, exact) <= 1e-6
@@ -276,7 +275,8 @@ _STAGE_COUNTS = [(Scheme.EXPRB43, 7), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 1
                          ids=[str(scheme) for scheme, _ in _STAGE_COUNTS])
 def test_stage_counts(scheme, expected):
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    res = step(scheme, op, np.array([0.5, 0.8, 1.1]), 0.05, alpha=2.0, tol=1e-10)
+    res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, alpha=2.0,
+               tol=1e-10)
     assert res.converged
     assert res.phi_applications == expected
 
@@ -285,7 +285,7 @@ def test_exprb43_rhs_call_accounting():
     # base f(u), two stages with one f and one jvp each, plus one rhs
     # evaluation per phi matvec
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    res = step(Scheme.EXPRB43, op, np.array([0.5, 0.8, 1.1]), 0.05,
+    res = step(Scheme.EXPRB43, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05,
                alpha=2.0, tol=1e-10)
     assert op.calls == 5 + res.phi_iterations
 
@@ -304,7 +304,7 @@ def test_linear_invariant_preservation():
     total0 = u.sum()
     for scheme in (Scheme.EXPRB43, Scheme.EPIRK5P1, Scheme.EXPRB54S4):
         op = RhsOperator(conservative_rhs)
-        res = step(scheme, op, u, 0.05, alpha=5.0, tol=1e-9)
+        res = step(scheme, FrozenLinearization(op, u), 0.05, alpha=5.0, tol=1e-9)
         assert res.converged
         drift = abs(res.new_state.sum() - total0) / abs(total0)
         assert drift <= 1e-10
@@ -315,9 +315,53 @@ def test_nonconvergence_propagates():
     # the step must report converged=False without raising
     a = np.diag([-5000.0, -1.0])
     op = RhsOperator(lambda u: a @ u)
-    res = step(Scheme.EXPRB43, op, np.array([1.0, 1.0]), 1.0, alpha=1.0, tol=1e-10)
+    res = step(Scheme.EXPRB43, FrozenLinearization(op, np.array([1.0, 1.0])), 1.0, alpha=1.0,
+               tol=1e-10)
     assert not res.converged
     assert res.error_estimate == np.inf
+
+
+def _failing_rhs(cause):
+    # f(u) = diag(-5000, -1) u, whose spectrum a Leja interval of alpha = 1
+    # cannot hold ("phi"); or that rhs for the base evaluation only, after
+    # which it returns inf without a floating-point fault ("non-finite").
+    # test_rhs_blowup_inside_a_scheme_fails_the_step covers an rhs blow-up.
+    def f(v):
+        if cause == "phi" or op.calls == 1:
+            return np.array([-5000.0, -1.0]) * v
+        return np.full_like(v, np.inf)
+
+    op = RhsOperator(f)
+    return op
+
+
+_FAILURE_CASES = [(scheme, cause) for cause in ("phi", "non-finite")
+                  for scheme in Scheme if scheme.is_exponential or cause != "phi"]
+
+
+@pytest.mark.parametrize("scheme,cause", _FAILURE_CASES,
+                         ids=[f"{scheme.value}-{cause}" for scheme, cause in _FAILURE_CASES])
+def test_every_failed_attempt_returns_its_base_state(scheme, cause):
+    # one outcome whatever the cause, a phi action that did not converge
+    # under Rosenbrock-Euler included: the base state, error inf, no new_rhs
+    lin = FrozenLinearization(_failing_rhs(cause), np.array([1.0, 1.0]))
+    res = step(scheme, lin, 1.0, alpha=1.0, tol=1e-10)
+    assert res.converged is False
+    assert res.new_state is lin.base_state
+    assert res.error_estimate == np.inf and res.new_rhs is None
+
+
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+def test_a_failed_phi_action_ends_the_attempt(scheme):
+    # the first action, on f(u), does not converge: the attempt builds no
+    # stage, so its matvecs are the only evaluations after the base one
+    op = _failing_rhs("phi")
+    res = step(scheme, FrozenLinearization(op, np.array([1.0, 1.0])), 1.0, alpha=1.0, tol=1e-10)
+    assert not res.converged and res.phi_iterations > 0
+    assert op.calls == 1 + res.phi_iterations
+    first_action = {Scheme.ROS_EULER: 1, Scheme.EXPRB43: 2, Scheme.EXPRB54S4: 4,
+                    Scheme.EPIRK5P1: 3}
+    assert res.phi_applications == first_action[scheme]
 
 
 def test_riccati_convergence_orders():
@@ -339,7 +383,8 @@ def test_exprb43_embedded_difference_slope():
     diffs = []
     for dt in dts:
         op = RhsOperator(lambda v: v * v)
-        res = step(Scheme.EXPRB43, op, np.array([1.0]), dt, alpha=4.0, tol=1e-13)
+        res = step(Scheme.EXPRB43, FrozenLinearization(op, np.array([1.0])), dt, alpha=4.0,
+                   tol=1e-13)
         assert res.converged
         diffs.append(res.error_estimate * np.linalg.norm(res.new_state))
     slope = observed_order(dts, diffs, floor=1e-14)
@@ -361,7 +406,7 @@ def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch)
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
     u = np.array([0.5, 0.8, 1.1])
     for attempt in (1, 2):
-        res = step(Scheme.EXPRB43, op, u, 0.05, alpha=2.0, tol=1e-10)
+        res = step(Scheme.EXPRB43, FrozenLinearization(op, u), 0.05, alpha=2.0, tol=1e-10)
         assert res.converged and res.phi_applications == 7
         assert len(builds) == 2 * attempt
 
@@ -388,8 +433,8 @@ def test_one_engine_chain_per_vector(monkeypatch, method, scheme, chains, applic
 
     monkeypatch.setattr(xmhd.integrators, binding, counted)
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    res = step(scheme, op, np.array([0.5, 0.8, 1.1]), 0.05, method=method, alpha=2.0,
-               tol=1e-10)
+    res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, method=method,
+               alpha=2.0, tol=1e-10)
     assert res.converged
     assert len(iterations) == chains
     assert res.phi_applications == applications
@@ -404,7 +449,7 @@ def test_steady_state_is_a_fixed_point(scheme, method):
     a = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 3.0], [0.0, -3.0, -0.5]])
     u = np.array([0.5, -0.2, 1.0])
     op = RhsOperator(lambda v: a @ (v - u))
-    res = step(scheme, op, u, 0.1, method=method, alpha=4.0, tol=1e-10)
+    res = step(scheme, FrozenLinearization(op, u), 0.1, method=method, alpha=4.0, tol=1e-10)
     assert res.converged
     assert np.array_equal(res.new_state, u)
     assert res.phi_iterations == 0
@@ -420,7 +465,7 @@ def test_zero_spectrum_gives_the_explicit_euler_update(scheme, method):
     f = np.array([1.0, -2.0, 0.25])
     u = np.array([0.5, -0.2, 1.0])
     op = RhsOperator(lambda v: f.copy())
-    res = step(scheme, op, u, 0.1, method=method, alpha=0.0, tol=1e-10)
+    res = step(scheme, FrozenLinearization(op, u), 0.1, method=method, alpha=0.0, tol=1e-10)
     assert res.converged
     if method == "leja":
         assert np.array_equal(res.new_state, u + 0.1 * f)
@@ -450,7 +495,7 @@ def test_broker_short_circuits_answer_each_column(monkeypatch, method):
     broker = _PhiBroker(None, 0.1, None if method == "krylov" else 4.0, 1e-10, method)
     cols = broker.apply(orders, fractions, np.zeros(3))
     assert len(cols) == 4 and not any(col.any() for col in cols)
-    assert broker.applications == 4 and broker.iterations == 0 and not broker.failed
+    assert broker.applications == 4 and broker.iterations == 0
 
 
 def _exprb43_w_form(f, jac, u, dt):
@@ -507,7 +552,8 @@ def test_step_matches_the_textbook_w_form(monkeypatch, scheme, oracle, method):
     u = rng.standard_normal(6)
     dt, tol = 0.1, 1e-10
     alpha = 1.25 * np.abs(np.linalg.eigvalsh(jac(u))).max()
-    res = step(scheme, RhsOperator(f), u, dt, method=method, alpha=alpha, tol=tol)
+    res = step(scheme, FrozenLinearization(RhsOperator(f), u), dt, method=method, alpha=alpha,
+               tol=tol)
     high, low = oracle(f, jac, u, dt)
     assert res.converged
     assert error_norm(res.new_state, high) <= 10 * tol
@@ -525,7 +571,7 @@ def test_rhs_blowup_inside_a_scheme_fails_the_step(scheme):
 
     op = RhsOperator(blows_up_after_one_call)
     u = np.array([1.0, 2.0])
-    res = step(scheme, op, u, 0.1, alpha=1.0, tol=1e-10)
+    res = step(scheme, FrozenLinearization(op, u), 0.1, alpha=1.0, tol=1e-10)
     assert not res.converged
     assert np.array_equal(res.new_state, u)
     assert res.error_estimate == np.inf

@@ -4,9 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from xmhd.leja import leja_points
+from xmhd.krylov import apply_phi_krylov
+from xmhd.leja import apply_phi_leja, leja_points, shift_and_scale
 from xmhd.phi import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, MAX_ORDER, _drive_columns,
                       _expm_taylor, _phi_divided_diffs, phi_dense, phi_scalar)
+from tests._problems import random_negative_spectrum
 
 
 def test_phi_scalar_at_zero():
@@ -241,3 +243,28 @@ def test_driver_rejects_non_positive_tolerance_before_any_matvec(tol):
     with pytest.raises(ValueError, match="tolerance must be positive"):
         _drive_columns(chain.extend, chain.vectors, 1, tol, 10)
     assert chain.calls == []
+
+
+@pytest.mark.parametrize("fault", [1, 3])
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_a_matvec_that_raises_fails_the_action_without_raising(engine, fault):
+    # a FloatingPointError (or any ArithmeticError) out of a matvec is the
+    # chain's escape: every column fails, and the matvec that raised counts
+    rng = np.random.default_rng(60)
+    a = random_negative_spectrum(rng, 20, lo=-10.0)
+    v = rng.standard_normal(20)
+    calls = []
+
+    def matvec(w):
+        calls.append(None)
+        if len(calls) == fault:
+            raise FloatingPointError("overflow encountered in divide")
+        return a @ w
+
+    if engine == "leja":
+        res = apply_phi_leja(1, matvec, v, 0.5, shift_and_scale(12.5), 1e-12)
+    else:
+        res = apply_phi_krylov((1, 3), matvec, v, 0.5, 1e-12, fractions=(0.5, 1.0))
+    assert not res.converged
+    assert res.iterations == fault == len(calls)
+    assert res.residual == np.inf

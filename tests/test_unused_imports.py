@@ -6,7 +6,9 @@ Stdlib-`ast` scans, since no linter is a dependency, over one file list
 * a name bound by an import must appear as a name somewhere else in the
   same file;
 * a def, class or assignment at module level in `src/xmhd` must be loaded
-  (as a name, an attribute or an imported name) by some file of the list.
+  (as a name, an attribute or an imported name) by some file of the list;
+* every parameter of every function in `src/xmhd` must be read in its body,
+  save the few in UNREAD_PARAMETERS.
 
 The package `__init__.py` is left out of both: its imports are only the
 public re-exports.
@@ -68,6 +70,30 @@ def loaded_names(tree):
     return names
 
 
+def unread_parameters(tree):
+    """(line, function, parameter) of every parameter that its function's
+    body, nested functions included, never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [(node.lineno, name, a.arg) for a in params if a.arg not in read]
+    return found
+
+
+#: (function, parameter) pairs allowed to go unread: the explicit pairs take
+#: the phi broker for the one signature of every _SCHEMES step function, and
+#: estimate_alpha keeps prev and rng for the benchmark's callers
+UNREAD_PARAMETERS = {("_step_explicit", "broker"), ("estimate_alpha", "prev"),
+                     ("estimate_alpha", "rng")}
+
+
 def test_scan_flags_an_unused_import():
     def scan(source):
         return unused_imports(ast.parse(source))
@@ -97,3 +123,18 @@ def loaded():
 def test_no_unused_module_level_names(path, loaded):
     unused = [(line, name) for line, name in defined_names(TREES[path]) if name not in loaded]
     assert unused == []
+
+
+def test_scan_flags_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+                     "def g(x):\n    def h():\n        return x\n    return h\n"
+                     "k = lambda y, z: y\n")
+    assert unread_parameters(tree) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "e"),
+                                       (7, "<lambda>", "z")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=_file_id)
+def test_every_parameter_is_read(path):
+    unread = [(line, fn, arg) for line, fn, arg in unread_parameters(TREES[path])
+              if (fn, arg) not in UNREAD_PARAMETERS]
+    assert unread == []
