@@ -10,8 +10,8 @@ The package bundles three layers:
   spectral estimate (:mod:`xmhd.linearize`);
 * time integrators and step-size control: exponential Rosenbrock and EPIRK
   single-step schemes plus explicit embedded Runge-Kutta baselines
-  (:mod:`xmhd.integrators`), with traditional, cost-gradient and combined
-  controllers (:mod:`xmhd.controllers`);
+  (:mod:`xmhd.integrators`), with traditional and combined (cost-gradient,
+  capped by traditional) controllers (:mod:`xmhd.controllers`);
 * the application: a finite-difference resistive MHD right-hand side
   (:mod:`xmhd.mhd`), Kelvin-Helmholtz / magnetic-reconnection scenario
   presets (:mod:`xmhd.scenarios`) and a benchmark harness with CLI
@@ -23,7 +23,7 @@ from xmhd.leja import leja_points, shift_and_scale, apply_phi_leja
 from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import RhsOperator, FrozenLinearization, jvp, estimate_alpha
 from xmhd.integrators import Scheme, step, error_norm
-from xmhd.controllers import traditional_next, cost_next, combine, accept
+from xmhd.controllers import traditional_next, cost_next, accept
 from xmhd.mhd import StateGrid, MHDParams, Boundary, RhsWorkspace, mhd_rhs, discrete_div_b, conserved_totals
 from xmhd.scenarios import make_scenario, initialize
 from xmhd.harness import RunConfig, run, make_reference, work_precision

@@ -10,6 +10,11 @@ Examples:
     xmhd --problem khi --case III --nx 64 --ny 64 \
          --sweep "tol=1e-3,1e-4,1e-5" --reference out/reference.chk --output out/
 
+--integrator offers the schemes with an embedded error estimate, the ones
+step control can run; --make-reference runs DOPRI54 whatever it names.
+--divb-every applies to a single run, --checkpoint-every to a single or a
+reference run; a mode that would drop either is a configuration error.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical abort (also a
 sweep in which no run succeeded).
 """
@@ -40,8 +45,8 @@ def _build_parser():
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--tf", type=float, default=None, help="final simulation time")
     p.add_argument("--tol", type=float, default=d.tol)
-    p.add_argument("--integrator", choices=sorted(s.value for s in Scheme),
-                   default=d.scheme.value)
+    p.add_argument("--integrator", default=d.scheme.value,
+                   choices=sorted(s.value for s in Scheme if s.embedded_order is not None))
     p.add_argument("--method", choices=PHI_METHODS, default=d.method)
     p.add_argument("--controller", choices=sorted(m.value for m in ControllerMode),
                    default=d.controller.value)
@@ -60,7 +65,6 @@ def _build_parser():
                    help="emit a (t, max |div B|) CSV sampled every T time units")
     p.add_argument("--checkpoint-every", type=float, default=d.checkpoint_every, metavar="T")
     p.add_argument("--max-steps", type=int, default=d.max_steps)
-    p.add_argument("--wall-budget", type=float, default=d.wall_budget)
     return p
 
 
@@ -110,9 +114,8 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         scenario = _scenario_from_args(args)
         # --make-reference ignores --integrator: make_reference sets its own
-        scheme = Scheme.DOPRI54 if args.make_reference else Scheme(args.integrator)
         config = RunConfig(scenario=scenario,
-                           scheme=scheme,
+                           scheme=Scheme(args.integrator),
                            method=args.method,
                            controller=ControllerMode(args.controller),
                            tol=args.tol,
@@ -120,13 +123,19 @@ def main(argv=None):
                            output_dir=args.output,
                            checkpoint_every=args.checkpoint_every,
                            divb_every=args.divb_every,
-                           max_steps=args.max_steps,
-                           wall_budget=args.wall_budget)
+                           max_steps=args.max_steps)
         if args.checkpoint_every > 0 and args.output is None:
             raise ValueError("--checkpoint-every requires --output")
         if args.reference is not None and args.sweep is None:
             # only a sweep measures a global error
             raise ValueError("--reference requires --sweep")
+        # neither mode writes a div B series, and a sweep's runs would all
+        # write their checkpoints into the one --output
+        if args.divb_every > 0 and (args.sweep is not None or args.make_reference):
+            mode = "--sweep" if args.sweep is not None else "--make-reference"
+            raise ValueError(f"--divb-every is not supported with {mode}")
+        if args.checkpoint_every > 0 and args.sweep is not None:
+            raise ValueError("--checkpoint-every is not supported with --sweep")
         out = args.output or Path(".")
         if args.sweep is not None:
             if args.reference is None:

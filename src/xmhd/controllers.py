@@ -1,9 +1,10 @@
-"""Step-size controllers: traditional, cost-gradient, and their combination.
+"""Step-size controllers: traditional, and cost-gradient capped by it.
 
 The cost controller descends the logarithmic cost-per-unit-time surface by a
 finite-difference gradient step, with the saturation/dead-zone constants of
 the cost-minimizing controller literature; the combined mode takes the
-minimum of the two proposals so the error requirement always wins.
+minimum of the two proposals so the error requirement always wins; the
+cost proposal never runs alone, as it ignores the error estimate.
 ControllerState applies the chosen mode over one run.
 """
 
@@ -26,7 +27,6 @@ FIRST_GROWTH = 100.0
 
 class ControllerMode(Enum):
     TRADITIONAL = "traditional"
-    COST = "cost"
     COMBINED = "combined"
 
 
@@ -60,9 +60,8 @@ class ControllerState:
         if self.mode is ControllerMode.TRADITIONAL or self.dt_prev is None:
             dt_next = dt_trad
         else:
-            dt_cost = cost_next(dt, self.dt_prev, cost, self.cost_prev)
-            dt_next = dt_cost if self.mode is ControllerMode.COST \
-                else combine(dt_cost, dt_trad)
+            # never exceed the error-admitted step
+            dt_next = min(cost_next(dt, self.dt_prev, cost, self.cost_prev), dt_trad)
         self.dt_prev, self.cost_prev = dt, cost
         return dt_next
 
@@ -95,11 +94,6 @@ def cost_next(dt, dt_prev, cost, cost_prev):
     if DELTA_C <= s < 1.0:
         return dt * DELTA_C
     return dt * s
-
-
-def combine(dt_cost, dt_trad):
-    """The combined controller: never exceed the error-admitted step."""
-    return min(dt_cost, dt_trad)
 
 
 def accept(err, tol):

@@ -12,8 +12,9 @@ and its new state has positive density and pressure in every cell, and
 let the step-size controller propose the next dt.  A failed attempt,
 including one whose state is not physical, reports error inf, whose
 traditional proposal is dt / 2; ten consecutive rejections, a failed
-linearization, or a dt too small to advance t abort the run.  Runs are
-deterministic for a fixed config.
+linearization, a dt too small to advance t or max_steps attempts abort
+the run.  Runs are deterministic for a fixed config: no budget reads the
+clock.
 """
 
 import csv
@@ -60,7 +61,6 @@ class RunConfig:
     divb_every: float = 0.0             # sampling interval for divb series
     rng_seed: int = 0                   # unused: runs depend on no seed
     max_steps: int = 1_000_000          # step attempts, rejected ones included
-    wall_budget: float = 3600.0
 
     def __post_init__(self):
         """Refuse, with ValueError, a config that no run can honour."""
@@ -74,7 +74,6 @@ class RunConfig:
                 ("tol", 0.0 < self.tol < math.inf, "positive and finite"),
                 ("spectrum_interval", self.spectrum_interval >= 1, "at least 1"),
                 ("max_steps", self.max_steps >= 1, "at least 1"),
-                ("wall_budget", self.wall_budget > 0.0, "positive"),
                 ("checkpoint_every", 0.0 <= self.checkpoint_every < math.inf, "finite and >= 0"),
                 ("divb_every", 0.0 <= self.divb_every < math.inf, "finite and >= 0")):
             if not ok:
@@ -184,9 +183,6 @@ def run(config):
     while t < t_final - 1e-14 * max(1.0, t_final):
         if len(report.steps) >= config.max_steps:
             report.status = "failed: step budget exceeded"
-            break
-        if _time.perf_counter() - started > config.wall_budget:
-            report.status = "failed: wall-clock budget exceeded"
             break
 
         step_calls_start = rhs_op.calls
@@ -315,7 +311,7 @@ def work_precision(base, tols, reference, out_csv):
     stores the time it reached, so 1e-12 relative is allowed; the grid
     includes its spacing) and a tolerance that RunConfig refuses
     (ValueError) raise before any run, and so does a CSV directory that
-    cannot be made.  A run that fails (non-convergence, budget, an
+    cannot be made.  A run that fails (non-convergence, step budget, an
     exception) is recorded with a NaN error; its RunReport status names the
     failure, with the exception type and message, and its CSV status reads
     failed.  A run that raised measured nothing, so its counts, wall time

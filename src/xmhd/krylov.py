@@ -10,7 +10,8 @@ One exponential of the projected matrix augmented by e1 and a shift chain
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm_taylor
+from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm_taylor, _failed_input, \
+    _input_norm
 
 #: ceiling on the basis size; beyond this the O(m^2) orthogonalization
 #: cost dominates and the step should be rejected instead
@@ -67,12 +68,15 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     or once the basis spans R^n.  With `fractions`, row k of `vector` holds
     order l_k at fraction fractions[k], where `l` is one order or a tuple of
     one per fraction; without, the one column is c = 1 and `vector` is 1-D.
-    phi._drive_columns applies the stop rule.
+    phi._drive_columns applies the stop rule.  An input whose norm is not
+    finite fails the action before its first matvec.
     """
     steps = [dt] if fractions is None else [c * dt for c in fractions]
     orders = _column_orders(l, len(steps))
     v = np.asarray(v, dtype=float)
-    beta = np.linalg.norm(v)
+    beta = _input_norm(v)
+    if not np.isfinite(beta):
+        return _failed_input(len(steps), v.size, fractions is None, tol)
     if beta == 0:
         raise ValueError("cannot build a Krylov space from the zero vector")
     n = v.size

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _phi_divided_diffs
+from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _failed_input, _input_norm, \
+    _phi_divided_diffs
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
@@ -138,14 +139,18 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
     |c_m| ||y_m|| / max(1, ||column||).  The basis escapes when ||y_m|| is
     not finite or exceeds 1e120 max(1, ||v||), which happens only when the
     spectrum left the interval.  The chain makes at most LEJA_MAX - 1
-    matvecs; phi._drive_columns applies the stop rule.
+    matvecs; phi._drive_columns applies the stop rule.  An input whose norm
+    is not finite fails the action before its first matvec.
     """
     columns = (NewtonTable(shift),) if tables is None else tuple(tables)
     orders = _column_orders(l, len(columns))
     theta = shift.theta
     coeffs = [table.coeffs(o) for table, o in zip(columns, orders)]
     y = np.array(v, dtype=float, copy=True)
-    blowup = 1e120 * max(1.0, np.linalg.norm(y))
+    norm_v = _input_norm(y)
+    if not np.isfinite(norm_v):
+        return _failed_input(len(columns), y.size, tables is None, tol)
+    blowup = 1e120 * max(1.0, norm_v)
     out = np.array([y * c[0] for c in coeffs])
     buf = np.empty_like(y)
     last = np.full(len(columns), np.inf)

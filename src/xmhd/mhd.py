@@ -373,6 +373,9 @@ def read_checkpoint(path):
             raise ValueError(f"expected {NVAR} fields, file has {nvar}")
         if not np.isfinite(time):
             raise ValueError(f"checkpoint time must be finite, got {time!r}")
+        if nx < 1 or ny < 1:
+            raise ValueError(f"checkpoint grid must have at least one cell per axis, "
+                             f"got nx = {nx}, ny = {ny}")
         if not (0 < dx < np.inf and 0 < dy < np.inf):
             raise ValueError(f"checkpoint grid spacing must be positive and finite, "
                              f"got dx = {dx!r}, dy = {dy!r}")

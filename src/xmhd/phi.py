@@ -89,6 +89,20 @@ def _drive_columns(extend, vectors, count, tol, cap):
                           residual=float(estimate.max()))
 
 
+def _input_norm(v):
+    """The norm of a phi action's input vector, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v)
+
+
+def _failed_input(count, n, one_column, tol):
+    """The outcome of an action whose input norm is not finite (it overflowed,
+    or the input holds inf or NaN): _drive_columns with a cap of 0 fails
+    every column before the first matvec, each NaN with estimate inf."""
+    vector = np.full((count, n), np.nan)
+    return _drive_columns(None, lambda: vector[0] if one_column else vector, count, tol, 0)
+
+
 def phi_scalar(l, z):
     """Evaluate phi_l(z) for a real or complex scalar z."""
     _check_order(l)

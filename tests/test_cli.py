@@ -26,7 +26,7 @@ def test_single_run_writes_outputs(tmp_path, capsys):
 def test_make_reference_mode(tmp_path, capsys):
     # the reference run uses its own integrator, whatever --integrator says
     code = main(["--problem", "khi", "--case", "III", "--nx", "16", "--ny", "16",
-                 "--tf", "0.002", "--make-reference", "--integrator", "ros-euler",
+                 "--tf", "0.002", "--make-reference", "--integrator", "rk43",
                  "--output", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "reference-khi-III.chk").exists()
@@ -212,7 +212,6 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--spectrum-interval", "-3"],
     ["--spectrum-interval", "0"],
     ["--max-steps", "0"],
-    ["--wall-budget", "-1"],
     ["--checkpoint-every", "-1"],
     ["--divb-every", "-0.5"],
     ["--sweep", "tol=1e-3,0", "--reference", "missing.chk"],
@@ -223,11 +222,16 @@ def test_integrator_without_error_estimate_is_config_error(tmp_path, capsys,
     ["--output", "afile"],
     ["--output", "afile/sub"],
     ["--output", "afile/sub", "--checkpoint-every", "0.005"],
+    # flags a mode would drop
+    ["--sweep", "tol=1e-3", "--reference", "missing.chk", "--divb-every", "0.001"],
+    ["--make-reference", "--divb-every", "0.001"],
+    ["--sweep", "tol=1e-3", "--reference", "missing.chk", "--checkpoint-every", "0.005"],
 ], ids=["tol0", "nx0", "tf-1", "tf-nan", "tf-inf", "recon-ny1", "interval-3", "interval0", "maxsteps0",
-        "wallbudget-1", "checkpoint-1", "divb-0.5", "sweep-tol0", "sweep-missing-reference",
+        "checkpoint-1", "divb-0.5", "sweep-tol0", "sweep-missing-reference",
         "reference-and-sweep", "reference-without-sweep", "make-reference-with-reference",
         "output-is-a-file", "output-under-a-file",
-        "checkpoints-under-a-file"])
+        "checkpoints-under-a-file", "sweep-with-divb", "make-reference-with-divb",
+        "sweep-with-checkpoints"])
 def test_out_of_range_config_is_config_error(tmp_path, capsys, monkeypatch, extra):
     # relative paths resolve in tmp_path, which holds one regular file
     monkeypatch.chdir(tmp_path)
@@ -257,3 +261,39 @@ def test_config_file_comments_and_flags(tmp_path):
     code = main(["--config", str(cfg), "--output", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "reference-khi-III.chk").exists()
+
+
+@pytest.mark.parametrize("flag", [["--divb-every", "0.001"], ["--checkpoint-every", "0.001"]],
+                         ids=["divb", "checkpoints"])
+def test_sweep_refuses_a_per_run_output_flag_before_any_run(tmp_path, capsys, flag):
+    # with a valid reference: the sweep would run, write no div B series and
+    # let every tolerance write its checkpoints into the one --output
+    ref = tmp_path / "ref"
+    assert main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002",
+                 "--make-reference", "--output", str(ref)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002",
+                 "--sweep", "tol=1e-3,1e-4", "--reference", str(ref / "reference-khi-III.chk"),
+                 "--output", str(out), *flag])
+    assert code == 2
+    assert one_line_error(capsys) == f"config error: {flag[0]} is not supported with --sweep\n"
+    assert not out.exists()
+
+
+def _offered(flag):
+    from xmhd.cli import _build_parser
+
+    return next(a.choices for a in _build_parser()._actions if flag in a.option_strings)
+
+
+_OFFERED_RUNS = [["--integrator", i, "--controller", c]
+                 for i in _offered("--integrator") for c in _offered("--controller")]
+_OFFERED_RUNS.append(["--method", "krylov"])
+
+
+@pytest.mark.parametrize("flags", _OFFERED_RUNS, ids=["-".join(f[1::2]) for f in _OFFERED_RUNS])
+def test_every_value_the_cli_offers_runs(capsys, flags):
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002", *flags])
+    assert code == 0
+    assert "status=ok" in capsys.readouterr().out

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from xmhd.controllers import (ALPHA_C, BETA_C, DELTA_C, FIRST_GROWTH, GROWTH_CAP, LAMBDA_C,
-                              SAFETY, ControllerMode, ControllerState, accept, combine,
-                              cost_next, traditional_next)
+                              SAFETY, ControllerMode, ControllerState, accept, cost_next,
+                              traditional_next)
 
 
 def test_constants_digits():
@@ -86,12 +86,6 @@ def test_cost_factor_totality_and_bounds(delta):
     assert not (1.0 <= factor < LAMBDA_C)
 
 
-@given(st.floats(1e-12, 1e3), st.floats(1e-12, 1e3))
-def test_combine_is_min(a, b):
-    assert combine(a, b) == min(a, b)
-    assert combine(a, b) <= b
-
-
 def test_accept_boundary():
     assert accept(0.5e-6, 1e-6)
     assert accept(1e-6, 1e-6)
@@ -111,16 +105,15 @@ def _expected_proposals():
     cost = [cost_next(dt, dt0, c, c0) for (dt0, _, c0), (dt, _, c) in zip(SEQ, SEQ[1:])]
     return {
         ControllerMode.TRADITIONAL: trad,
-        ControllerMode.COST: trad[:1] + cost,
-        ControllerMode.COMBINED: trad[:1] + [combine(a, b) for a, b in zip(cost, trad[1:])],
+        ControllerMode.COMBINED: trad[:1] + [min(a, b) for a, b in zip(cost, trad[1:])],
     }
 
 
 @pytest.mark.parametrize("mode", list(ControllerMode))
 def test_controller_state_follows_the_mode_formulas(mode):
     expected = _expected_proposals()
-    # the sequence tells the three modes apart
-    assert len({tuple(v) for v in expected.values()}) == 3
+    # the sequence tells the two modes apart
+    assert len({tuple(v) for v in expected.values()}) == 2
     ctrl = ControllerState(mode, TOL, P)
     proposals = []
     for dt, err, cost in SEQ:

@@ -90,8 +90,7 @@ def test_spectrum_refresh_schedule_golden_run(monkeypatch):
 @pytest.mark.parametrize("field,value", [
     ("tol", 0.0), ("tol", -1e-4), ("tol", math.inf), ("tol", math.nan),
     ("spectrum_interval", 0), ("spectrum_interval", -3),
-    ("max_steps", 0), ("wall_budget", 0.0), ("wall_budget", -1.0),
-    ("wall_budget", math.nan), ("checkpoint_every", -1.0),
+    ("max_steps", 0), ("checkpoint_every", -1.0),
     ("checkpoint_every", math.inf), ("divb_every", -0.5), ("divb_every", math.nan),
     ("method", "lejaa"),
 ])
@@ -179,12 +178,8 @@ def test_run_maps_no_openssl():
 _GOLDEN_RUNS = [
     (ControllerMode.TRADITIONAL, Scheme.EXPRB43,
      "fa1a516faf6f2413", (7, 2, 626, 398)),
-    (ControllerMode.COST, Scheme.EXPRB43,
-     "4d237fb7666a1575", (7, 4, 875, 399)),
     (ControllerMode.TRADITIONAL, Scheme.RK43,
      "ef8168139704c474", (19, 2, 103, 0)),
-    (ControllerMode.COST, Scheme.RK43,
-     "11879e2ccf2e2a6a", (19, 16, 159, 0)),
     (ControllerMode.COMBINED, Scheme.RK43,
      "ef8168139704c474", (19, 2, 103, 0)),
 ]
@@ -684,13 +679,6 @@ def test_a_state_without_positive_density_and_pressure_is_never_accepted(monkeyp
     rep = run(RunConfig(scenario=spec, scheme=Scheme.DOPRI54, tol=1e-1))
     assert len(seen) == rep.accepted + 1 and all(seen)
     assert rep.t_reached > 2.413
-
-
-def test_exhausted_wall_budget_fails_before_the_first_step():
-    spec = make_scenario("khi-III", nx=16, ny=16, t_final=0.1)
-    rep = run(RunConfig(scenario=spec, wall_budget=1e-9))
-    assert rep.status == "failed: wall-clock budget exceeded"
-    assert rep.steps == []
 
 
 def test_checkpoints_follow_their_cadence_after_long_steps(tmp_path):

@@ -456,6 +456,20 @@ def test_checkpoint_rejects_grid_spacing_not_positive_and_finite(tmp_path, field
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("field", ["nx", "ny"])
+def test_checkpoint_rejects_an_empty_grid(tmp_path, field):
+    # a header of zero cells on one axis and no payload would read back as an
+    # empty state
+    path = tmp_path / "empty.chk"
+    write_checkpoint(path, uniform_state(), 0.5)
+    header = bytearray(path.read_bytes()[:44])
+    offset = {"nx": 8, "ny": 12}[field]
+    header[offset:offset + 4] = struct.pack("<I", 0)
+    path.write_bytes(bytes(header))
+    with pytest.raises(ValueError, match=rf"at least one cell per axis, .*\b{field} = 0\b"):
+        read_checkpoint(path)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_checkpoint_rejects_time_not_finite(tmp_path, value):
     path = tmp_path / "state.chk"

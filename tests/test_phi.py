@@ -268,3 +268,30 @@ def test_a_matvec_that_raises_fails_the_action_without_raising(engine, fault):
     assert not res.converged
     assert res.iterations == fault == len(calls)
     assert res.residual == np.inf
+
+
+@pytest.mark.parametrize("policy", [True, False], ids=["fp_policy", "no-policy"])
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_an_input_whose_norm_overflows_fails_the_action_without_raising(engine, policy):
+    # ||v|| overflows although every entry is finite: the action fails before
+    # its first matvec, whether or not floating-point faults raise
+    from contextlib import nullcontext
+
+    from xmhd.integrators import fp_policy
+
+    v = np.full(4, 1e160)
+    calls = []
+
+    def matvec(w):
+        calls.append(None)
+        return -w
+
+    with fp_policy() if policy else nullcontext():
+        if engine == "leja":
+            res = apply_phi_leja(1, matvec, v, 0.1, shift_and_scale(1.25), 1e-8)
+        else:
+            res = apply_phi_krylov(1, matvec, v, 0.1, 1e-8)
+    assert not res.converged
+    assert res.iterations == 0 == len(calls)
+    assert res.residual == np.inf
+    assert res.vector.shape == v.shape
