@@ -10,8 +10,7 @@ One exponential of the projected matrix augmented by e1 and a shift chain
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm_taylor, _failed_input, \
-    _input_norm
+from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm, _failed_input, _input_norm
 
 #: ceiling on the basis size; beyond this the O(m^2) orthogonalization
 #: cost dominates and the step should be rejected instead
@@ -26,7 +25,7 @@ def _phi_rows(h):
     aug[0, m] = 1.0
     aug[range(m, m + MAX_ORDER - 1), range(m + 1, m + MAX_ORDER)] = 1.0
     # column 0 is exp(H) e1 = phi_0(H) e1; column m + l - 1 is phi_l(H) e1
-    return _expm_taylor(aug)[:m, [0, *range(m, m + MAX_ORDER)]].T
+    return _expm(aug)[:m, [0, *range(m, m + MAX_ORDER)]].T
 
 
 def arnoldi_step(basis, hess, j, w):
@@ -64,8 +63,10 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     live fraction c gives phi_l(c dt H_m) e1 of every order.  A column's
     error estimate is the residual surrogate
     ||v|| * |h_{m+1,m}| * |(phi_j(c dt H_m))_{m,1}| * c dt, with j = max(l_k, 1)
-    (for l_k = 0 this is Saad's 1992 estimate), and 0 at a happy breakdown
-    or once the basis spans R^n.  With `fractions`, row k of `vector` holds
+    (for l_k = 0 this is Saad's 1992 estimate), over max(1, ||column||), the
+    scale Leja's estimate has; ||column|| = ||v|| ||phi_{l_k}(c dt H_m) e1||
+    because the basis is orthonormal.  It is 0 at a happy breakdown or once
+    the basis spans R^n.  With `fractions`, row k of `vector` holds
     order l_k at fraction fractions[k], where `l` is one order or a tuple of
     one per fraction; without, the one column is c = 1 and `vector` is 1-D.
     phi._drive_columns applies the stop rule.  An input whose norm is not
@@ -99,7 +100,7 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
         if breakdown or m == n:
             return [0.0] * len(live)
         return [beta * hess[m, m - 1] * abs(rows[steps[k]][max(orders[k], 1)][m - 1]) * steps[k]
-                for k in live]
+                / max(1.0, beta * np.linalg.norm(coefs[k])) for k in live]
 
     def vectors():
         out = np.array([beta * (basis[:c.size].T @ c) for c in coefs])

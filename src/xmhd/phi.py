@@ -14,10 +14,23 @@ import numpy as np
 #: highest phi order used by any scheme in the package
 MAX_ORDER = 4
 
-# Degree-30 truncated Taylor series of exp() is accurate to machine
-# precision inside a disc of this radius.
-_TAYLOR_DEGREE = 30
-_TAYLOR_RADIUS = 3.5
+# Diagonal Pade approximants of exp() (Higham 2005, Table 2.3): each entry
+# is theta_m, the largest 1-norm at which the [m/m] approximant is accurate
+# to double precision, and b_0 .. b_m, the coefficients of its numerator
+# sum_j b_j A^j (its denominator is the same sum at -A), for m = 3, 5, 7, 9
+# and 13.
+_PADE = (
+    (1.495585217958292e-2, (120., 60., 12., 1.)),
+    (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200., 25200., 1512., 56.,
+                            1.)),
+    (2.097847961257068e0, (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+                           2162160., 110880., 3960., 90., 1.)),
+    (5.371920351148152e0, (64764752532480000., 32382376266240000., 7771770303897600.,
+                           1187353796428800., 129060195264000., 10559470521600.,
+                           670442572800., 33522128640., 1323241920., 40840800., 960960.,
+                           16380., 182., 1.)),
+)
 
 # Below this |z| the downward recursion from exp(z) cancels catastrophically;
 # switch to the direct series sum_k z^k / (k+l)!.
@@ -67,9 +80,10 @@ def _drive_columns(extend, vectors, count, tol, cap):
     column alone returns.  An escape fails every unfinished column (estimate
     inf), its matvec counted; after `cap` matvecs the unfinished columns
     fail as they stand.  Failure is reported, not raised: the caller rejects
-    the step and retries with a smaller dt.
+    the step and retries with a smaller dt.  A tol that is not > 0, NaN
+    included, raises ValueError before the first matvec.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     estimate = np.full(count, np.inf)
     live = list(range(count))
@@ -121,17 +135,34 @@ def phi_scalar(l, z):
     return val
 
 
-def _expm_taylor(a):
-    """exp(a) by scaling and squaring of a truncated Taylor expansion."""
+def _expm(a):
+    """exp(a) by scaling and squaring of a diagonal Pade approximant (Higham 2005).
+
+    The degree is the lowest m in 3, 5, 7, 9, 13 whose theta_m bounds the
+    1-norm of a; above theta_13, a is scaled by 2^-s into that bound and the
+    degree-13 result squared s times.  A matrix with an entry that is not
+    finite raises FloatingPointError, an ArithmeticError, as an overflowed
+    matvec does.
+    """
     norm = np.linalg.norm(a, 1)
-    s = int(math.ceil(math.log2(max(1.0, norm / _TAYLOR_RADIUS))))
-    b = a / (2.0 ** s)
-    m = a.shape[0]
-    f = np.eye(m)
-    for k in range(_TAYLOR_DEGREE, 0, -1):
-        f = b @ f
-        f /= k
-        f.reshape(-1)[::m + 1] += 1.0    # f = I + (b @ f) / k
+    if not np.isfinite(norm):
+        raise FloatingPointError("exponential of a matrix with an entry that is not finite")
+    s = 0
+    for theta, b in _PADE:
+        if norm <= theta:
+            break
+    else:
+        s = int(math.ceil(math.log2(norm / theta)))
+        a = a / 2.0 ** s
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    # even powers I, A^2, .., A^(m-1): U = A sum b_odd A^2j, V = sum b_even A^2j
+    powers = [ident, a2]
+    while len(powers) < len(b) // 2:
+        powers.append(powers[-1] @ a2)
+    u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+    v = sum(c * p for c, p in zip(b[0::2], powers))
+    f = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         f = f @ f
     return f
@@ -155,14 +186,14 @@ def phi_dense(l, a):
         raise ValueError("phi_dense requires a square matrix")
     n = a.shape[0]
     if l == 0:
-        return _expm_taylor(a)
+        return _expm(a)
     dim = n * (l + 1)
     m = np.zeros((dim, dim))
     m[:n, :n] = a
     eye = np.eye(n)
     for k in range(l):
         m[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = eye
-    return _expm_taylor(m)[:n, l * n:]
+    return _expm(m)[:n, l * n:]
 
 
 def _phi_divided_diffs(nodes, subdiag=1.0):

@@ -39,10 +39,12 @@ def test_rejects_zero_vector():
         apply_phi_krylov(1, lambda w: w, np.zeros(4), 1.0, 1e-8)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
 def test_rejects_non_positive_tolerance(tol):
+    calls = []
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        apply_phi_krylov(1, lambda w: -w, np.ones(4), 1.0, tol)
+        apply_phi_krylov(1, lambda w: calls.append(None) or -w, np.ones(4), 1.0, tol)
+    assert calls == []
 
 
 @pytest.mark.parametrize("l", [0, 1, 3, 4])
@@ -141,13 +143,13 @@ def test_one_exponential_per_fraction_per_step(monkeypatch, orders, fractions, p
     # step; a tolerance no column meets runs every column to m = n
     import xmhd.krylov
     calls = [0]
-    original = xmhd.krylov._expm_taylor
+    original = xmhd.krylov._expm
 
     def counted(a):
         calls[0] += 1
         return original(a)
 
-    monkeypatch.setattr(xmhd.krylov, "_expm_taylor", counted)
+    monkeypatch.setattr(xmhd.krylov, "_expm", counted)
     rng = np.random.default_rng(248)
     a = random_negative_spectrum(rng, 8)
     res = apply_phi_krylov(orders, lambda w: a @ w, rng.standard_normal(8), 1.0, 1e-300,

@@ -87,10 +87,13 @@ def test_shift_and_scale():
         shift_and_scale(-1.0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
 def test_rejects_non_positive_tolerance(tol):
+    calls = []
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        apply_phi_leja(1, lambda w: -w, np.ones(3), 1.0, shift_and_scale(1.0), tol)
+        apply_phi_leja(1, lambda w: calls.append(None) or -w, np.ones(3), 1.0,
+                       shift_and_scale(1.0), tol)
+    assert calls == []
 
 
 def test_zero_operator_short_circuits():

@@ -3,11 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
-from xmhd.krylov import apply_phi_krylov
+from xmhd.krylov import _phi_rows, apply_phi_krylov
 from xmhd.leja import apply_phi_leja, leja_points, shift_and_scale
-from xmhd.phi import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, MAX_ORDER, _drive_columns,
-                      _expm_taylor, _phi_divided_diffs, phi_dense, phi_scalar)
+from xmhd.phi import (_PADE, MAX_ORDER, _drive_columns, _expm, _phi_divided_diffs, phi_dense,
+                      phi_scalar)
 from tests._problems import random_negative_spectrum
 
 
@@ -82,21 +83,64 @@ def test_phi_dense_commutes_with_argument():
         assert comm <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(f)
 
 
-def test_expm_taylor_matches_identity_building_reference():
-    # the Horner loop adds 1 to the diagonal in place; the reference builds
-    # a fresh identity per term and must give the same values
+def _random_at_norm(rng, m, norm):
+    a = rng.standard_normal((m, m))
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+def _expm_cases():
+    """(id, matrix): the zero matrix; 1-norms just below and just above each
+    Pade theta (above theta_13 the result is squared); a non-normal
+    Jordan-type block."""
     rng = np.random.default_rng(5)
-    for m in (1, 2, 7, 40):
-        for scale in (0.01, 1.0, 30.0, 400.0):
-            a = scale * rng.standard_normal((m, m)) / np.sqrt(m)
-            s = int(math.ceil(math.log2(max(1.0, np.linalg.norm(a, 1) / _TAYLOR_RADIUS))))
-            b = a / (2.0 ** s)
-            f = np.eye(m)
-            for k in range(_TAYLOR_DEGREE, 0, -1):
-                f = np.eye(m) + (b @ f) / k
-            for _ in range(s):
-                f = f @ f
-            assert np.array_equal(_expm_taylor(a), f)
+    cases = [("zero", np.zeros((4, 4)))]
+    for degree, (theta, _) in zip((3, 5, 7, 9, 13), _PADE):
+        for side, factor in (("below", 1 - 1e-6), ("above", 1 + 1e-6)):
+            cases.append((f"theta{degree}-{side}", _random_at_norm(rng, 7, factor * theta)))
+    cases.append(("theta13-x40", _random_at_norm(rng, 7, 40 * _PADE[-1][0])))
+    cases.append(("jordan", -2.0 * np.eye(8) + 30.0 * np.eye(8, k=1)))
+    return cases
+
+
+@pytest.mark.parametrize("a", [a for _, a in _expm_cases()], ids=[i for i, _ in _expm_cases()])
+def test_expm_matches_scipy(a):
+    expect = scipy.linalg.expm(a)
+    assert np.linalg.norm(_expm(a) - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_expm_matches_scipy_on_the_augmented_block_of_phi_rows(monkeypatch):
+    # the block _phi_rows exponentiates: a Hessenberg matrix whose 1-norm
+    # makes the squaring run, bordered by e1 and a shift chain
+    import xmhd.krylov
+    blocks = []
+    monkeypatch.setattr(xmhd.krylov, "_expm", lambda a: blocks.append(a.copy()) or _expm(a))
+    h = np.triu(_random_at_norm(np.random.default_rng(6), 12, 30.0), -1)
+    _phi_rows(h)
+    (aug,) = blocks
+    assert aug.shape == (12 + MAX_ORDER,) * 2 and np.array_equal(aug[:12, :12], h)
+    expect = scipy.linalg.expm(aug)
+    assert np.linalg.norm(_expm(aug) - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("l", range(MAX_ORDER + 1))
+def test_phi_dense_matches_scipy_block_exponential(l):
+    # phi_l(A) is the top-right block of exp of [[A, I, 0..], [0, 0, I..], ..]
+    rng = np.random.default_rng(70 + l)
+    n = 9
+    a = _random_at_norm(rng, n, 12.0)
+    block = np.zeros((n * (l + 1), n * (l + 1)))
+    block[:n, :n] = a
+    block[:-n, n:] += np.eye(n * l)
+    expect = scipy.linalg.expm(block)[:n, l * n:]
+    assert np.linalg.norm(phi_dense(l, a) - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_of_a_matrix_that_is_not_finite_raises_an_arithmetic_error(bad):
+    a = np.eye(5)
+    a[2, 3] = bad
+    with pytest.raises(FloatingPointError):
+        _expm(a)
 
 
 def test_phi_divided_diffs_single_node():
@@ -237,7 +281,7 @@ def test_driver_cap_fails_the_remaining_columns_where_they_stand():
     assert res.residual == 0.3
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
 def test_driver_rejects_non_positive_tolerance_before_any_matvec(tol):
     chain = ScriptedChain([[0.0]])
     with pytest.raises(ValueError, match="tolerance must be positive"):
@@ -295,3 +339,50 @@ def test_an_input_whose_norm_overflows_fails_the_action_without_raising(engine, 
     assert res.iterations == 0 == len(calls)
     assert res.residual == np.inf
     assert res.vector.shape == v.shape
+
+
+@pytest.mark.parametrize("policy", [True, False], ids=["fp_policy", "no-policy"])
+def test_a_krylov_basis_that_turns_nan_ends_the_chain_as_an_escape(policy):
+    # a matvec that returns NaN (no arithmetic fault raised) leaves NaN in the
+    # Hessenberg matrix; its exponential raises an ArithmeticError, which
+    # _drive_columns turns into an escape, not a LinAlgError or a ValueError
+    from contextlib import nullcontext
+
+    from xmhd.integrators import fp_policy
+
+    rng = np.random.default_rng(61)
+    a = random_negative_spectrum(rng, 20, lo=-10.0)
+    calls = []
+
+    def matvec(w):
+        calls.append(None)
+        return np.full_like(w, np.nan) if len(calls) == 3 else a @ w
+
+    with fp_policy() if policy else nullcontext():
+        res = apply_phi_krylov((1, 3), matvec, rng.standard_normal(20), 0.5, 1e-12,
+                               fractions=(0.5, 1.0))
+    assert not res.converged
+    assert res.iterations == 3 == len(calls)
+    assert res.residual == np.inf
+
+
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_the_stop_rule_ignores_the_scale_of_the_input(engine):
+    # both estimates are relative to max(1, ||column||): s v takes the
+    # iterations v takes, and returns s times its result to roundoff
+    rng = np.random.default_rng(62)
+    a = random_negative_spectrum(rng, 48)
+    v = rng.standard_normal(48)
+
+    def action(u):
+        if engine == "leja":
+            return apply_phi_leja(1, lambda w: a @ w, u, 1.0, shift_and_scale(20.0), 1e-10)
+        return apply_phi_krylov(1, lambda w: a @ w, u, 1.0, 1e-10)
+
+    base = action(v)
+    assert base.converged and np.linalg.norm(base.vector) > 1.0
+    for scale in (1e2, 1e4, 1e6):
+        res = action(scale * v)
+        assert res.converged and res.iterations == base.iterations
+        assert np.linalg.norm(res.vector - scale * base.vector) <= \
+            1e-13 * np.linalg.norm(scale * base.vector)
