@@ -15,11 +15,11 @@ f(new state), which the step hands over for the next step's linearization.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from xmhd.leja import NewtonTable, apply_phi_leja, shift_and_scale
+from xmhd.leja import apply_phi_leja, shift_and_scale
 from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import jvp
 from xmhd.phi import _column_orders
@@ -105,9 +105,11 @@ class _PhiBroker:
     raises _PhiFailure, so no stage is built from it.  The zero vector gives
     zeros without an engine, and on Leja so does a zero spectrum (v / l!
     per column; on Krylov a zero Jacobian ends in a happy breakdown at
-    v / l!).  Leja chains run on the interval of fraction 1, each column
-    reading the NewtonTable of its fraction, which the broker keeps for
-    every order applied at that c.
+    v / l!).  Both engines take the same request: the orders, the stage
+    fractions and the vector.  Every Leja chain of the attempt runs on one
+    interval, shift_and_scale(alpha dt), which keeps the Newton table of
+    each fraction its chains ask for, so the attempt builds one table per
+    distinct fraction and the next attempt starts afresh.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -118,12 +120,10 @@ class _PhiBroker:
         self.method = method
         self.applications = 0
         self.iterations = 0
-        self._tables = {}
 
-    def _table(self, c):
-        if c not in self._tables:
-            self._tables[c] = NewtonTable(shift_and_scale(self.alpha * (c * self.dt)))
-        return self._tables[c]
+    @cached_property
+    def _interval(self):
+        return shift_and_scale(self.alpha * self.dt)
 
     def apply(self, l, fractions, vec):
         """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
@@ -135,8 +135,8 @@ class _PhiBroker:
             if self.alpha < 1e-14:
                 return tuple(vec / math.factorial(lk)
                              for lk in _column_orders(l, len(fractions)))
-            res = apply_phi_leja(l, self._matvec, vec, self.dt, self._table(1.0).shift,
-                                 self.tol, tables=[self._table(c) for c in fractions])
+            res = apply_phi_leja(l, self._matvec, vec, self.dt, self._interval, self.tol,
+                                 fractions=fractions)
         else:
             res = apply_phi_krylov(l, self._matvec, vec, self.dt, self.tol, fractions=fractions)
         self.iterations += res.iterations

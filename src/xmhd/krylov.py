@@ -54,10 +54,13 @@ def arnoldi_step(basis, hess, j, w):
     return breakdown
 
 
-def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
-    """Approximate phi_l(c J dt) v by Arnoldi projection, for one or several
-    (order, fraction) columns of one vector, on one basis.
+def apply_phi_krylov(l, matvec, v, dt, tol, fractions=(1.0,)):
+    """Approximate phi_l(c J dt) v by Arnoldi projection for each (order l,
+    fraction c) column of one vector, on one basis.
 
+    Row k of `vector` approximates phi_{l_k}(c_k J dt) v with
+    c_k = fractions[k], where `l` is one order or a tuple of one per
+    fraction; `vector` is (columns, n) however many columns there are.
     The chain grows the basis from v/||v|| by one arnoldi_step per matvec,
     to at most min(M_DEFAULT, n) vectors; after each, one exponential per
     live fraction c gives phi_l(c dt H_m) e1 of every order.  A column's
@@ -66,18 +69,17 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
     (for l_k = 0 this is Saad's 1992 estimate), over max(1, ||column||), the
     scale Leja's estimate has; ||column|| = ||v|| ||phi_{l_k}(c dt H_m) e1||
     because the basis is orthonormal.  It is 0 at a happy breakdown or once
-    the basis spans R^n.  With `fractions`, row k of `vector` holds
-    order l_k at fraction fractions[k], where `l` is one order or a tuple of
-    one per fraction; without, the one column is c = 1 and `vector` is 1-D.
-    phi._drive_columns applies the stop rule.  An input whose norm is not
-    finite fails the action before its first matvec.
+    the basis spans R^n.  A matvec that overflows, or a projected matrix
+    that is not finite (_expm raises FloatingPointError), is the chain's
+    escape.  phi._drive_columns applies the stop rule.  An input whose norm
+    is not finite fails the action before its first matvec.
     """
-    steps = [dt] if fractions is None else [c * dt for c in fractions]
+    steps = [c * dt for c in fractions]
     orders = _column_orders(l, len(steps))
     v = np.asarray(v, dtype=float)
     beta = _input_norm(v)
     if not np.isfinite(beta):
-        return _failed_input(len(steps), v.size, fractions is None, tol)
+        return _failed_input(len(steps), v.size, tol)
     if beta == 0:
         raise ValueError("cannot build a Krylov space from the zero vector")
     n = v.size
@@ -103,7 +105,6 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=None):
                 / max(1.0, beta * np.linalg.norm(coefs[k])) for k in live]
 
     def vectors():
-        out = np.array([beta * (basis[:c.size].T @ c) for c in coefs])
-        return out[0] if fractions is None else out
+        return np.array([beta * (basis[:c.size].T @ c) for c in coefs])
 
     return _drive_columns(extend, vectors, len(steps), tol, m_max)

@@ -1,14 +1,15 @@
 """Real Leja points on [-2, 2] and phi-function actions by Newton interpolation.
 
 The interpolation uses only matrix-vector products with the (scaled, shifted)
-operator.  Its Newton coefficients come from a NewtonTable: one pass of the
-stable bidiagonal route in :mod:`xmhd.phi` gives the divided differences of
-every phi order on the transplanted node sequence, so all actions on one
-interval share one table (Caliari, Kandolf, Ostermann & Rainer 2016).  Every
-interval is [-alpha c dt, 0] = [-4 theta, 0], so the normalised operator
-4 J / alpha + 2 depends only on alpha: one chain of matvecs serves every
-(order, fraction) column of a vector, each reading its row of its own
-table.  The caller owns the tables; the module keeps no coefficient cache.
+operator.  An action takes a ShiftScale, the interval [-alpha dt, 0] =
+[-4 theta, 0], and its (order, stage fraction) columns, as the Krylov
+engine takes its columns, and returns one row per column.  The operator
+X = dt J / theta + 2 = 4 J / alpha + 2 depends only on alpha, so one chain
+of matvecs serves every column of a vector: the column of fraction c reads
+its order's row of the interval's Newton table of c, one pass of the
+bidiagonal route in :mod:`xmhd.phi` (Caliari, Kandolf, Ostermann & Rainer
+2016).  The interval builds a table when first asked and keeps it; the
+module keeps no coefficient cache.
 
 The interpolation is accurate only while the interval stays short: past
 alpha dt of about 20 a chain's largest Newton term outgrows its column by
@@ -18,12 +19,9 @@ estimate of a step does not see it.  The run loop therefore keeps alpha dt
 of every chain at most LEJA_REACH.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _failed_input, _input_norm, \
-    _phi_divided_diffs
+from xmhd.phi import _column_orders, _drive_columns, _failed_input, _input_norm, _phi_divided_diffs
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
@@ -80,10 +78,31 @@ def leja_points(count=LEJA_MAX):
     return _sequence_cache[:count]
 
 
-@dataclass(frozen=True)
 class ShiftScale:
-    """Affine map xi -> theta (xi - 2) of [-2, 2] onto the interval [-4 theta, 0]."""
-    theta: float
+    """Affine map xi -> theta (xi - 2) of [-2, 2] onto the interval
+    [-4 theta, 0], and the Newton tables of the stage fractions asked of it.
+
+    The table of fraction c holds the Newton coefficients of
+    xi -> phi_l(c theta (xi - 2)) at the Leja points for every order
+    l = 0..MAX_ORDER.  It starts at 64 terms and is rebuilt at the next size
+    of 64 -> 128 -> 256 -> LEJA_MAX when an interpolation runs past its end.
+    Every action on the interval shares its tables; the phi broker builds
+    one interval per step attempt.
+    """
+
+    def __init__(self, theta):
+        self.theta = theta
+        self._tables = {}
+
+    def coeffs(self, c, l, count=1):
+        """Row l of the table of fraction c, holding at least `count` coefficients."""
+        rows = self._tables.get(c)
+        if rows is None or count > rows.shape[1]:
+            xi = leja_points(_table_size(count))
+            theta = c * self.theta
+            rows = self._tables[c] = _phi_divided_diffs(-2.0 * theta + theta * xi,
+                                                        subdiag=theta)
+        return rows[l]
 
 
 def shift_and_scale(alpha):
@@ -98,62 +117,38 @@ def shift_and_scale(alpha):
     return ShiftScale(theta=0.25 * alpha)
 
 
-class NewtonTable:
-    """Newton coefficients of xi -> phi_l(theta (xi - 2)) at the Leja points.
+def apply_phi_leja(l, matvec, v, dt, shift, tol, fractions=(1.0,)):
+    """Approximate phi_l(c J dt) v for each (order l, fraction c) column
+    from one chain of matvecs; J is available only through `matvec`.
 
-    One table serves every order l = 0..MAX_ORDER of one interval: a single
-    divided-difference pass yields all rows.  It starts at 64 terms and is
-    rebuilt at the next size of 64 -> 128 -> 256 -> LEJA_MAX when an
-    interpolation runs past its end.  A table belongs to its caller (the
-    phi broker keeps one per step attempt and stage fraction); nothing is
-    cached at module level.
-    """
-
-    def __init__(self, shift):
-        self.shift = shift
-        self._rows = np.empty((MAX_ORDER + 1, 0))
-
-    def coeffs(self, l, count=1):
-        """Row l of the table, holding at least `count` coefficients."""
-        if count > self._rows.shape[1]:
-            xi = leja_points(_table_size(count))
-            theta = self.shift.theta
-            self._rows = _phi_divided_diffs(-2.0 * theta + theta * xi, subdiag=theta)
-        return self._rows[l]
-
-
-def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
-    """Approximate phi_l(c J dt) v for one or several (order l, fraction c)
-    columns from one chain of matvecs; J is available only through `matvec`.
-
+    Row k of `vector` approximates phi_{l_k}(c_k J dt) v with
+    c_k = fractions[k], where `l` is one order or a tuple of one per
+    fraction; `vector` is (columns, n) however many columns there are.
     The chain builds the Newton basis y_m of X = dt J / theta + 2 on
-    `shift`'s interval [-4 theta, 0], one matvec per term, and each column
-    adds c_m y_m with c_m from row l of its own NewtonTable; the table of
-    shift_and_scale(alpha c dt) interpolates phi_l(c J dt) on X.  With
-    `tables`, row k of `vector` approximates phi_{l_k}(c_k J dt) v with
-    c_k = tables[k].shift.theta / shift.theta, and `l` is one order or a
-    tuple of one per table; without, the one column is phi_l(J dt) v on a
-    fresh table of `shift` and `vector` is 1-D.
+    `shift`'s interval [-4 theta, 0] = [-alpha dt, 0], one matvec per term,
+    and each column adds c_m y_m with c_m from row l_k of the interval's
+    table of fraction c_k, which interpolates phi_l(c theta (X - 2)) =
+    phi_l(c J dt).
 
     A column's error estimate is the larger of its last two terms
-    |c_m| ||y_m|| / max(1, ||column||).  The basis escapes when ||y_m|| is
-    not finite or exceeds 1e120 max(1, ||v||), which happens only when the
-    spectrum left the interval.  The chain makes at most LEJA_MAX - 1
-    matvecs; phi._drive_columns applies the stop rule.  An input whose norm
-    is not finite fails the action before its first matvec.
+    |c_m| ||y_m|| / max(1, ||column||).  The basis escapes, raising
+    FloatingPointError into phi._drive_columns as a Krylov chain does, when
+    ||y_m|| is not finite or exceeds 1e120 max(1, ||v||), which happens
+    only when the spectrum left the interval.  The chain makes at most
+    LEJA_MAX - 1 matvecs; phi._drive_columns applies the stop rule.  An
+    input whose norm is not finite fails the action before its first matvec.
     """
-    columns = (NewtonTable(shift),) if tables is None else tuple(tables)
-    orders = _column_orders(l, len(columns))
+    orders = _column_orders(l, len(fractions))
     theta = shift.theta
-    coeffs = [table.coeffs(o) for table, o in zip(columns, orders)]
+    coeffs = [shift.coeffs(c, o) for c, o in zip(fractions, orders)]
     y = np.array(v, dtype=float, copy=True)
     norm_v = _input_norm(y)
     if not np.isfinite(norm_v):
-        return _failed_input(len(columns), y.size, tables is None, tol)
+        return _failed_input(len(fractions), y.size, tol)
     blowup = 1e120 * max(1.0, norm_v)
     out = np.array([y * c[0] for c in coeffs])
     buf = np.empty_like(y)
-    last = np.full(len(columns), np.inf)
+    last = np.full(len(fractions), np.inf)
 
     def extend(m, live):
         # y <- dt w / theta + (2 - xi_{m-1}) y, without temporaries; w is
@@ -165,11 +160,11 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
             # an escaping basis may overflow the squared norm: inf is caught below
             norm_y = np.linalg.norm(y)
         if not np.isfinite(norm_y) or norm_y > blowup:
-            return None
+            raise FloatingPointError("the Newton basis escaped: the spectrum left the interval")
         estimates = []
         for k in live:
             if m >= coeffs[k].size:
-                coeffs[k] = columns[k].coeffs(orders[k], m + 1)
+                coeffs[k] = shift.coeffs(fractions[k], orders[k], m + 1)
             np.multiply(y, coeffs[k][m], out=buf)
             out[k] += buf
             term = abs(coeffs[k][m]) * norm_y / max(1.0, np.linalg.norm(out[k]))
@@ -177,5 +172,4 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
             last[k] = term
         return estimates
 
-    return _drive_columns(extend, lambda: out[0] if tables is None else out,
-                          len(columns), tol, LEJA_MAX - 1)
+    return _drive_columns(extend, lambda: out, len(fractions), tol, LEJA_MAX - 1)

@@ -56,7 +56,7 @@ def _column_orders(l, count):
 class PhiApplyResult:
     """Outcome of one iterative phi-function action.
 
-    `vector` has one row per output column, or is 1-D for a one-column call;
+    `vector` has one row per output column, (columns, n) even for one;
     `converged` holds when every column converged, and `residual` is the
     largest of the columns' last error estimates, the values the stop rule
     of _drive_columns compared with tol (inf for a column an escape failed).
@@ -73,9 +73,10 @@ def _drive_columns(extend, vectors, count, tol, cap):
     result's `vector` once the chain has ended.
 
     `extend(m, live)` makes the m-th matvec, updates the columns indexed by
-    `live` and returns their error estimates in that order, or None when the
-    basis escaped, as it has when it raises ArithmeticError (a matvec that
-    overflowed).  A column stops at its first estimate <= tol, frozen: it is
+    `live` and returns their error estimates in that order; it raises an
+    ArithmeticError when the basis escaped (a Leja basis that outgrew its
+    bound, a matvec that overflowed, a projected matrix that is not finite).
+    A column stops at its first estimate <= tol, frozen: it is
     never passed to `extend` again, so it equals what an action of that
     column alone returns.  An escape fails every unfinished column (estimate
     inf), its matvec counted; after `cap` matvecs the unfinished columns
@@ -91,13 +92,10 @@ def _drive_columns(extend, vectors, count, tol, cap):
     while live and matvecs < cap:
         matvecs += 1
         try:
-            found = extend(matvecs, live)
+            estimate[live] = extend(matvecs, live)
         except ArithmeticError:
-            found = None
-        if found is None:
             estimate[live] = np.inf
             break
-        estimate[live] = found
         live = [k for k in live if not estimate[k] <= tol]
     return PhiApplyResult(vector=vectors(), iterations=matvecs, converged=not live,
                           residual=float(estimate.max()))
@@ -109,12 +107,12 @@ def _input_norm(v):
         return np.linalg.norm(v)
 
 
-def _failed_input(count, n, one_column, tol):
+def _failed_input(count, n, tol):
     """The outcome of an action whose input norm is not finite (it overflowed,
     or the input holds inf or NaN): _drive_columns with a cap of 0 fails
     every column before the first matvec, each NaN with estimate inf."""
     vector = np.full((count, n), np.nan)
-    return _drive_columns(None, lambda: vector[0] if one_column else vector, count, tol, 0)
+    return _drive_columns(None, lambda: vector, count, tol, 0)
 
 
 def phi_scalar(l, z):

@@ -53,8 +53,8 @@ def test_criterion_1_phi_oracle_equivalence():
                                shift_and_scale(20.0 * 1.25), tol)
         res_k = apply_phi_krylov(l, lambda w: a @ w, v, 1.0, tol)
         assert res_l.converged and res_k.converged
-        err_l = np.linalg.norm(res_l.vector - exact) / scale
-        err_k = np.linalg.norm(res_k.vector - exact) / scale
+        err_l = np.linalg.norm(res_l.vector[0] - exact) / scale
+        err_k = np.linalg.norm(res_k.vector[0] - exact) / scale
         assert err_l <= 1e-8 and err_k <= 1e-8, (trial, l, err_l, err_k)
         worst = max(worst, err_l, err_k)
     report(1, f"Leja and Krylov match phi_dense to 1e-8 over 50 matrices, "

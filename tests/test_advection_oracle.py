@@ -47,16 +47,16 @@ def engine_errors(a, l, alpha_dt, tols, seeds):
     """{(engine, tol, seed): (converged, relative error)} of phi_l(dt a) v, v ~ N(0, I)."""
     dt = step_for(a, alpha_dt)
     phi = phi_expm(l, dt * a)
-    shift = shift_and_scale(alpha_dt)
     found = {}
     for tol in tols:
         for seed in seeds:
             v = np.random.default_rng(seed).standard_normal(N)
             exact = phi @ v
             for engine, res in (
-                    ("leja", apply_phi_leja(l, lambda w: a @ w, v, dt, shift, tol)),
+                    ("leja", apply_phi_leja(l, lambda w: a @ w, v, dt, shift_and_scale(alpha_dt),
+                                            tol)),
                     ("krylov", apply_phi_krylov(l, lambda w: a @ w, v, dt, tol))):
-                err = np.linalg.norm(res.vector - exact) / np.linalg.norm(exact)
+                err = np.linalg.norm(res.vector[0] - exact) / np.linalg.norm(exact)
                 found[engine, tol, seed] = (res.converged, err)
     return found
 
@@ -75,7 +75,8 @@ def test_phi_dense_matches_expm(nu, alpha_dt):
 @pytest.mark.parametrize("nu", [0.0, 0.002, 0.02])
 @pytest.mark.parametrize("alpha_dt", [2.0, 10.0])
 def test_engines_meet_tolerance(nu, alpha_dt):
-    # measured worst: 0.63 tol for Leja, 0.29 tol for Krylov
+    # measured worst: 0.63 tol for Leja (l = 4, nu = 0, alpha dt = 10), 0.87 tol
+    # for Krylov (l = 0, nu = 0, alpha dt = 10)
     a = advection_diffusion(nu)
     for l in range(5):
         for (engine, tol, seed), (converged, err) in engine_errors(

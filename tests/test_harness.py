@@ -645,9 +645,9 @@ def test_lenient_leja_runs_finish_within_reach(monkeypatch, scheme, tol):
     import xmhd.integrators
     real, reach, iterations = xmhd.integrators.apply_phi_leja, [], []
 
-    def apply_phi_leja(l, matvec, v, dt, shift, tol, tables=None):
+    def apply_phi_leja(l, matvec, v, dt, shift, tol, fractions=(1.0,)):
         reach.append(4.0 * shift.theta)
-        res = real(l, matvec, v, dt, shift, tol, tables=tables)
+        res = real(l, matvec, v, dt, shift, tol, fractions=fractions)
         iterations.append(res.iterations)
         return res
 

@@ -391,9 +391,18 @@ def test_exprb43_embedded_difference_slope():
     assert abs(slope - 4.0) <= 0.4
 
 
-def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch):
-    # seven (order, fraction) columns at c = 1/2 and c = 1 share two tables
-    # per attempt, and the next attempt starts afresh
+_TABLES_PER_ATTEMPT = [(Scheme.EXPRB43, 2, 7), (Scheme.EXPRB54S4, 4, 12),
+                       (Scheme.EPIRK5P1, 6, 8)]
+
+
+@pytest.mark.parametrize("scheme,tables,applications", _TABLES_PER_ATTEMPT,
+                         ids=[str(scheme) for scheme, *_ in _TABLES_PER_ATTEMPT])
+def test_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch, scheme, tables,
+                                                             applications):
+    # the (order, fraction) columns of an attempt share one table per
+    # distinct fraction: c = 1/2, 1 on EXPRB43; 1/4, 1/2, 9/10, 1 on
+    # EXPRB54S4; six gammas on EPIRK5P1, whose 1/2 and 1 serve two columns
+    # each.  The next attempt starts afresh
     import xmhd.leja
     builds = []
     original = xmhd.leja._phi_divided_diffs
@@ -406,9 +415,9 @@ def test_exprb43_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch)
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
     u = np.array([0.5, 0.8, 1.1])
     for attempt in (1, 2):
-        res = step(Scheme.EXPRB43, FrozenLinearization(op, u), 0.05, alpha=2.0, tol=1e-10)
-        assert res.converged and res.phi_applications == 7
-        assert len(builds) == 2 * attempt
+        res = step(scheme, FrozenLinearization(op, u), 0.05, alpha=2.0, tol=1e-10)
+        assert res.converged and res.phi_applications == applications
+        assert len(builds) == tables * attempt
 
 
 _CHAINS_PER_STEP = [(Scheme.EXPRB43, 3, 7), (Scheme.EXPRB54S4, 4, 12),

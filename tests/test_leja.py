@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from xmhd.leja import (LEJA_MAX, NewtonTable, apply_phi_leja, leja_points,
-                       shift_and_scale)
+from xmhd.leja import LEJA_MAX, apply_phi_leja, leja_points, shift_and_scale
 from xmhd.phi import PhiApplyResult, phi_dense, phi_scalar
 from tests._problems import random_negative_spectrum
 
@@ -101,7 +100,7 @@ def test_zero_operator_short_circuits():
     res = apply_phi_leja(1, lambda w: 0.0 * w, v, 1.0, shift_and_scale(1.0), 1e-10)
     assert res.converged
     assert res.iterations <= 5
-    assert np.allclose(res.vector, v, atol=1e-12)
+    assert np.allclose(res.vector[0], v, atol=1e-12)
 
 
 def test_diagonal_example():
@@ -110,7 +109,7 @@ def test_diagonal_example():
                          shift_and_scale(10.0), 1e-10)
     assert res.converged
     expect = np.array([phi_scalar(1, -0.1), phi_scalar(1, -1.0)])
-    assert np.allclose(res.vector, expect, rtol=1e-9)
+    assert np.allclose(res.vector[0], expect, rtol=1e-9)
 
 
 def test_underestimated_spectrum_does_not_converge():
@@ -131,7 +130,7 @@ def test_oracle_equivalence_random_matrices(l):
         res = apply_phi_leja(l, lambda w: a @ w, v, 1.0,
                              shift_and_scale(20.0 * 1.25), 1e-10)
         assert res.converged
-        err = np.linalg.norm(res.vector - exact) / np.linalg.norm(exact)
+        err = np.linalg.norm(res.vector[0] - exact) / np.linalg.norm(exact)
         assert err <= 1e-8
 
 
@@ -144,9 +143,9 @@ def test_linearity():
     rv = apply_phi_leja(1, lambda u: a @ u, v, 1.0, shift, tol)
     rw = apply_phi_leja(1, lambda u: a @ u, w, 1.0, shift, tol)
     rc = apply_phi_leja(1, lambda u: a @ u, 2.0 * v - 3.0 * w, 1.0, shift, tol)
-    combo = 2.0 * rv.vector - 3.0 * rw.vector
-    scale = np.linalg.norm(rc.vector)
-    assert np.linalg.norm(rc.vector - combo) <= 100 * tol * max(1.0, scale)
+    combo = 2.0 * rv.vector[0] - 3.0 * rw.vector[0]
+    scale = np.linalg.norm(rc.vector[0])
+    assert np.linalg.norm(rc.vector[0] - combo) <= 100 * tol * max(1.0, scale)
 
 
 def test_monotone_refinement():
@@ -186,19 +185,19 @@ def test_converged_residual_below_tolerance():
 
 
 def test_results_do_not_depend_on_earlier_calls():
-    # A runs on B's interval until its Newton coefficients underflow, well
-    # past 128 terms; a table cached across calls would hand B coefficients
-    # of a different build depending on whether A ran first
+    # A runs on an interval like B's until its Newton coefficients underflow,
+    # well past 128 terms; a table cached at module level would hand B
+    # coefficients of a different build depending on whether A ran first.
+    # (each call owns a fresh interval, the one place tables are kept)
     rng = np.random.default_rng(12)
     a = random_negative_spectrum(rng, 32) / 10.0
     v, w = rng.standard_normal(32), rng.standard_normal(32)
-    shift = shift_and_scale(4.0)
 
     def call_a():
-        return apply_phi_leja(1, lambda u: a @ u, v, 1.0, shift, 1e-300)
+        return apply_phi_leja(1, lambda u: a @ u, v, 1.0, shift_and_scale(4.0), 1e-300)
 
     def call_b():
-        return apply_phi_leja(1, lambda u: a @ u, w, 1.0, shift, 1e-8)
+        return apply_phi_leja(1, lambda u: a @ u, w, 1.0, shift_and_scale(4.0), 1e-8)
 
     b_first = call_b()
     a_after_b = call_a()
@@ -209,17 +208,28 @@ def test_results_do_not_depend_on_earlier_calls():
     assert np.array_equal(a_after_b.vector, a_after_a.vector)
 
 
-def test_shared_table_serves_every_order():
-    # one table per interval gives the same action as a fresh one per call
+def test_shared_table_serves_every_order(monkeypatch):
+    # the table an interval keeps for a fraction gives every order the
+    # action a fresh interval gives: the shared interval builds it once,
+    # each fresh interval once more
+    import xmhd.leja
     rng = np.random.default_rng(13)
     a = random_negative_spectrum(rng, 24)
     v = rng.standard_normal(24)
     shift = shift_and_scale(25.0)
-    table = NewtonTable(shift)
+    builds = []
+    original = xmhd.leja._phi_divided_diffs
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs", counted)
     for l in range(5):
-        shared = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10, tables=[table])
-        fresh = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10)
-        assert np.array_equal(shared.vector[0], fresh.vector)
+        shared = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift, 1e-10)
+        fresh = apply_phi_leja(l, lambda u: a @ u, v, 1.0, shift_and_scale(25.0), 1e-10)
+        assert np.array_equal(shared.vector, fresh.vector)
+    assert len(builds) == 1 + 5
 
 
 def test_identity_matvec_may_return_its_argument():
@@ -227,7 +237,7 @@ def test_identity_matvec_may_return_its_argument():
     v = np.array([1.0, -2.0, 0.5])
     res = apply_phi_leja(1, lambda w: w, v, -1.0, shift_and_scale(1.0), 1e-12)
     assert res.converged
-    assert np.allclose(res.vector, phi_scalar(1, -1.0) * v, rtol=1e-10)
+    assert np.allclose(res.vector[0], phi_scalar(1, -1.0) * v, rtol=1e-10)
 
 
 @pytest.mark.parametrize("l", range(5))
@@ -239,14 +249,13 @@ def test_one_chain_serves_every_fraction(l):
     v = rng.standard_normal(32)
     alpha, dt, tol = 80.0, 0.3, 1e-10
     fractions = (0.25, 0.5, 0.9, 1.0)
-    tables = [NewtonTable(shift_and_scale(alpha * (c * dt))) for c in fractions]
     calls = [0]
 
     def counted(w):
         calls[0] += 1
         return a @ w
 
-    res = apply_phi_leja(l, counted, v, dt, tables[-1].shift, tol, tables=tables)
+    res = apply_phi_leja(l, counted, v, dt, shift_and_scale(alpha * dt), tol, fractions=fractions)
     assert res.converged and res.vector.shape == (len(fractions), v.size)
     assert calls[0] == res.iterations
     counts = []
@@ -256,9 +265,9 @@ def test_one_chain_serves_every_fraction(l):
         assert alone.converged
         counts.append(alone.iterations)
         if c == 0.9:
-            assert np.linalg.norm(col - alone.vector) <= 1e-13 * np.linalg.norm(alone.vector)
+            assert np.linalg.norm(col - alone.vector[0]) <= 1e-13 * np.linalg.norm(alone.vector)
         else:
-            assert np.array_equal(col, alone.vector)
+            assert np.array_equal(col, alone.vector[0])
         exact = phi_dense(l, c * dt * a) @ v
         assert np.linalg.norm(col - exact) <= 100 * tol * np.linalg.norm(exact)
     assert res.iterations == max(counts)
@@ -268,13 +277,12 @@ def test_repeated_fractions_share_one_chain():
     rng = np.random.default_rng(45)
     a = random_negative_spectrum(rng, 24)
     v = rng.standard_normal(24)
-    half, full = NewtonTable(shift_and_scale(12.5)), NewtonTable(shift_and_scale(25.0))
-    res = apply_phi_leja(3, lambda w: a @ w, v, 1.0, full.shift, 1e-10,
-                         tables=[half, full, half, NewtonTable(shift_and_scale(12.5))])
+    res = apply_phi_leja(3, lambda w: a @ w, v, 1.0, shift_and_scale(25.0), 1e-10,
+                         fractions=(0.5, 1.0, 0.5, 0.5))
     alone = apply_phi_leja(3, lambda w: a @ w, v, 0.5, shift_and_scale(12.5), 1e-10)
     assert res.converged
     for k in (0, 2, 3):
-        assert np.array_equal(res.vector[k], alone.vector)
+        assert np.array_equal(res.vector[k], alone.vector[0])
 
 
 def test_mixed_order_columns_share_one_chain():
@@ -286,15 +294,13 @@ def test_mixed_order_columns_share_one_chain():
     v = rng.standard_normal(32)
     alpha, dt, tol = 400.0, 0.5, 1e-10
     columns = ((1, 1.0), (3, 0.5), (3, 1.0), (4, 1.0), (0, 0.9))
-    top = shift_and_scale(alpha * dt)
-    shared = {c: NewtonTable(shift_and_scale(alpha * (c * dt))) for _, c in columns}
-    res = apply_phi_leja(tuple(l for l, _ in columns), lambda w: a @ w, v, dt, top, tol,
-                         tables=[shared[c] for _, c in columns])
+    res = apply_phi_leja(tuple(l for l, _ in columns), lambda w: a @ w, v, dt,
+                         shift_and_scale(alpha * dt), tol, fractions=tuple(c for _, c in columns))
     assert res.converged and res.vector.shape == (len(columns), v.size)
     counts = []
     for (l, c), col in zip(columns, res.vector):
-        alone = apply_phi_leja(l, lambda w: a @ w, v, dt, top, tol,
-                               tables=[NewtonTable(shift_and_scale(alpha * (c * dt)))])
+        alone = apply_phi_leja(l, lambda w: a @ w, v, dt, shift_and_scale(alpha * dt), tol,
+                               fractions=(c,))
         counts.append(alone.iterations)
         assert np.array_equal(col, alone.vector[0])
         # the stop test is relative to max(1, ||column||)
@@ -303,24 +309,23 @@ def test_mixed_order_columns_share_one_chain():
     assert res.iterations == max(counts) > 64
 
 
-def test_orders_must_pair_with_tables():
+def test_orders_must_pair_with_fractions():
     a = np.diag([-2.0, -1.0])
     shift = shift_and_scale(4.0)
     with pytest.raises(ValueError, match="3 phi orders for 2"):
         apply_phi_leja((1, 3, 4), lambda w: a @ w, np.ones(2), 1.0, shift, 1e-10,
-                       tables=[NewtonTable(shift), NewtonTable(shift)])
+                       fractions=(0.5, 1.0))
     with pytest.raises(ValueError, match="2 phi orders for 1"):
         apply_phi_leja((1, 3), lambda w: a @ w, np.ones(2), 1.0, shift, 1e-10)
     with pytest.raises(ValueError, match="phi order"):
         apply_phi_leja((1, 5), lambda w: a @ w, np.ones(2), 1.0, shift, 1e-10,
-                       tables=[NewtonTable(shift), NewtonTable(shift)])
+                       fractions=(0.5, 1.0))
 
 
 def test_shared_chain_that_cannot_converge_fails():
     # the spectrum escapes the interval of every fraction
     a = np.diag([-1000.0, -1.0])
-    tables = [NewtonTable(shift_and_scale(c)) for c in (0.5, 1.0)]
-    res = apply_phi_leja(1, lambda w: a @ w, np.ones(2), 1.0, tables[-1].shift, 1e-10,
-                         tables=tables)
+    res = apply_phi_leja(1, lambda w: a @ w, np.ones(2), 1.0, shift_and_scale(1.0), 1e-10,
+                         fractions=(0.5, 1.0))
     assert not res.converged
     assert res.iterations <= LEJA_MAX and res.vector.shape == (2, 2)
