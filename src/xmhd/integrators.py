@@ -102,14 +102,15 @@ class _PhiBroker:
     An action serves every (order l, stage fraction c) column of one vector
     from one engine chain: `applications` counts each column, `iterations`
     each matvec, a failed chain's too; an action that does not converge
-    raises _PhiFailure, so no stage is built from it.  The zero vector gives
-    zeros without an engine, and on Leja so does a zero spectrum (v / l!
-    per column; on Krylov a zero Jacobian ends in a happy breakdown at
-    v / l!).  Both engines take the same request: the orders, the stage
-    fractions and the vector.  Every Leja chain of the attempt runs on one
-    interval, shift_and_scale(alpha dt), which keeps the Newton table of
-    each fraction its chains ask for, so the attempt builds one table per
-    distinct fraction and the next attempt starts afresh.
+    raises _PhiFailure, so no stage is built from it.  Both engines take the
+    same request (the orders, the stage fractions and the vector) and answer
+    the zero vector with zeros and no matvec.  Only the broker sees alpha,
+    so on Leja it answers a zero spectrum itself, v / l! per column (on
+    Krylov a zero Jacobian ends in a happy breakdown at v / l!).  Every
+    Leja chain of the attempt runs on one interval, shift_and_scale(alpha
+    dt), which keeps the Newton table of each fraction its chains ask for,
+    so the attempt builds one table per distinct fraction and the next
+    attempt starts afresh.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -129,8 +130,6 @@ class _PhiBroker:
         """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
         `l` is one order or a tuple of one per fraction."""
         self.applications += len(fractions)
-        if not vec.any():
-            return tuple(np.zeros_like(vec) for _ in fractions)
         if self.method == "leja":
             if self.alpha < 1e-14:
                 return tuple(vec / math.factorial(lk)

@@ -10,7 +10,7 @@ One exponential of the projected matrix augmented by e1 and a shift chain
 
 import numpy as np
 
-from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm, _failed_input, _input_norm
+from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm, _input_norm, _unserved
 
 #: ceiling on the basis size; beyond this the O(m^2) orthogonalization
 #: cost dominates and the step should be rejected instead
@@ -71,18 +71,17 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=(1.0,)):
     because the basis is orthonormal.  It is 0 at a happy breakdown or once
     the basis spans R^n.  A matvec that overflows, or a projected matrix
     that is not finite (_expm raises FloatingPointError), is the chain's
-    escape.  phi._drive_columns applies the stop rule.  An input whose norm
-    is not finite fails the action before its first matvec.
+    escape.  phi._drive_columns applies the stop rule.  phi._unserved
+    answers an input whose norm is 0 or not finite before the basis is
+    allocated, and a request with no column raises ValueError.
     """
     steps = [c * dt for c in fractions]
     orders = _column_orders(l, len(steps))
     v = np.asarray(v, dtype=float)
-    beta = _input_norm(v)
-    if not np.isfinite(beta):
-        return _failed_input(len(steps), v.size, tol)
-    if beta == 0:
-        raise ValueError("cannot build a Krylov space from the zero vector")
     n = v.size
+    beta = _input_norm(v)
+    if not 0 < beta < np.inf:
+        return _unserved(beta, len(steps), n, tol)
     m_max = min(M_DEFAULT, n)
 
     # rows are written before they are read, so only the rows an action

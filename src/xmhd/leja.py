@@ -21,7 +21,7 @@ of every chain at most LEJA_REACH.
 
 import numpy as np
 
-from xmhd.phi import _column_orders, _drive_columns, _failed_input, _input_norm, _phi_divided_diffs
+from xmhd.phi import _column_orders, _drive_columns, _input_norm, _phi_divided_diffs, _unserved
 
 #: hard cap on the number of interpolation nodes / Newton terms
 LEJA_MAX = 500
@@ -135,16 +135,17 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, fractions=(1.0,)):
     FloatingPointError into phi._drive_columns as a Krylov chain does, when
     ||y_m|| is not finite or exceeds 1e120 max(1, ||v||), which happens
     only when the spectrum left the interval.  The chain makes at most
-    LEJA_MAX - 1 matvecs; phi._drive_columns applies the stop rule.  An
-    input whose norm is not finite fails the action before its first matvec.
+    LEJA_MAX - 1 matvecs; phi._drive_columns applies the stop rule.
+    phi._unserved answers an input whose norm is 0 or not finite before any
+    table is built, and a request with no column raises ValueError.
     """
     orders = _column_orders(l, len(fractions))
-    theta = shift.theta
-    coeffs = [shift.coeffs(c, o) for c, o in zip(fractions, orders)]
     y = np.array(v, dtype=float, copy=True)
     norm_v = _input_norm(y)
-    if not np.isfinite(norm_v):
-        return _failed_input(len(fractions), y.size, tol)
+    if not 0 < norm_v < np.inf:
+        return _unserved(norm_v, len(fractions), y.size, tol)
+    theta = shift.theta
+    coeffs = [shift.coeffs(c, o) for c, o in zip(fractions, orders)]
     blowup = 1e120 * max(1.0, norm_v)
     out = np.array([y * c[0] for c in coeffs])
     buf = np.empty_like(y)

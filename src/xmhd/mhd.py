@@ -14,6 +14,7 @@ form, so the discrete divergence of B built from the same stencil is
 preserved exactly (up to roundoff) by any right-hand-side evaluation.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -379,14 +380,15 @@ def read_checkpoint(path):
         if not (0 < dx < np.inf and 0 < dy < np.inf):
             raise ValueError(f"checkpoint grid spacing must be positive and finite, "
                              f"got dx = {dx!r}, dy = {dy!r}")
+        # sized before it is read: a header may claim more than memory holds
         payload_size = nvar * ny * nx * 8
-        payload = fh.read(payload_size)
-        if len(payload) != payload_size:
-            raise ValueError(f"truncated checkpoint payload: expected {payload_size} "
-                             f"bytes for {nvar}x{ny}x{nx} fields, got {len(payload)}")
-        if fh.read(1):
-            raise ValueError("checkpoint has bytes after its payload")
-        raw = np.frombuffer(payload, dtype="<f8")
+        left = os.fstat(fh.fileno()).st_size - header_size
+        if left != payload_size:
+            fault = ("truncated checkpoint payload" if left < payload_size
+                     else "checkpoint has bytes after its payload")
+            raise ValueError(f"{fault}: expected {payload_size} bytes for "
+                             f"{nvar}x{ny}x{nx} fields, got {left}")
+        raw = np.frombuffer(fh.read(payload_size), dtype="<f8")
     # the fields may be non-finite: abort.chk holds a diverged state
     data = raw.reshape(nvar, ny, nx).astype(float)
     return StateGrid(nx=nx, ny=ny, dx=dx, dy=dy, data=data), time

@@ -3,7 +3,8 @@
 phi_0(z) = exp(z) and phi_{l+1}(z) = (phi_l(z) - 1/l!) / z.  These entire
 functions are the building blocks of exponential integrators; the routines
 here favour accuracy over speed and serve as the correctness oracle for the
-iterative (Leja / Krylov) engines, whose columns one driver here runs.
+iterative (Leja / Krylov) engines, which check their columns, answer an
+input that no chain serves and run their chains through the helpers here.
 """
 
 import math
@@ -44,6 +45,8 @@ def _check_order(l):
 
 def _column_orders(l, count):
     """The phi orders of `count` output columns, from one order or a tuple."""
+    if count == 0:
+        raise ValueError("a phi action needs at least one output column")
     orders = l if isinstance(l, tuple) else (l,) * count
     if len(orders) != count:
         raise ValueError(f"{len(orders)} phi orders for {count} output columns")
@@ -107,12 +110,18 @@ def _input_norm(v):
         return np.linalg.norm(v)
 
 
-def _failed_input(count, n, tol):
-    """The outcome of an action whose input norm is not finite (it overflowed,
-    or the input holds inf or NaN): _drive_columns with a cap of 0 fails
-    every column before the first matvec, each NaN with estimate inf."""
-    vector = np.full((count, n), np.nan)
-    return _drive_columns(None, lambda: vector, count, tol, 0)
+def _unserved(norm, count, n, tol):
+    """The outcome, without a matvec, of an action whose input norm is 0 or
+    not finite, which no chain serves.  A norm of 0 (the zero vector, or one
+    whose squared norm underflows) gives zero columns, converged with
+    residual 0; a norm that is not finite (it overflowed, or the input holds
+    inf or NaN) fails every column, each NaN with estimate inf.  A tol that
+    is not > 0 raises ValueError, as in _drive_columns."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if norm == 0:
+        return PhiApplyResult(np.zeros((count, n)), 0, True, 0.0)
+    return PhiApplyResult(np.full((count, n), np.nan), 0, False, np.inf)
 
 
 def phi_scalar(l, z):
@@ -211,10 +220,10 @@ def _phi_divided_diffs(nodes, subdiag=1.0):
 
     The columns are computed by time substepping: exp(Z) equals the 2^s-th
     power of the substep operator E = exp(Z / 2^s), which is built once as
-    a dense lower-triangular matrix from a 60-term Taylor series.  BLAS
-    products then apply E^(2^s) to the block of columns; E is first squared
-    as often as a squaring costs fewer flops than the block products it
-    saves, so small tables square and large ones mostly multiply.  The
+    a dense (dim, dim) array by Horner's rule on a 60-term Taylor series.
+    BLAS products then apply E^(2^s) to the block of columns; E is first
+    squared as often as a squaring costs fewer flops than the block products
+    it saves, so small tables square and large ones mostly multiply.  The
     substep count keeps the scaled norm at or below one, which bounds both
     the per-entry truncation and the cancellation from mixed-sign nodes; it
     also guarantees reach, since E has bandwidth 59 and the substeps
@@ -234,30 +243,17 @@ def _phi_divided_diffs(nodes, subdiag=1.0):
     sub = subdiag / 2.0 ** s
 
     # E = exp(Z / 2^s) by Horner's rule on the Taylor series, factorials
-    # folded in (G <- (Z / 2^s) G + I / (k-1)!, ending at G = E), kept by
-    # diagonal: band[d, j] is entry (j + d, j); slots with j + d >= dim lie
-    # outside the matrix
-    width = min(terms, dim)
-    padded = np.concatenate([ext, np.zeros(width)]) / 2.0 ** s
-    diag = np.lib.stride_tricks.sliding_window_view(padded, dim)[:width]
-    band = np.zeros((width, dim))
-    band[0] = 1.0 / math.factorial(terms - 1)
-    lower = np.empty((width - 1, dim))
+    # folded in: G <- (Z / 2^s) G + I / (k-1)!, ending at G = E, where
+    # (Z G)[i, j] = diag[i] G[i, j] + sub G[i - 1, j]
+    diag = ext / 2.0 ** s
+    step_op = np.zeros((dim, dim))
+    step_op.flat[::dim + 1] = 1.0 / math.factorial(terms - 1)
+    lower = np.empty((dim - 1, dim))
     for k in range(terms - 1, 0, -1):
-        # (Z G)[i, j] = diag[i] G[i, j] + sub G[i - 1, j], where G is
-        # nonzero on diagonals 0 .. terms - k only
-        top = min(terms + 1 - k, width)
-        np.multiply(band[:top - 1], sub, out=lower[:top - 1])
-        band[:top] *= diag[:top]
-        band[1:top] += lower[:top - 1]
-        band[0] += 1.0 / math.factorial(k - 1)
-    # scatter the diagonals through a strided view whose element (d, j) is
-    # entry (j + d, j); the padding rows absorb the outside slots
-    padded_op = np.zeros((dim + width, dim))
-    row, col = padded_op.strides
-    np.lib.stride_tricks.as_strided(padded_op, shape=band.shape,
-                                    strides=(row, row + col))[...] = band
-    step_op = padded_op[:dim]
+        np.multiply(step_op[:-1], sub, out=lower)
+        step_op *= diag[:, None]
+        step_op[1:] += lower
+        step_op.flat[::dim + 1] += 1.0 / math.factorial(k - 1)
 
     # Far-tail entries sink below the normal range, where the products run
     # many times slower; flushing them to zero moves no entry above ~1e-290.

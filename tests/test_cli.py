@@ -1,9 +1,10 @@
 import csv
+import struct
 
 import pytest
 
 from xmhd.cli import main
-from xmhd.mhd import read_checkpoint
+from xmhd.mhd import StateGrid, read_checkpoint, write_checkpoint
 
 
 def test_single_run_writes_outputs(tmp_path, capsys):
@@ -124,6 +125,21 @@ def test_sweep_with_malformed_reference_is_config_error(tmp_path, capsys):
                  "--sweep", "tol=1e-3", "--reference", str(ref), "--output", str(tmp_path)])
     assert code == 2
     assert "truncated checkpoint header" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == [ref]
+
+
+def test_sweep_with_a_reference_header_larger_than_its_file_is_config_error(tmp_path, capsys):
+    # nx = ny = 2^31 - 1 in the header of a valid checkpoint: the reader
+    # refuses the implied payload instead of trying to read it
+    ref = tmp_path / "bad.chk"
+    write_checkpoint(ref, StateGrid.zeros(4, 4, 0.1, 0.1), 0.0)
+    raw = bytearray(ref.read_bytes())
+    raw[8:16] = struct.pack("<II", 2 ** 31 - 1, 2 ** 31 - 1)
+    ref.write_bytes(bytes(raw))
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.002",
+                 "--sweep", "tol=1e-3", "--reference", str(ref), "--output", str(tmp_path)])
+    assert code == 2
+    assert "config error: truncated checkpoint payload" in one_line_error(capsys)
     assert list(tmp_path.iterdir()) == [ref]
 
 

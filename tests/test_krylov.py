@@ -34,9 +34,13 @@ def test_eigenvector_converges_in_one_step():
     assert np.allclose(res.vector[0], np.exp(lam) * v, rtol=1e-12)
 
 
-def test_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        apply_phi_krylov(1, lambda w: w, np.zeros(4), 1.0, 1e-8)
+def test_answers_zero_vector_with_zeros():
+    # no Krylov space is built from the zero vector: the answer is zeros,
+    # converged, with no matvec
+    calls = []
+    res = apply_phi_krylov(1, lambda w: calls.append(None) or w, np.zeros(4), 1.0, 1e-8)
+    assert res.converged and res.iterations == 0 == len(calls)
+    assert np.array_equal(res.vector, np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])

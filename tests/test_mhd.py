@@ -513,6 +513,21 @@ def test_checkpoint_rejects_short_header(tmp_path):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("cells", [2 ** 31 - 1, 2 ** 20], ids=["overflow", "memory"])
+def test_checkpoint_rejects_a_header_larger_than_its_file_before_reading(tmp_path, cells):
+    # the payload nx = ny = cells claims is checked against the bytes the
+    # file holds before any is read; reading it raised OverflowError (2^31 - 1)
+    # or MemoryError (2^20)
+    path = tmp_path / "huge.chk"
+    write_checkpoint(path, uniform_state(), 0.5)
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = struct.pack("<II", cells, cells)
+    path.write_bytes(bytes(raw))
+    expected = NVAR * cells * cells * 8
+    with pytest.raises(ValueError, match=f"expected {expected} bytes .* got {len(raw) - 44}"):
+        read_checkpoint(path)
+
+
 def test_checkpoint_rejects_truncated_payload(tmp_path):
     g = random_state(np.random.default_rng(38), nx=6, ny=5, dx=0.1, dy=0.2)
     path = tmp_path / "cut.chk"

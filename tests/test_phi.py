@@ -342,6 +342,57 @@ def test_an_input_whose_norm_overflows_fails_the_action_without_raising(engine, 
     assert res.vector.shape == (1, v.size)
 
 
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_both_engines_answer_an_input_no_chain_serves_alike(monkeypatch, engine):
+    # the zero vector gives zero columns, converged in 0 iterations with
+    # residual 0; an input with inf or NaN fails every column as NaN; neither
+    # makes a matvec or builds a Newton table
+    import xmhd.leja
+
+    builds, calls = [], []
+    monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs", lambda *args, **kwargs: builds.append(1))
+
+    def matvec(w):
+        calls.append(None)
+        return -w
+
+    def action(v, tol=1e-8):
+        orders, fractions = (0, 1, 4), (0.5, 1.0, 1.0)
+        if engine == "leja":
+            return apply_phi_leja(orders, matvec, v, 0.1, shift_and_scale(5.0), tol,
+                                  fractions=fractions)
+        return apply_phi_krylov(orders, matvec, v, 0.1, tol, fractions=fractions)
+
+    zero = action(np.zeros(6))
+    assert zero.converged and zero.iterations == 0 and zero.residual == 0.0
+    assert np.array_equal(zero.vector, np.zeros((3, 6)))
+    for bad in (np.nan, np.inf):
+        v = np.ones(6)
+        v[2] = bad
+        res = action(v)
+        assert not res.converged and res.iterations == 0 and res.residual == np.inf
+        assert res.vector.shape == (3, 6) and np.isnan(res.vector).all()
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        action(np.zeros(6), tol=0.0)
+    assert calls == [] and builds == []
+
+
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_a_request_with_no_column_raises_before_any_matvec(engine):
+    calls = []
+
+    def matvec(w):
+        calls.append(None)
+        return -w
+
+    with pytest.raises(ValueError, match="at least one output column"):
+        if engine == "leja":
+            apply_phi_leja(1, matvec, np.ones(4), 0.1, shift_and_scale(5.0), 1e-8, fractions=())
+        else:
+            apply_phi_krylov(1, matvec, np.ones(4), 0.1, 1e-8, fractions=())
+    assert calls == []
+
+
 @pytest.mark.parametrize("policy", [True, False], ids=["fp_policy", "no-policy"])
 def test_a_krylov_basis_that_turns_nan_ends_the_chain_as_an_escape(policy):
     # a matvec that returns NaN (no arithmetic fault raised) leaves NaN in the
