@@ -1,20 +1,21 @@
 """Experiment driver: adaptive time-stepping loop, references, sweeps, CSV.
 
 A run advances a scenario from t = 0 to t_final, starting at a tenth of
-the CFL step.  Per step: freeze the linearization, whose base evaluation
-f(u) every attempt of every scheme reads (an accepted first-same-as-last
-step has already evaluated it), and, for an exponential scheme on the Leja
-engine, refresh the spectral estimate every spectrum_interval accepted
-steps; cap dt at t_final - t and, on the Leja engine, at LEJA_REACH /
-alpha, so that no Leja chain of the step reaches past alpha dt =
-LEJA_REACH; take scheme steps until one's error estimate is at most tol
-and its new state has positive density and pressure in every cell, and
-let the step-size controller propose the next dt.  A failed attempt,
-including one whose state is not physical, reports error inf, whose
-traditional proposal is dt / 2; ten consecutive rejections, a failed
-linearization, a dt too small to advance t or max_steps attempts abort
-the run.  Runs are deterministic for a fixed config: no budget reads the
-clock.
+the CFL step, in one loop whose every pass is one step attempt.  The
+first attempt from u freezes the linearization, whose base evaluation
+f(u) every attempt from u reads (an accepted first-same-as-last step has
+already evaluated it), and, for an exponential scheme on the Leja engine,
+refreshes the spectral estimate every spectrum_interval accepted steps;
+it caps dt at t_final - t and, on the Leja engine, at LEJA_REACH / alpha,
+so that no Leja chain from u reaches past alpha dt = LEJA_REACH.  The
+controller proposes the next dt after each attempt; one passes when its
+error estimate is at most tol and its state has positive density and
+pressure in every cell, and a failed one reports error inf, whose
+traditional proposal is dt / 2.  max_steps attempts, counted exactly, a
+failed linearization, a dt too small to advance t and ten consecutive
+rejections each end the run.  Runs are deterministic for a fixed config:
+no budget reads the clock.  RunConfig refuses a checkpoint or div B
+interval that cannot advance a time of t_final.
 """
 
 import csv
@@ -47,6 +48,9 @@ _MEASURED_COLUMNS = ("steps_accepted", "steps_rejected", "rhs_evals", "phi_iters
 
 MAX_CONSECUTIVE_REJECTIONS = 10
 
+#: how far past t a sample or checkpoint may be due and still be taken at t
+_DUE_SLACK = 1e-12
+
 
 @dataclass
 class RunConfig:
@@ -60,7 +64,7 @@ class RunConfig:
     checkpoint_every: float = 0.0       # simulation-time interval; 0 disables
     divb_every: float = 0.0             # sampling interval for divb series
     rng_seed: int = 0                   # unused: runs depend on no seed
-    max_steps: int = 1_000_000          # step attempts, rejected ones included
+    max_steps: int = 1_000_000          # step attempts, rejected ones included; exact
 
     def __post_init__(self):
         """Refuse, with ValueError, a config that no run can honour."""
@@ -78,6 +82,13 @@ class RunConfig:
                 ("divb_every", 0.0 <= self.divb_every < math.inf, "finite and >= 0")):
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        # _Observer steps each schedule by its interval up to t_final: one
+        # that rounds away there would never move it
+        for name in ("checkpoint_every", "divb_every"):
+            every = getattr(self, name)
+            if every > 0 and (end := self.scenario.t_final + _DUE_SLACK) + every == end:
+                raise ValueError(f"{name} must be 0 or advance a time of t_final = "
+                                 f"{self.scenario.t_final!r}, got {every!r}")
 
 
 @dataclass
@@ -151,12 +162,12 @@ class _Observer:
     def __call__(self, state, t):
         divb = float(np.max(np.abs(discrete_div_b(state, self.config.scenario.params))))
         self.report.max_divb = max(self.report.max_divb, divb)
-        while self.divb_due <= t + 1e-12:
+        while self.divb_due <= t + _DUE_SLACK:
             self.report.divb_series.append((self.divb_due, divb))
             self.divb_due += self.config.divb_every
-        if self.checkpoint_due <= t + 1e-12:
+        if self.checkpoint_due <= t + _DUE_SLACK:
             write_checkpoint(Path(self.config.output_dir) / f"state_t{t:.6f}.chk", state, t)
-            while self.checkpoint_due <= t + 1e-12:
+            while self.checkpoint_due <= t + _DUE_SLACK:
                 self.checkpoint_due += self.config.checkpoint_every
 
 
@@ -174,65 +185,60 @@ def run(config):
     u, t, t_final = state0.flat().copy(), 0.0, spec.t_final
     dt = _initial_dt(state0)
     alpha = None
+    lin = None          # the linearization at u, until a step from u is accepted
     base_rhs = None     # f(u), when the last accepted step handed it over
     # only the Leja interval reads alpha
     refreshes = config.scheme.is_exponential and config.method == "leja"
-    accepted = 0
+    accepted = rejections = 0
     started = _time.perf_counter()
 
     while t < t_final - 1e-14 * max(1.0, t_final):
         if len(report.steps) >= config.max_steps:
             report.status = "failed: step budget exceeded"
             break
-
-        step_calls_start = rhs_op.calls
-        refresh_calls = 0
-        try:
-            with fp_policy():
-                lin = FrozenLinearization(rhs_op, u, base_rhs)
-                if refreshes and accepted % config.spectrum_interval == 0:
-                    refresh_start = rhs_op.calls
-                    alpha = estimate_alpha(lin).alpha
-                    refresh_calls = rhs_op.calls - refresh_start
-        except ArithmeticError as exc:
-            report.status = f"failed: {type(exc).__name__}: {exc}"
+        if lin is None:
+            step_calls_start = rhs_op.calls
+            refresh_calls = 0
+            try:
+                with fp_policy():
+                    lin = FrozenLinearization(rhs_op, u, base_rhs)
+                    if refreshes and accepted % config.spectrum_interval == 0:
+                        refresh_start = rhs_op.calls
+                        alpha = estimate_alpha(lin).alpha
+                        refresh_calls = rhs_op.calls - refresh_start
+            except ArithmeticError as exc:
+                report.status = f"failed: {type(exc).__name__}: {exc}"
+                break
+            report.spectrum_rhs_evals += refresh_calls
+            # every Leja chain of every attempt runs on the fraction-1 interval
+            # [-alpha dt, 0], and a rejection only shrinks dt: one cap bounds them all
+            dt = min(dt, t_final - t, LEJA_REACH / alpha if alpha else math.inf)
+        # a step that leaves t where it is would stall the run, and the cost
+        # proxy would divide by it
+        if t + dt == t:
+            report.status = f"failed: step size underflow at t={float(t)!r}"
             break
-        report.spectrum_rhs_evals += refresh_calls
-        # every Leja chain of every attempt runs on the fraction-1 interval
-        # [-alpha dt, 0], and a rejection only shrinks dt: one cap bounds them all
-        reach = LEJA_REACH / alpha if refreshes and alpha > 0 else math.inf
-        dt = min(dt, t_final - t, reach)
-
-        # a failed attempt reports error inf, for which after_reject halves dt
-        for _ in range(MAX_CONSECUTIVE_REJECTIONS):
-            # a step that leaves t where it is would stall the run, and the
-            # cost proxy would divide by it
-            if t + dt == t:
-                report.status = f"failed: step size underflow at t={float(t)!r}"
+        attempt_start = rhs_op.calls
+        res = step(config.scheme, lin, dt, method=config.method, alpha=alpha, tol=config.tol)
+        ok = bool(accept(res.error_estimate, config.tol))
+        if ok and not _physical(state0.with_flat(res.new_state)):
+            # a state with rho <= 0 or p <= 0 fails the attempt
+            res.error_estimate, ok = math.inf, False
+        # an accepted step counts every rhs evaluation the step needed
+        # (base evaluation, spectral refresh, rejected attempts included)
+        spent = rhs_op.calls - (step_calls_start if ok else attempt_start)
+        report.steps.append(StepRecord(t + dt if ok else t, dt, res.error_estimate, spent,
+                                       res.phi_iterations, res.phi_applications, ok))
+        if not ok:
+            rejections += 1
+            if rejections == MAX_CONSECUTIVE_REJECTIONS:
+                report.status = "failed: too many consecutive rejections"
                 break
-            attempt_start = rhs_op.calls
-            res = step(config.scheme, lin, dt, method=config.method, alpha=alpha, tol=config.tol)
-            ok = bool(accept(res.error_estimate, config.tol))
-            if ok and not _physical(state0.with_flat(res.new_state)):
-                # a state with rho <= 0 or p <= 0 fails the attempt
-                res.error_estimate, ok = math.inf, False
-            # an accepted step counts every rhs evaluation the step needed
-            # (base evaluation, spectral refresh, rejected attempts included)
-            spent = rhs_op.calls - (step_calls_start if ok else attempt_start)
-            report.steps.append(StepRecord(t + dt if ok else t, dt, res.error_estimate, spent,
-                                           res.phi_iterations, res.phi_applications, ok))
-            if ok:
-                break
+            # a failed attempt reports error inf, for which after_reject halves dt
             dt = controller.after_reject(dt, res.error_estimate)
-            # the retry does not hold the rejected attempt's vectors
-            res = None
-        else:
-            report.status = "failed: too many consecutive rejections"
-        if report.status != "ok":
-            break
-
-        t, u, base_rhs = t + dt, res.new_state, res.new_rhs
-        accepted += 1
+            continue
+        t, u, base_rhs, lin = t + dt, res.new_state, res.new_rhs, None
+        accepted, rejections = accepted + 1, 0
         observe(state0.with_flat(u), t)
         # the cost proxy leaves the refresh out: its schedule counts steps, not
         # dt, and a one-step cost spike reads to the cost controller as a slope

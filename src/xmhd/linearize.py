@@ -23,14 +23,6 @@ DEFAULT_SAFETY = 1.25
 ARNOLDI_STEPS = 12
 
 
-class RhsBlowupError(ArithmeticError):
-    """Raised by a right-hand side that produced non-finite output cells."""
-
-    def __init__(self, message, cells=None):
-        super().__init__(message)
-        self.cells = cells
-
-
 class RhsOperator:
     """Wraps u -> f(u) and counts evaluations (the cost proxy of every report)."""
 
@@ -110,5 +102,5 @@ def estimate_alpha(lin, prev=None, rng=None):
     # the Ritz values are the eigenvalues of the projected matrix
     h = hess[:m, :m]
     if not np.all(np.isfinite(h)):
-        raise RhsBlowupError("the Jacobian action is not finite")
+        raise FloatingPointError("the Jacobian action is not finite")
     return SpectralEstimate(alpha=DEFAULT_SAFETY * float(np.abs(np.linalg.eigvals(h)).max()))

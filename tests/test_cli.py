@@ -260,6 +260,23 @@ def test_out_of_range_config_is_config_error(tmp_path, capsys, monkeypatch, extr
     assert (tmp_path / "afile").read_text() == ""
 
 
+@pytest.mark.parametrize("flag", ["--divb-every", "--checkpoint-every"])
+def test_an_interval_that_cannot_advance_its_schedule_is_config_error(tmp_path, capsys,
+                                                                       monkeypatch, flag):
+    # 0.01 + 1e-20 == 0.01: the run would sample or checkpoint forever
+    import xmhd.cli
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(xmhd.cli, "run", no_stepping)
+    code = main(["--problem", "khi", "--nx", "16", "--ny", "16", "--tf", "0.01",
+                 "--output", str(tmp_path / "out"), flag, "1e-20"])
+    assert code == 2
+    assert "must be 0 or advance a time of t_final" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_every_without_output_is_config_error(tmp_path, capsys, monkeypatch):
     # the checkpoints would have nowhere to go
     monkeypatch.chdir(tmp_path)

@@ -99,6 +99,17 @@ def test_run_config_refuses_out_of_range_values(field, value):
         RunConfig(scenario=None, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["checkpoint_every", "divb_every"])
+def test_run_config_refuses_an_interval_that_cannot_advance_its_schedule(field):
+    # 2e-4 + 1e-20 == 2e-4 in float64: the run's catch-up loop for the
+    # schedule would add the interval forever
+    spec = make_scenario("khi-III", nx=16, ny=16, t_final=2e-4)
+    with pytest.raises(ValueError, match=f"{field} must be 0 or advance"):
+        RunConfig(scenario=spec, **{field: 1e-20})
+    # one unit in the last place of t_final plus the observer's slack advances it
+    RunConfig(scenario=spec, **{field: math.ulp(2e-4 + 1e-12)})
+
+
 def test_combined_controller_never_exceeds_traditional():
     from xmhd.controllers import FIRST_GROWTH, GROWTH_CAP, traditional_next
 
@@ -547,6 +558,16 @@ def test_unreachable_tolerance_fails_after_consecutive_rejections():
     assert rep.status == "failed: too many consecutive rejections"
     assert rep.accepted == 0 and rep.rejected == 10
     assert rep.t_reached == 0.0
+
+
+def test_the_step_budget_counts_attempts_exactly():
+    # the first step is accepted and the second attempt rejected: a budget of
+    # two ends the run in place of the third attempt, not after the next step
+    spec = make_scenario("khi-I", nx=16, ny=16, t_final=0.5)
+    rep = run(RunConfig(spec, scheme=Scheme.DOPRI54, tol=0.1, max_steps=2))
+    assert rep.status == "failed: step budget exceeded"
+    assert len(rep.steps) == 2
+    assert (rep.accepted, rep.rejected) == (1, 1)
 
 
 def test_a_step_that_does_not_advance_t_ends_the_run(monkeypatch):

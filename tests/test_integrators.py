@@ -8,7 +8,8 @@ from xmhd.integrators import (EPIRK_A11, EPIRK_A21, EPIRK_A22, EPIRK_B1, EPIRK_B
                                EPIRK_G32, EPIRK_G32_EMBEDDED, EPIRK_G33,
                                EPIRK_G33_EMBEDDED, _TABLEAUS, Scheme, _PhiBroker,
                                _stage_difference, error_norm, step)
-from xmhd.linearize import FrozenLinearization, RhsBlowupError, RhsOperator
+from xmhd.linearize import FrozenLinearization, RhsOperator
+from xmhd.mhd import RhsBlowupError
 from xmhd.phi import phi_dense
 from tests._problems import (observed_order, random_negative_spectrum,
                              riccati_l1_error)
