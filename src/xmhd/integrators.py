@@ -22,11 +22,15 @@ import numpy as np
 from xmhd.leja import apply_phi_leja, shift_and_scale
 from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import jvp
-from xmhd.phi import _column_orders
+from xmhd.phi import _column_orders, _input_norm
 
 
 #: the phi-action engines a step can route to
 PHI_METHODS = ("leja", "krylov")
+
+#: share of tol max(1, ||u||) that the error of one phi column may put into
+#: the update, weighted by dt and its largest coefficient there
+KAPPA = 0.01
 
 
 class Scheme(Enum):
@@ -103,17 +107,29 @@ class _PhiBroker:
     from one engine chain: `applications` counts each column, `iterations`
     each matvec, a failed chain's too; an action that does not converge
     raises _PhiFailure, so no stage is built from it.  Both engines take the
-    same request (the orders, the stage fractions and the vector) and answer
-    the zero vector with zeros and no matvec.  Only the broker sees alpha,
-    so on Leja it answers a zero spectrum itself, v / l! per column (on
-    Krylov a zero Jacobian ends in a happy breakdown at v / l!).  Every
-    Leja chain of the attempt runs on one interval, shift_and_scale(alpha
-    dt), which keeps the Newton table of each fraction its chains ask for,
-    so the attempt builds one table per distinct fraction and the next
-    attempt starts afresh.
+    same request (the orders, the stage fractions, the vector and a
+    tolerance) and answer the zero vector with zeros and no matvec.  Only
+    the broker sees alpha, so on Leja it answers a zero spectrum itself,
+    v / l! per column (on Krylov a zero Jacobian ends in a happy breakdown
+    at v / l!).  Every Leja chain of the attempt runs on one interval,
+    shift_and_scale(alpha dt), which keeps the Newton table of each fraction
+    its chains ask for, so the attempt builds one table per distinct
+    fraction and the next attempt starts afresh.
+
+    A chain's tolerance is set by the step, not by its own column.  The
+    scheme passes the chain's `weight`, the largest |coefficient| with which
+    its columns enter a stage, the new state or the embedded solution
+    (EXPRB43: f(u) 1, da 48, db 12; EXPRB54s4: 1, 64, 60, 500/27; EPIRK5P1:
+    1, EPIRK_A22, EPIRK_B3; Rosenbrock-Euler: 1), and the engine gets
+    max(tol, KAPPA tol max(1, ||u||) / (dt weight max(1, ||vec||))).  Each
+    column's estimate is relative to max(1, ||column||), so a column within
+    it puts about KAPPA tol max(1, ||u||) into the update.  The floor at tol
+    never tightens a chain.  ||vec|| is taken with phi._input_norm, so an
+    input whose norm overflows still reaches the engine's answer for it.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
+        self._lin = lin
         self._matvec = partial(jvp, lin)
         self.dt = dt
         self.alpha = alpha
@@ -126,18 +142,20 @@ class _PhiBroker:
     def _interval(self):
         return shift_and_scale(self.alpha * self.dt)
 
-    def apply(self, l, fractions, vec):
+    def apply(self, l, fractions, vec, weight):
         """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
-        `l` is one order or a tuple of one per fraction."""
+        `l` is one order or a tuple of one per fraction, and `weight` the
+        largest |coefficient| of a column in the step's combinations."""
         self.applications += len(fractions)
+        if self.method == "leja" and self.alpha < 1e-14:
+            return tuple(vec / math.factorial(lk) for lk in _column_orders(l, len(fractions)))
+        tol = max(self.tol, KAPPA * self.tol * max(1.0, self._lin.base_norm)
+                  / (self.dt * weight * max(1.0, _input_norm(vec))))
         if self.method == "leja":
-            if self.alpha < 1e-14:
-                return tuple(vec / math.factorial(lk)
-                             for lk in _column_orders(l, len(fractions)))
-            res = apply_phi_leja(l, self._matvec, vec, self.dt, self._interval, self.tol,
+            res = apply_phi_leja(l, self._matvec, vec, self.dt, self._interval, tol,
                                  fractions=fractions)
         else:
-            res = apply_phi_krylov(l, self._matvec, vec, self.dt, self.tol, fractions=fractions)
+            res = apply_phi_krylov(l, self._matvec, vec, self.dt, tol, fractions=fractions)
         self.iterations += res.iterations
         if not res.converged:
             raise _PhiFailure(f"a phi action failed after {res.iterations} iterations")
@@ -147,7 +165,7 @@ class _PhiBroker:
 def _step_euler(lin, broker, dt):
     # with the linearization frozen at u this is the Rosenbrock-Euler update;
     # no embedded estimate exists, the error is reported as zero
-    (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs)
+    (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs, 1.0)
     return lin.base_state + dt * phi1_fu, 0.0, None
 
 
@@ -164,17 +182,17 @@ def _stage_difference(lin, stage):
 
 def _step_exprb43(lin, broker, dt):
     u, fu = lin.base_state, lin.base_rhs
-    phi1_half_fu, phi1_fu = broker.apply(1, (0.5, 1.0), fu)
+    phi1_half_fu, phi1_fu = broker.apply(1, (0.5, 1.0), fu, 1.0)
 
     a = u + 0.5 * dt * phi1_half_fu
     da = _stage_difference(lin, a)
 
-    phi1_da, phi3_da, phi4_da = broker.apply((1, 3, 4), (1.0, 1.0, 1.0), da)
+    phi1_da, phi3_da, phi4_da = broker.apply((1, 3, 4), (1.0, 1.0, 1.0), da, 48.0)
     b = u + dt * phi1_fu + dt * phi1_da
     db = _stage_difference(lin, b)
 
     # phi3 w3 and phi4 w4 by linearity: w3 = 16 da - 2 db and w4 = -48 da + 12 db
-    phi3_db, phi4_db = broker.apply((3, 4), (1.0, 1.0), db)
+    phi3_db, phi4_db = broker.apply((3, 4), (1.0, 1.0), db, 12.0)
     phi3_w3 = 16.0 * phi3_da - 2.0 * phi3_db
     phi4_w4 = -48.0 * phi4_da + 12.0 * phi4_db
     u3 = u + dt * phi1_fu + dt * phi3_w3
@@ -184,21 +202,21 @@ def _step_exprb43(lin, broker, dt):
 
 def _step_exprb54s4(lin, broker, dt):
     u, fu = lin.base_state, lin.base_rhs
-    phi1_fu_a, phi1_fu_b, phi1_fu_c, phi1_fu = broker.apply(1, (0.25, 0.5, 0.9, 1.0), fu)
+    phi1_fu_a, phi1_fu_b, phi1_fu_c, phi1_fu = broker.apply(1, (0.25, 0.5, 0.9, 1.0), fu, 1.0)
 
     a = u + 0.25 * dt * phi1_fu_a
     da = _stage_difference(lin, a)
 
-    phi3_da_b, phi3_da, phi4_da = broker.apply((3, 3, 4), (0.5, 1.0, 1.0), da)
+    phi3_da_b, phi3_da, phi4_da = broker.apply((3, 3, 4), (0.5, 1.0, 1.0), da, 64.0)
     b = u + 0.5 * dt * phi1_fu_b + 4.0 * dt * phi3_da_b
     db = _stage_difference(lin, b)
 
-    phi3_db_c, phi3_db, phi4_db = broker.apply((3, 3, 4), (0.9, 1.0, 1.0), db)
+    phi3_db_c, phi3_db, phi4_db = broker.apply((3, 3, 4), (0.9, 1.0, 1.0), db, 60.0)
     c = u + 0.9 * dt * phi1_fu_c + (729.0 / 125.0) * dt * phi3_db_c
     dc = _stage_difference(lin, c)
 
     # phi_l of the remainder combinations w1..w4 of the 4th- and 5th-order solutions
-    phi3_dc, phi4_dc = broker.apply((3, 4), (1.0, 1.0), dc)
+    phi3_dc, phi4_dc = broker.apply((3, 4), (1.0, 1.0), dc, 500.0 / 27.0)
     phi3_w1 = 64.0 * phi3_da - 8.0 * phi3_db
     phi4_w2 = -60.0 * phi4_da - (285.0 / 8.0) * phi4_db + (125.0 / 8.0) * phi4_dc
     phi3_w3 = 18.0 * phi3_db - (250.0 / 81.0) * phi3_dc
@@ -210,19 +228,19 @@ def _step_exprb54s4(lin, broker, dt):
 
 def _step_epirk5p1(lin, broker, dt):
     u, fu = lin.base_state, lin.base_rhs
-    phi1_fu_a, phi1_fu_b, phi1_fu = broker.apply(1, (EPIRK_G11, EPIRK_G21, EPIRK_G31), fu)
+    phi1_fu_a, phi1_fu_b, phi1_fu = broker.apply(1, (EPIRK_G11, EPIRK_G21, EPIRK_G31), fu, 1.0)
 
     a = u + EPIRK_A11 * dt * phi1_fu_a
     da = _stage_difference(lin, a)
 
     phi1_da_b, phi1_da, phi1_da_emb = broker.apply(
-        1, (EPIRK_G22, EPIRK_G32, EPIRK_G32_EMBEDDED), da)
+        1, (EPIRK_G22, EPIRK_G32, EPIRK_G32_EMBEDDED), da, EPIRK_A22)
     b = u + EPIRK_A21 * dt * phi1_fu_b + EPIRK_A22 * dt * phi1_da_b
     db = _stage_difference(lin, b)
     # F(u) - 2 F(a) + F(b)
     w = db - 2.0 * da
 
-    phi3_w, phi3_w_emb = broker.apply(3, (EPIRK_G33, EPIRK_G33_EMBEDDED), w)
+    phi3_w, phi3_w_emb = broker.apply(3, (EPIRK_G33, EPIRK_G33_EMBEDDED), w, EPIRK_B3)
     u5 = (u + EPIRK_B1 * dt * phi1_fu + EPIRK_B2 * dt * phi1_da
           + EPIRK_B3 * dt * phi3_w)
     # embedded 4th-order solution: same structure with G32, G33 replaced
@@ -315,11 +333,13 @@ def step(scheme, lin, dt, method="leja", alpha=None, tol=1e-8):
 
     `method` is one of PHI_METHODS, checked before any evaluation; `alpha`
     is the spectral magnitude that an exponential scheme on the Leja engine
-    needs (Krylov reads none).  An attempt fails at its first fault (a phi
-    action that does not converge, an rhs blow-up or a floating-point fault
-    under fp_policy: each an ArithmeticError) or with a non-finite result,
-    and then returns converged=False, lin.base_state, error_estimate inf and
-    no new_rhs: the caller rejects it and retries with a smaller dt.
+    needs (Krylov reads none); `tol` is the step tolerance, from which the
+    broker sets each phi chain's own (see _PhiBroker).  An attempt fails at
+    its first fault (a phi action that does not converge, an rhs blow-up or
+    a floating-point fault under fp_policy: each an ArithmeticError) or with
+    a non-finite result, and then returns converged=False, lin.base_state,
+    error_estimate inf and no new_rhs: the caller rejects it and retries
+    with a smaller dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -16,6 +16,9 @@ from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm, _input_no
 #: cost dominates and the step should be rejected instead
 M_DEFAULT = 100
 
+#: rows of a new Arnoldi basis; it doubles when a chain needs more
+BASIS_ROWS = 16
+
 
 def _phi_rows(h):
     """Rows phi_0(H) e1 .. phi_MAX_ORDER(H) e1 of a small dense H, from one exponential."""
@@ -84,9 +87,11 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=(1.0,)):
         return _unserved(beta, len(steps), n, tol)
     m_max = min(M_DEFAULT, n)
 
-    # rows are written before they are read, so only the rows an action
-    # uses ever become resident
-    basis = np.empty((m_max + 1, n))
+    # the basis starts at BASIS_ROWS rows and doubles, its filled rows
+    # copied, when the chain needs more: a full (m_max + 1) x n block freed
+    # after every action would raise glibc's mmap threshold and leave the
+    # next blocks on a heap that stays resident
+    basis = np.empty((min(BASIS_ROWS, m_max + 1), n))
     hess = np.zeros((m_max + 1, m_max))
     basis[0] = v / beta
     # each column's last coefficients on basis[:m] (none before the first
@@ -94,6 +99,11 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=(1.0,)):
     coefs = [np.zeros(0)] * len(steps)
 
     def extend(m, live):
+        nonlocal basis
+        if m == basis.shape[0]:
+            grown = np.empty((min(2 * m, m_max + 1), n))
+            grown[:m] = basis
+            basis = grown
         breakdown = arnoldi_step(basis, hess, m - 1, matvec(basis[m - 1]))
         rows = {s: _phi_rows(s * hess[:m, :m]) for s in {steps[k] for k in live}}
         for k in live:

@@ -40,7 +40,7 @@ class FrozenLinearization:
 
     The base evaluation f(base_state) costs one rhs evaluation unless the
     caller hands it over as `base_rhs` (a first-same-as-last step's last
-    stage).
+    stage).  `base_norm` is ||base_state||, taken once for every reader.
     """
 
     def __init__(self, rhs, base_state, base_rhs=None):
@@ -49,7 +49,7 @@ class FrozenLinearization:
         if base_rhs is None:
             base_rhs = rhs(self.base_state)
         self.base_rhs = np.asarray(base_rhs, dtype=float)
-        self._base_norm = np.linalg.norm(self.base_state)
+        self.base_norm = np.linalg.norm(self.base_state)
 
 
 def jvp(lin, w):
@@ -62,7 +62,7 @@ def jvp(lin, w):
     wnorm = np.linalg.norm(w)
     if wnorm == 0.0:
         return np.zeros_like(lin.base_state)
-    eps = _SQRT_EPS * max(1.0, lin._base_norm) / max(wnorm, 1e-300)
+    eps = _SQRT_EPS * max(1.0, lin.base_norm) / max(wnorm, 1e-300)
     shifted = np.multiply(w, eps)
     shifted += lin.base_state
     # a new array: the one the rhs returned may belong to the caller's rhs

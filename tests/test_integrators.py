@@ -6,11 +6,12 @@ import pytest
 from xmhd.integrators import (EPIRK_A11, EPIRK_A21, EPIRK_A22, EPIRK_B1, EPIRK_B2,
                                EPIRK_B3, EPIRK_G11, EPIRK_G21, EPIRK_G22, EPIRK_G31,
                                EPIRK_G32, EPIRK_G32_EMBEDDED, EPIRK_G33,
-                               EPIRK_G33_EMBEDDED, _TABLEAUS, Scheme, _PhiBroker,
+                               EPIRK_G33_EMBEDDED, KAPPA, _TABLEAUS, Scheme, _PhiBroker,
                                _stage_difference, error_norm, step)
-from xmhd.linearize import FrozenLinearization, RhsOperator
-from xmhd.mhd import RhsBlowupError
+from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
+from xmhd.mhd import RhsBlowupError, mhd_rhs
 from xmhd.phi import phi_dense
+from xmhd.scenarios import initialize, make_scenario
 from tests._problems import (observed_order, random_negative_spectrum,
                              riccati_l1_error)
 
@@ -488,14 +489,18 @@ def test_zero_spectrum_gives_the_explicit_euler_update(scheme, method):
 @pytest.mark.parametrize("method", ["leja", "krylov"])
 def test_broker_short_circuits_answer_each_column(monkeypatch, method):
     # the zero vector reaches the engine, which answers zeros without a
-    # matvec (the broker has no linearization here, so a matvec would
-    # raise); on Leja alpha = 0 gives v / l! per (order, fraction) column
+    # matvec (the linearization's rhs raises, so a matvec would raise);
+    # on Leja alpha = 0 gives v / l! per (order, fraction) column
     # without an engine chain; every column is counted
     import xmhd.integrators
 
+    def no_matvec(v):
+        raise AssertionError("no matvec expected")
+
+    lin = FrozenLinearization(RhsOperator(no_matvec), np.ones(3), np.zeros(3))
     orders, fractions = (0, 1, 3, 4), (0.5, 1.0, 1.0, 0.9)
-    broker = _PhiBroker(None, 0.1, None if method == "krylov" else 4.0, 1e-10, method)
-    cols = broker.apply(orders, fractions, np.zeros(3))
+    broker = _PhiBroker(lin, 0.1, None if method == "krylov" else 4.0, 1e-10, method)
+    cols = broker.apply(orders, fractions, np.zeros(3), 1.0)
     assert len(cols) == 4 and not any(col.any() for col in cols)
     assert broker.applications == 4 and broker.iterations == 0
     if method == "leja":
@@ -504,10 +509,73 @@ def test_broker_short_circuits_answer_each_column(monkeypatch, method):
 
         monkeypatch.setattr(xmhd.integrators, "apply_phi_leja", no_chain)
         vec = np.array([1.0, -2.0, 0.25])
-        broker = _PhiBroker(None, 0.1, 0.0, 1e-10, method)
-        for l, col in zip(orders, broker.apply(orders, fractions, vec)):
+        broker = _PhiBroker(lin, 0.1, 0.0, 1e-10, method)
+        for l, col in zip(orders, broker.apply(orders, fractions, vec, 1.0)):
             assert np.array_equal(col, vec / math.factorial(l))
         assert broker.applications == 4 and broker.iterations == 0
+
+
+def _khi3(n):
+    spec = make_scenario("khi-III", nx=n, ny=n)
+    state = initialize(spec)
+    return RhsOperator(lambda f: mhd_rhs(state.with_flat(f), spec.params)), state.flat().copy()
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+def test_each_chain_gets_the_step_scaled_tolerance(monkeypatch, method):
+    # an EXPRB43 step's chains on f(u), da and db, whose columns enter the
+    # step with largest |coefficient| 1, 48 and 12, get
+    # max(tol, KAPPA tol max(1, ||u||) / (dt weight max(1, ||vec||)))
+    import xmhd.integrators
+    binding = f"apply_phi_{method}"
+    original = getattr(xmhd.integrators, binding)
+    chains = []
+
+    def recorded(l, matvec, v, dt, *rest, fractions):
+        # rest is (shift, tol) on Leja, (tol,) on Krylov
+        chains.append((np.linalg.norm(v), rest[-1]))
+        return original(l, matvec, v, dt, *rest, fractions=fractions)
+
+    monkeypatch.setattr(xmhd.integrators, binding, recorded)
+    op, u = _khi3(16)
+    lin = FrozenLinearization(op, u)
+    dt, tol = 0.005, 1e-6
+    res = step(Scheme.EXPRB43, lin, dt, method=method, alpha=estimate_alpha(lin).alpha, tol=tol)
+    assert res.converged
+    assert len(chains) == 3
+    for (vnorm, got), weight in zip(chains, (1.0, 48.0, 12.0)):
+        assert got == max(tol, KAPPA * tol * max(1.0, np.linalg.norm(u))
+                          / (dt * weight * max(1.0, vnorm)))
+        assert got >= tol
+    # the stage remainders are small next to u: their chains are loosened
+    assert chains[1][1] > tol and chains[2][1] > tol
+
+
+_CHAIN_COUNTS = [(Scheme.EXPRB43, 3), (Scheme.EXPRB54S4, 4), (Scheme.EPIRK5P1, 3)]
+
+
+@pytest.fixture(scope="module")
+def khi3_64():
+    op, u = _khi3(64)
+    return op, u, estimate_alpha(FrozenLinearization(op, u)).alpha
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme,chains", _CHAIN_COUNTS,
+                         ids=[str(scheme) for scheme, _ in _CHAIN_COUNTS])
+def test_step_scaled_chains_keep_the_step_within_kappa_tol_u(khi3_64, scheme, chains, method):
+    # a loosened chain's error reaches the new state weighted by dt and its
+    # coefficients, which its tolerance divides out: each step lies within
+    # KAPPA tol ||u|| per chain of the same step taken with every chain
+    # converged to 1e-13
+    op, u, alpha = khi3_64
+    tol = 1e-6
+    for dt in (0.002, 0.005, 0.01):
+        loose, tight = (step(scheme, FrozenLinearization(op, u), dt, method=method,
+                             alpha=alpha, tol=t) for t in (tol, 1e-13))
+        assert loose.converged and tight.converged
+        assert (np.linalg.norm(loose.new_state - tight.new_state)
+                <= chains * KAPPA * tol * np.linalg.norm(u)), dt
 
 
 def _exprb43_w_form(f, jac, u, dt):

@@ -256,3 +256,21 @@ def test_zero_operator_gives_v_over_l_factorial_by_happy_breakdown():
     assert res.converged and res.iterations == 1 and res.residual == 0.0
     for l, col in zip(orders, res.vector):
         assert np.allclose(col, vec / math.factorial(l), rtol=1e-15, atol=0.0)
+
+
+def test_growing_basis_gives_the_full_basis_result(monkeypatch):
+    # the basis starts at BASIS_ROWS rows and grows three times on this
+    # 69-matvec chain (16, 32, 64, 101 rows); a basis allocated at its full
+    # size from the start returns the same bits, since every row is written
+    # and read at the same place
+    import xmhd.krylov
+    rng = np.random.default_rng(314)
+    a = random_negative_spectrum(rng, 200, lo=-400.0)
+    v = rng.standard_normal(200)
+    act = lambda: apply_phi_krylov((1, 4), lambda w: a @ w, v, 1.0, 1e-12, fractions=(0.5, 1.0))
+    grown = act()
+    assert grown.converged and 2 * xmhd.krylov.BASIS_ROWS < grown.iterations
+    monkeypatch.setattr(xmhd.krylov, "BASIS_ROWS", xmhd.krylov.M_DEFAULT + 1)
+    full = act()
+    assert grown.iterations == full.iterations
+    assert np.array_equal(grown.vector, full.vector)
