@@ -2,8 +2,8 @@
 
 The package bundles three layers:
 
-* matrix-function machinery: scalar and dense evaluation of the phi
-  functions and their divided differences (:mod:`xmhd.phi`), their action
+* matrix-function machinery: the phi functions' divided differences and
+  the dense exponential (:mod:`xmhd.phi`), their action
   on vectors via real Leja interpolation (:mod:`xmhd.leja`) and via
   Arnoldi/Krylov projection (:mod:`xmhd.krylov`), glued to the problem
   through finite-difference Jacobian actions and an Arnoldi (Ritz value)
@@ -18,7 +18,6 @@ The package bundles three layers:
   (:mod:`xmhd.harness`, :mod:`xmhd.cli`).
 """
 
-from xmhd.phi import phi_scalar, phi_dense
 from xmhd.leja import leja_points, shift_and_scale, apply_phi_leja
 from xmhd.krylov import apply_phi_krylov
 from xmhd.linearize import RhsOperator, FrozenLinearization, jvp, estimate_alpha

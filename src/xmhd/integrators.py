@@ -29,7 +29,7 @@ from xmhd.phi import _column_orders, _input_norm
 PHI_METHODS = ("leja", "krylov")
 
 #: share of tol max(1, ||u||) that the error of one phi column may put into
-#: the update, weighted by dt and its largest coefficient there
+#: the update, weighted by dt and that column's own largest coefficient there
 KAPPA = 0.01
 
 
@@ -116,16 +116,17 @@ class _PhiBroker:
     its chains ask for, so the attempt builds one table per distinct
     fraction and the next attempt starts afresh.
 
-    A chain's tolerance is set by the step, not by its own column.  The
-    scheme passes the chain's `weight`, the largest |coefficient| with which
-    its columns enter a stage, the new state or the embedded solution
-    (EXPRB43: f(u) 1, da 48, db 12; EXPRB54s4: 1, 64, 60, 500/27; EPIRK5P1:
-    1, EPIRK_A22, EPIRK_B3; Rosenbrock-Euler: 1), and the engine gets
-    max(tol, KAPPA tol max(1, ||u||) / (dt weight max(1, ||vec||))).  Each
+    Each column's tolerance is set by the step and by that column's own
+    weight w_k, the largest |coefficient| with which it enters a stage, the
+    new state or the embedded solution.  The scheme passes one weight per
+    column at its call sites (EXPRB43: f(u) 1/2, 1; da 1, 16, 48; db 2, 12),
+    and the engine gets, for column k,
+    max(tol, KAPPA tol max(1, ||u||) / (dt w_k max(1, ||vec||))).  Each
     column's estimate is relative to max(1, ||column||), so a column within
     it puts about KAPPA tol max(1, ||u||) into the update.  The floor at tol
-    never tightens a chain.  ||vec|| is taken with phi._input_norm, so an
-    input whose norm overflows still reaches the engine's answer for it.
+    never tightens a column.  ||vec|| is taken once per chain with
+    phi._input_norm, so an input whose norm overflows still reaches the
+    engine's answer for it.
     """
 
     def __init__(self, lin, dt, alpha, tol, method):
@@ -142,15 +143,16 @@ class _PhiBroker:
     def _interval(self):
         return shift_and_scale(self.alpha * self.dt)
 
-    def apply(self, l, fractions, vec, weight):
+    def apply(self, l, fractions, vec, weights):
         """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
-        `l` is one order or a tuple of one per fraction, and `weight` the
-        largest |coefficient| of a column in the step's combinations."""
+        `l` is one order or a tuple of one per fraction, and `weights` holds
+        each column's largest |coefficient| in the step's combinations."""
         self.applications += len(fractions)
         if self.method == "leja" and self.alpha < 1e-14:
             return tuple(vec / math.factorial(lk) for lk in _column_orders(l, len(fractions)))
-        tol = max(self.tol, KAPPA * self.tol * max(1.0, self._lin.base_norm)
-                  / (self.dt * weight * max(1.0, _input_norm(vec))))
+        share = KAPPA * self.tol * max(1.0, self._lin.base_norm)
+        vnorm = max(1.0, _input_norm(vec))
+        tol = [max(self.tol, share / (self.dt * w * vnorm)) for w in weights]
         if self.method == "leja":
             res = apply_phi_leja(l, self._matvec, vec, self.dt, self._interval, tol,
                                  fractions=fractions)
@@ -165,7 +167,7 @@ class _PhiBroker:
 def _step_euler(lin, broker, dt):
     # with the linearization frozen at u this is the Rosenbrock-Euler update;
     # no embedded estimate exists, the error is reported as zero
-    (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs, 1.0)
+    (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs, (1.0,))
     return lin.base_state + dt * phi1_fu, 0.0, None
 
 
@@ -182,17 +184,17 @@ def _stage_difference(lin, stage):
 
 def _step_exprb43(lin, broker, dt):
     u, fu = lin.base_state, lin.base_rhs
-    phi1_half_fu, phi1_fu = broker.apply(1, (0.5, 1.0), fu, 1.0)
+    phi1_half_fu, phi1_fu = broker.apply(1, (0.5, 1.0), fu, (0.5, 1.0))
 
     a = u + 0.5 * dt * phi1_half_fu
     da = _stage_difference(lin, a)
 
-    phi1_da, phi3_da, phi4_da = broker.apply((1, 3, 4), (1.0, 1.0, 1.0), da, 48.0)
+    phi1_da, phi3_da, phi4_da = broker.apply((1, 3, 4), (1.0, 1.0, 1.0), da, (1.0, 16.0, 48.0))
     b = u + dt * phi1_fu + dt * phi1_da
     db = _stage_difference(lin, b)
 
     # phi3 w3 and phi4 w4 by linearity: w3 = 16 da - 2 db and w4 = -48 da + 12 db
-    phi3_db, phi4_db = broker.apply((3, 4), (1.0, 1.0), db, 12.0)
+    phi3_db, phi4_db = broker.apply((3, 4), (1.0, 1.0), db, (2.0, 12.0))
     phi3_w3 = 16.0 * phi3_da - 2.0 * phi3_db
     phi4_w4 = -48.0 * phi4_da + 12.0 * phi4_db
     u3 = u + dt * phi1_fu + dt * phi3_w3
@@ -202,21 +204,23 @@ def _step_exprb43(lin, broker, dt):
 
 def _step_exprb54s4(lin, broker, dt):
     u, fu = lin.base_state, lin.base_rhs
-    phi1_fu_a, phi1_fu_b, phi1_fu_c, phi1_fu = broker.apply(1, (0.25, 0.5, 0.9, 1.0), fu, 1.0)
+    phi1_fu_a, phi1_fu_b, phi1_fu_c, phi1_fu = broker.apply(1, (0.25, 0.5, 0.9, 1.0), fu,
+                                                            (0.25, 0.5, 0.9, 1.0))
 
     a = u + 0.25 * dt * phi1_fu_a
     da = _stage_difference(lin, a)
 
-    phi3_da_b, phi3_da, phi4_da = broker.apply((3, 3, 4), (0.5, 1.0, 1.0), da, 64.0)
+    phi3_da_b, phi3_da, phi4_da = broker.apply((3, 3, 4), (0.5, 1.0, 1.0), da, (4.0, 64.0, 60.0))
     b = u + 0.5 * dt * phi1_fu_b + 4.0 * dt * phi3_da_b
     db = _stage_difference(lin, b)
 
-    phi3_db_c, phi3_db, phi4_db = broker.apply((3, 3, 4), (0.9, 1.0, 1.0), db, 60.0)
+    phi3_db_c, phi3_db, phi4_db = broker.apply((3, 3, 4), (0.9, 1.0, 1.0), db,
+                                               (729.0 / 125.0, 18.0, 60.0))
     c = u + 0.9 * dt * phi1_fu_c + (729.0 / 125.0) * dt * phi3_db_c
     dc = _stage_difference(lin, c)
 
     # phi_l of the remainder combinations w1..w4 of the 4th- and 5th-order solutions
-    phi3_dc, phi4_dc = broker.apply((3, 4), (1.0, 1.0), dc, 500.0 / 27.0)
+    phi3_dc, phi4_dc = broker.apply((3, 4), (1.0, 1.0), dc, (250.0 / 81.0, 500.0 / 27.0))
     phi3_w1 = 64.0 * phi3_da - 8.0 * phi3_db
     phi4_w2 = -60.0 * phi4_da - (285.0 / 8.0) * phi4_db + (125.0 / 8.0) * phi4_dc
     phi3_w3 = 18.0 * phi3_db - (250.0 / 81.0) * phi3_dc
@@ -228,19 +232,21 @@ def _step_exprb54s4(lin, broker, dt):
 
 def _step_epirk5p1(lin, broker, dt):
     u, fu = lin.base_state, lin.base_rhs
-    phi1_fu_a, phi1_fu_b, phi1_fu = broker.apply(1, (EPIRK_G11, EPIRK_G21, EPIRK_G31), fu, 1.0)
+    phi1_fu_a, phi1_fu_b, phi1_fu = broker.apply(1, (EPIRK_G11, EPIRK_G21, EPIRK_G31), fu,
+                                                 (EPIRK_A11, EPIRK_A21, EPIRK_B1))
 
     a = u + EPIRK_A11 * dt * phi1_fu_a
     da = _stage_difference(lin, a)
 
     phi1_da_b, phi1_da, phi1_da_emb = broker.apply(
-        1, (EPIRK_G22, EPIRK_G32, EPIRK_G32_EMBEDDED), da, EPIRK_A22)
+        1, (EPIRK_G22, EPIRK_G32, EPIRK_G32_EMBEDDED), da, (EPIRK_A22, EPIRK_B2, EPIRK_B2))
     b = u + EPIRK_A21 * dt * phi1_fu_b + EPIRK_A22 * dt * phi1_da_b
     db = _stage_difference(lin, b)
     # F(u) - 2 F(a) + F(b)
     w = db - 2.0 * da
 
-    phi3_w, phi3_w_emb = broker.apply(3, (EPIRK_G33, EPIRK_G33_EMBEDDED), w, EPIRK_B3)
+    phi3_w, phi3_w_emb = broker.apply(3, (EPIRK_G33, EPIRK_G33_EMBEDDED), w,
+                                      (EPIRK_B3, EPIRK_B3))
     u5 = (u + EPIRK_B1 * dt * phi1_fu + EPIRK_B2 * dt * phi1_da
           + EPIRK_B3 * dt * phi3_w)
     # embedded 4th-order solution: same structure with G32, G33 replaced
@@ -334,7 +340,7 @@ def step(scheme, lin, dt, method="leja", alpha=None, tol=1e-8):
     `method` is one of PHI_METHODS, checked before any evaluation; `alpha`
     is the spectral magnitude that an exponential scheme on the Leja engine
     needs (Krylov reads none); `tol` is the step tolerance, from which the
-    broker sets each phi chain's own (see _PhiBroker).  An attempt fails at
+    broker sets each phi column's own (see _PhiBroker).  An attempt fails at
     its first fault (a phi action that does not converge, an rhs blow-up or
     a floating-point fault under fp_policy: each an ArithmeticError) or with
     a non-finite result, and then returns converged=False, lin.base_state,

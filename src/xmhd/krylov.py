@@ -16,8 +16,10 @@ from xmhd.phi import MAX_ORDER, _column_orders, _drive_columns, _expm, _input_no
 #: cost dominates and the step should be rejected instead
 M_DEFAULT = 100
 
-#: rows of a new Arnoldi basis; it doubles when a chain needs more
-BASIS_ROWS = 16
+#: rows of a new Arnoldi basis: room for 16 matvecs and the vector after
+#: the last; it doubles when a chain needs more, and while it grows the old
+#: rows and their copy are resident together
+BASIS_ROWS = 17
 
 
 def _phi_rows(h):
@@ -74,9 +76,10 @@ def apply_phi_krylov(l, matvec, v, dt, tol, fractions=(1.0,)):
     because the basis is orthonormal.  It is 0 at a happy breakdown or once
     the basis spans R^n.  A matvec that overflows, or a projected matrix
     that is not finite (_expm raises FloatingPointError), is the chain's
-    escape.  phi._drive_columns applies the stop rule.  phi._unserved
-    answers an input whose norm is 0 or not finite before the basis is
-    allocated, and a request with no column raises ValueError.
+    escape.  phi._drive_columns applies the stop rule, with `tol` one
+    tolerance or one per column.  phi._unserved answers an input whose norm
+    is 0 or not finite before the basis is allocated, and a request with no
+    column raises ValueError.
     """
     steps = [c * dt for c in fractions]
     orders = _column_orders(l, len(steps))

@@ -135,7 +135,8 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, fractions=(1.0,)):
     FloatingPointError into phi._drive_columns as a Krylov chain does, when
     ||y_m|| is not finite or exceeds 1e120 max(1, ||v||), which happens
     only when the spectrum left the interval.  The chain makes at most
-    LEJA_MAX - 1 matvecs; phi._drive_columns applies the stop rule.
+    LEJA_MAX - 1 matvecs; phi._drive_columns applies the stop rule, with
+    `tol` one tolerance or one per column.
     phi._unserved answers an input whose norm is 0 or not finite before any
     table is built, and a request with no column raises ValueError.
     """

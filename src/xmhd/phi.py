@@ -1,10 +1,10 @@
-"""Scalar, dense-matrix and divided-difference evaluation of the phi functions.
+"""What the two phi-action engines share.
 
-phi_0(z) = exp(z) and phi_{l+1}(z) = (phi_l(z) - 1/l!) / z.  These entire
-functions are the building blocks of exponential integrators; the routines
-here favour accuracy over speed and serve as the correctness oracle for the
-iterative (Leja / Krylov) engines, which check their columns, answer an
-input that no chain serves and run their chains through the helpers here.
+phi_0(z) = exp(z) and phi_{l+1}(z) = (phi_l(z) - 1/l!) / z.  The Leja engine
+reads its Newton coefficients from the divided differences here, the Krylov
+engine exponentiates its projected matrix with the Pade exponential here,
+and both check their columns and tolerances, answer an input that no chain
+serves and run their chains through the helpers here.
 """
 
 import math
@@ -33,10 +33,6 @@ _PADE = (
                            16380., 182., 1.)),
 )
 
-# Below this |z| the downward recursion from exp(z) cancels catastrophically;
-# switch to the direct series sum_k z^k / (k+l)!.
-_SERIES_SWITCH = 0.5
-
 
 def _check_order(l):
     if not isinstance(l, (int, np.integer)) or l < 0 or l > MAX_ORDER:
@@ -55,6 +51,18 @@ def _column_orders(l, count):
     return orders
 
 
+def _column_tolerances(tol, count):
+    """The tolerances of `count` output columns, from one value or one per
+    column; a count that does not match, or an entry that is not > 0 (NaN
+    included), raises ValueError."""
+    tols = np.full(count, tol, dtype=float) if np.ndim(tol) == 0 else np.asarray(tol, float)
+    if tols.shape != (count,):
+        raise ValueError(f"{tols.size} tolerances for {count} output columns")
+    if not np.all(tols > 0):
+        raise ValueError("tolerance must be positive")
+    return tols
+
+
 @dataclass
 class PhiApplyResult:
     """Outcome of one iterative phi-function action.
@@ -62,7 +70,8 @@ class PhiApplyResult:
     `vector` has one row per output column, (columns, n) even for one;
     `converged` holds when every column converged, and `residual` is the
     largest of the columns' last error estimates, the values the stop rule
-    of _drive_columns compared with tol (inf for a column an escape failed).
+    of _drive_columns compared with each column's own tolerance (inf for a
+    column an escape failed).
     """
     vector: np.ndarray
     iterations: int
@@ -79,16 +88,16 @@ def _drive_columns(extend, vectors, count, tol, cap):
     `live` and returns their error estimates in that order; it raises an
     ArithmeticError when the basis escaped (a Leja basis that outgrew its
     bound, a matvec that overflowed, a projected matrix that is not finite).
-    A column stops at its first estimate <= tol, frozen: it is
+    `tol` is one tolerance or one per column (see _column_tolerances), and
+    column k stops at its first estimate <= its own tolerance, frozen: it is
     never passed to `extend` again, so it equals what an action of that
-    column alone returns.  An escape fails every unfinished column (estimate
-    inf), its matvec counted; after `cap` matvecs the unfinished columns
-    fail as they stand.  Failure is reported, not raised: the caller rejects
-    the step and retries with a smaller dt.  A tol that is not > 0, NaN
-    included, raises ValueError before the first matvec.
+    column alone, at that tolerance, returns.  An escape fails every
+    unfinished column (estimate inf), its matvec counted; after `cap`
+    matvecs the unfinished columns fail as they stand.  Failure is reported,
+    not raised: the caller rejects the step and retries with a smaller dt.
+    A bad tol raises ValueError before the first matvec.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    tols = _column_tolerances(tol, count)
     estimate = np.full(count, np.inf)
     live = list(range(count))
     matvecs = 0
@@ -99,7 +108,7 @@ def _drive_columns(extend, vectors, count, tol, cap):
         except ArithmeticError:
             estimate[live] = np.inf
             break
-        live = [k for k in live if not estimate[k] <= tol]
+        live = [k for k in live if not estimate[k] <= tols[k]]
     return PhiApplyResult(vector=vectors(), iterations=matvecs, converged=not live,
                           residual=float(estimate.max()))
 
@@ -115,31 +124,12 @@ def _unserved(norm, count, n, tol):
     not finite, which no chain serves.  A norm of 0 (the zero vector, or one
     whose squared norm underflows) gives zero columns, converged with
     residual 0; a norm that is not finite (it overflowed, or the input holds
-    inf or NaN) fails every column, each NaN with estimate inf.  A tol that
-    is not > 0 raises ValueError, as in _drive_columns."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    inf or NaN) fails every column, each NaN with estimate inf.  A bad tol
+    raises ValueError, as in _drive_columns."""
+    _column_tolerances(tol, count)
     if norm == 0:
         return PhiApplyResult(np.zeros((count, n)), 0, True, 0.0)
     return PhiApplyResult(np.full((count, n), np.nan), 0, False, np.inf)
-
-
-def phi_scalar(l, z):
-    """Evaluate phi_l(z) for a real or complex scalar z."""
-    _check_order(l)
-    if abs(z) < _SERIES_SWITCH:
-        term = 1.0 / math.factorial(l)
-        total = term
-        for k in range(1, 64):
-            term = term * z / (k + l)
-            total = total + term
-            if abs(term) <= 1e-16 * abs(total):
-                break
-        return total
-    val = np.exp(z)
-    for j in range(l):
-        val = (val - 1.0 / math.factorial(j)) / z
-    return val
 
 
 def _expm(a):
@@ -173,34 +163,6 @@ def _expm(a):
     for _ in range(s):
         f = f @ f
     return f
-
-
-def phi_dense(l, a):
-    """Evaluate the full matrix phi_l(A) for a square real matrix A.
-
-    For l >= 1 the result is read off the exponential of the block matrix
-
-        [[A, I, 0, ...],
-         [0, 0, I, ...],
-         ...
-         [0, 0, 0, ...]]
-
-    whose top-right n-by-n block equals phi_l(A).
-    """
-    _check_order(l)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("phi_dense requires a square matrix")
-    n = a.shape[0]
-    if l == 0:
-        return _expm(a)
-    dim = n * (l + 1)
-    m = np.zeros((dim, dim))
-    m[:n, :n] = a
-    eye = np.eye(n)
-    for k in range(l):
-        m[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = eye
-    return _expm(m)[:n, l * n:]
 
 
 def _phi_divided_diffs(nodes, subdiag=1.0):

@@ -18,8 +18,9 @@ from xmhd.krylov import apply_phi_krylov
 from xmhd.leja import apply_phi_leja, leja_points, shift_and_scale
 from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.mhd import discrete_div_b, mhd_rhs
-from xmhd.phi import _phi_divided_diffs, phi_dense, phi_scalar
+from xmhd.phi import _phi_divided_diffs
 from xmhd.scenarios import initialize, make_scenario
+from tests._phi_oracle import phi_dense, phi_scalar
 from tests._problems import (observed_order, random_negative_spectrum,
                              rd_endpoint_error, riccati_l1_error, RD_T)
 

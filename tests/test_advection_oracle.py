@@ -15,7 +15,7 @@ import scipy.linalg
 
 from xmhd.krylov import apply_phi_krylov
 from xmhd.leja import apply_phi_leja, shift_and_scale
-from xmhd.phi import phi_dense
+from tests._phi_oracle import phi_dense
 
 N = 64
 

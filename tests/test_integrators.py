@@ -10,8 +10,8 @@ from xmhd.integrators import (EPIRK_A11, EPIRK_A21, EPIRK_A22, EPIRK_B1, EPIRK_B
                                _stage_difference, error_norm, step)
 from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.mhd import RhsBlowupError, mhd_rhs
-from xmhd.phi import phi_dense
 from xmhd.scenarios import initialize, make_scenario
+from tests._phi_oracle import phi_dense
 from tests._problems import (observed_order, random_negative_spectrum,
                              riccati_l1_error)
 
@@ -500,7 +500,7 @@ def test_broker_short_circuits_answer_each_column(monkeypatch, method):
     lin = FrozenLinearization(RhsOperator(no_matvec), np.ones(3), np.zeros(3))
     orders, fractions = (0, 1, 3, 4), (0.5, 1.0, 1.0, 0.9)
     broker = _PhiBroker(lin, 0.1, None if method == "krylov" else 4.0, 1e-10, method)
-    cols = broker.apply(orders, fractions, np.zeros(3), 1.0)
+    cols = broker.apply(orders, fractions, np.zeros(3), (1.0,) * 4)
     assert len(cols) == 4 and not any(col.any() for col in cols)
     assert broker.applications == 4 and broker.iterations == 0
     if method == "leja":
@@ -510,7 +510,7 @@ def test_broker_short_circuits_answer_each_column(monkeypatch, method):
         monkeypatch.setattr(xmhd.integrators, "apply_phi_leja", no_chain)
         vec = np.array([1.0, -2.0, 0.25])
         broker = _PhiBroker(lin, 0.1, 0.0, 1e-10, method)
-        for l, col in zip(orders, broker.apply(orders, fractions, vec, 1.0)):
+        for l, col in zip(orders, broker.apply(orders, fractions, vec, (1.0,) * 4)):
             assert np.array_equal(col, vec / math.factorial(l))
         assert broker.applications == 4 and broker.iterations == 0
 
@@ -522,10 +522,10 @@ def _khi3(n):
 
 
 @pytest.mark.parametrize("method", ["leja", "krylov"])
-def test_each_chain_gets_the_step_scaled_tolerance(monkeypatch, method):
-    # an EXPRB43 step's chains on f(u), da and db, whose columns enter the
-    # step with largest |coefficient| 1, 48 and 12, get
-    # max(tol, KAPPA tol max(1, ||u||) / (dt weight max(1, ||vec||)))
+def test_each_column_gets_the_step_scaled_tolerance(monkeypatch, method):
+    # an EXPRB43 step's chains on f(u), da and db hand each column its own
+    # max(tol, KAPPA tol max(1, ||u||) / (dt w_k max(1, ||vec||))), where
+    # w_k is the largest |coefficient| with which the column enters the step
     import xmhd.integrators
     binding = f"apply_phi_{method}"
     original = getattr(xmhd.integrators, binding)
@@ -542,13 +542,17 @@ def test_each_chain_gets_the_step_scaled_tolerance(monkeypatch, method):
     dt, tol = 0.005, 1e-6
     res = step(Scheme.EXPRB43, lin, dt, method=method, alpha=estimate_alpha(lin).alpha, tol=tol)
     assert res.converged
-    assert len(chains) == 3
-    for (vnorm, got), weight in zip(chains, (1.0, 48.0, 12.0)):
-        assert got == max(tol, KAPPA * tol * max(1.0, np.linalg.norm(u))
-                          / (dt * weight * max(1.0, vnorm)))
-        assert got >= tol
-    # the stage remainders are small next to u: their chains are loosened
-    assert chains[1][1] > tol and chains[2][1] > tol
+    weights = ((0.5, 1.0), (1.0, 16.0, 48.0), (2.0, 12.0))
+    assert [len(got) for _, got in chains] == [len(w) for w in weights]
+    for (vnorm, got), chain_weights in zip(chains, weights):
+        for tol_k, w in zip(got, chain_weights):
+            assert tol_k == max(tol, KAPPA * tol * max(1.0, np.linalg.norm(u))
+                                / (dt * w * max(1.0, vnorm)))
+            assert tol_k >= tol
+    # the stage remainders are small next to u: their columns are loosened,
+    # a column with a smaller weight more
+    assert chains[1][1][0] > chains[1][1][1] > chains[1][1][2] > tol
+    assert chains[2][1][0] > chains[2][1][1] > tol
 
 
 _CHAIN_COUNTS = [(Scheme.EXPRB43, 3), (Scheme.EXPRB54S4, 4), (Scheme.EPIRK5P1, 3)]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from xmhd.leja import LEJA_MAX, apply_phi_leja, leja_points, shift_and_scale
-from xmhd.phi import PhiApplyResult, phi_dense, phi_scalar
+from xmhd.phi import PhiApplyResult
+from tests._phi_oracle import phi_dense, phi_scalar
 from tests._problems import random_negative_spectrum
 
 

@@ -7,8 +7,8 @@ import scipy.linalg
 
 from xmhd.krylov import _phi_rows, apply_phi_krylov
 from xmhd.leja import apply_phi_leja, leja_points, shift_and_scale
-from xmhd.phi import (_PADE, MAX_ORDER, _drive_columns, _expm, _phi_divided_diffs, phi_dense,
-                      phi_scalar)
+from xmhd.phi import _PADE, MAX_ORDER, _drive_columns, _expm, _phi_divided_diffs, _unserved
+from tests._phi_oracle import phi_dense, phi_scalar
 from tests._problems import random_negative_spectrum
 
 
@@ -288,6 +288,35 @@ def test_driver_rejects_non_positive_tolerance_before_any_matvec(tol):
     with pytest.raises(ValueError, match="tolerance must be positive"):
         _drive_columns(chain.extend, chain.vectors, 1, tol, 10)
     assert chain.calls == []
+
+
+def test_driver_stops_each_column_at_its_own_tolerance():
+    # estimates 5e-2, 5e-3, ..., one decade per matvec, on both columns: the
+    # column at 1e-3 stops at matvec 3 and is frozen there, as a run of it
+    # alone at 1e-3 is; the column at 1e-9 runs on to matvec 9
+    script = [[0.5 * 10.0 ** -m] * 2 for m in range(1, 13)]
+    chain = ScriptedChain(script)
+    res = _drive_columns(chain.extend, chain.vectors, 2, (1e-3, 1e-9), 12)
+    assert chain.calls == [[0, 1]] * 3 + [[1]] * 6
+    assert res.converged and res.iterations == 9
+    assert np.array_equal(res.vector, [3, 9])
+    assert res.residual == 5e-4
+    alone = ScriptedChain([row[:1] for row in script])
+    single = _drive_columns(alone.extend, alone.vectors, 1, 1e-3, 12)
+    assert single.iterations == 3 and res.vector[0] == single.vector[0]
+
+
+@pytest.mark.parametrize("tol", [(1e-3, 0.0), (-1e-8, 1e-3), (1e-3, np.nan), (1e-3,),
+                                 (1e-3, 1e-3, 1e-3)],
+                         ids=["zero", "negative", "nan", "too-few", "too-many"])
+def test_a_bad_per_column_tolerance_raises_before_any_matvec(tol):
+    chain = ScriptedChain([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="tolerance"):
+        _drive_columns(chain.extend, chain.vectors, 2, tol, 10)
+    assert chain.calls == []
+    for norm in (0.0, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            _unserved(norm, 2, 4, tol)
 
 
 @pytest.mark.parametrize("fault", [1, 3])
