@@ -1,15 +1,23 @@
 """Single-step time integrators.
 
-Exponential schemes (Rosenbrock-Euler, EXPRB43, EXPRB54s4, EPIRK5P1)
-delegate every phi-function action to the Leja or Krylov engine; explicit
-embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince 5(4)) serve
-as baselines and never touch the phi machinery: their stages are the rows of
-one block K, and each stage input, the new state and the embedded error
-dt (bhat - b) K is one BLAS product with them.  A step's one input is the
-FrozenLinearization at u (u, f(u), the counted rhs and the Jacobian
-action), so a retry after a rejection evaluates nothing that depends on u
-alone.  Dormand-Prince is first-same-as-last: its last stage is
-f(new state), which the step hands over for the next step's linearization.
+Exponential schemes (Rosenbrock-Euler, EXPRB43, EXPRB54s4, EPIRK5P1) are
+tables (chains, sums) in the phi-combination form of Hochbruck & Ostermann
+(2010), which one driver runs, each phi action on the Leja or Krylov engine.
+Chain i acts on a combination {source: w} of f(u) (source 0) and the stage
+differences D_j (source j), one column per (order, fraction), the columns
+numbered across the chains.  A sum (base, groups) is u (base None) or an
+earlier sum plus (c dt) sum_k w_k col_k for each group (c, {k: w_k}), left
+to right.  Chain i but the last is followed by stage sum i and its
+difference; the sums left are the embedded solution, if any, and the new
+state.  Explicit embedded pairs (a 4(3) Runge-Kutta and Dormand-Prince
+5(4)) serve as baselines and never touch the phi machinery: their stages
+are the rows of one block K, and each stage input, the new state and the
+embedded error dt (bhat - b) K is one BLAS product with them.  A step's one
+input is the FrozenLinearization at u (u, f(u), the counted rhs and the
+Jacobian action), so a retry after a rejection evaluates nothing that
+depends on u alone.  Dormand-Prince is first-same-as-last: its last stage
+is f(new state), which the step hands over for the next step's
+linearization.
 """
 
 import math
@@ -116,11 +124,8 @@ class _PhiBroker:
     its chains ask for, so the attempt builds one table per distinct
     fraction and the next attempt starts afresh.
 
-    Each column's tolerance is set by the step and by that column's own
-    weight w_k, the largest |coefficient| with which it enters a stage, the
-    new state or the embedded solution.  The scheme passes one weight per
-    column at its call sites (EXPRB43: f(u) 1/2, 1; da 1, 16, 48; db 2, 12),
-    and the engine gets, for column k,
+    Column k's tolerance comes from the step and from its weight w_k, its
+    largest |c w| in the sums of the scheme's table (see _column_weights):
     max(tol, KAPPA tol max(1, ||u||) / (dt w_k max(1, ||vec||))).  Each
     column's estimate is relative to max(1, ||column||), so a column within
     it puts about KAPPA tol max(1, ||u||) into the update.  The floor at tol
@@ -145,8 +150,7 @@ class _PhiBroker:
 
     def apply(self, l, fractions, vec, weights):
         """phi_l(c J dt) vec for each c in `fractions`, one vector per column;
-        `l` is one order or a tuple of one per fraction, and `weights` holds
-        each column's largest |coefficient| in the step's combinations."""
+        `l` is one order or a tuple of one per fraction, `weights` one w_k per column."""
         self.applications += len(fractions)
         if self.method == "leja" and self.alpha < 1e-14:
             return tuple(vec / math.factorial(lk) for lk in _column_orders(l, len(fractions)))
@@ -164,13 +168,6 @@ class _PhiBroker:
         return tuple(res.vector)
 
 
-def _step_euler(lin, broker, dt):
-    # with the linearization frozen at u this is the Rosenbrock-Euler update;
-    # no embedded estimate exists, the error is reported as zero
-    (phi1_fu,) = broker.apply(1, (1.0,), lin.base_rhs, (1.0,))
-    return lin.base_state + dt * phi1_fu, 0.0, None
-
-
 def _stage_difference(lin, stage):
     """F(stage) - F(u) = f(stage) - f(u) - J (stage - u) at the u of `lin`.
 
@@ -182,77 +179,76 @@ def _stage_difference(lin, stage):
             - jvp(lin, stage - lin.base_state))
 
 
-def _step_exprb43(lin, broker, dt):
-    u, fu = lin.base_state, lin.base_rhs
-    phi1_half_fu, phi1_fu = broker.apply(1, (0.5, 1.0), fu, (0.5, 1.0))
+_ROS_EULER = ((({0: 1.0}, ((1, 1.0),)),), ((None, ((1.0, {0: 1.0}),)),))
 
-    a = u + 0.5 * dt * phi1_half_fu
-    da = _stage_difference(lin, a)
+# Hochbruck, Ostermann & Schweitzer (2009): phi3 w3 and phi4 w4 by linearity,
+# w3 = 16 da - 2 db and w4 = -48 da + 12 db; the new state is u3 + dt phi4 w4
+_EXPRB43 = ((({0: 1.0}, ((1, 0.5), (1, 1.0))),
+             ({1: 1.0}, ((1, 1.0), (3, 1.0), (4, 1.0))),
+             ({2: 1.0}, ((3, 1.0), (4, 1.0)))),
+            ((None, ((0.5, {0: 1.0}),)),
+             (None, ((1.0, {1: 1.0}), (1.0, {2: 1.0}))),
+             (None, ((1.0, {1: 1.0}), (1.0, {3: 16.0, 5: -2.0}))),
+             (2, ((1.0, {4: -48.0, 6: 12.0}),))))
 
-    phi1_da, phi3_da, phi4_da = broker.apply((1, 3, 4), (1.0, 1.0, 1.0), da, (1.0, 16.0, 48.0))
-    b = u + dt * phi1_fu + dt * phi1_da
-    db = _stage_difference(lin, b)
+# Luan & Ostermann (2014): stages at c = 1/4, 1/2, 9/10, then u4 and u5
+_EXPRB54S4 = ((({0: 1.0}, ((1, 0.25), (1, 0.5), (1, 0.9), (1, 1.0))),
+               ({1: 1.0}, ((3, 0.5), (3, 1.0), (4, 1.0))),
+               ({2: 1.0}, ((3, 0.9), (3, 1.0), (4, 1.0))),
+               ({3: 1.0}, ((3, 1.0), (4, 1.0)))),
+              ((None, ((0.25, {0: 1.0}),)),
+               (None, ((0.5, {1: 1.0}), (4.0, {4: 1.0}))),
+               (None, ((0.9, {2: 1.0}), (729.0 / 125.0, {7: 1.0}))),
+               (None, ((1.0, {3: 1.0}), (1.0, {5: 64.0, 8: -8.0}),
+                       (1.0, {6: -60.0, 9: -285.0 / 8.0, 11: 125.0 / 8.0}))),
+               (None, ((1.0, {3: 1.0}), (1.0, {8: 18.0, 10: -250.0 / 81.0}),
+                       (1.0, {9: -60.0, 11: 500.0 / 27.0})))))
 
-    # phi3 w3 and phi4 w4 by linearity: w3 = 16 da - 2 db and w4 = -48 da + 12 db
-    phi3_db, phi4_db = broker.apply((3, 4), (1.0, 1.0), db, (2.0, 12.0))
-    phi3_w3 = 16.0 * phi3_da - 2.0 * phi3_db
-    phi4_w4 = -48.0 * phi4_da + 12.0 * phi4_db
-    u3 = u + dt * phi1_fu + dt * phi3_w3
-    u4 = u3 + dt * phi4_w4
-    return u4, error_norm(u3, u4), None
-
-
-def _step_exprb54s4(lin, broker, dt):
-    u, fu = lin.base_state, lin.base_rhs
-    phi1_fu_a, phi1_fu_b, phi1_fu_c, phi1_fu = broker.apply(1, (0.25, 0.5, 0.9, 1.0), fu,
-                                                            (0.25, 0.5, 0.9, 1.0))
-
-    a = u + 0.25 * dt * phi1_fu_a
-    da = _stage_difference(lin, a)
-
-    phi3_da_b, phi3_da, phi4_da = broker.apply((3, 3, 4), (0.5, 1.0, 1.0), da, (4.0, 64.0, 60.0))
-    b = u + 0.5 * dt * phi1_fu_b + 4.0 * dt * phi3_da_b
-    db = _stage_difference(lin, b)
-
-    phi3_db_c, phi3_db, phi4_db = broker.apply((3, 3, 4), (0.9, 1.0, 1.0), db,
-                                               (729.0 / 125.0, 18.0, 60.0))
-    c = u + 0.9 * dt * phi1_fu_c + (729.0 / 125.0) * dt * phi3_db_c
-    dc = _stage_difference(lin, c)
-
-    # phi_l of the remainder combinations w1..w4 of the 4th- and 5th-order solutions
-    phi3_dc, phi4_dc = broker.apply((3, 4), (1.0, 1.0), dc, (250.0 / 81.0, 500.0 / 27.0))
-    phi3_w1 = 64.0 * phi3_da - 8.0 * phi3_db
-    phi4_w2 = -60.0 * phi4_da - (285.0 / 8.0) * phi4_db + (125.0 / 8.0) * phi4_dc
-    phi3_w3 = 18.0 * phi3_db - (250.0 / 81.0) * phi3_dc
-    phi4_w4 = -60.0 * phi4_db + (500.0 / 27.0) * phi4_dc
-    u4 = u + dt * phi1_fu + dt * phi3_w1 + dt * phi4_w2
-    u5 = u + dt * phi1_fu + dt * phi3_w3 + dt * phi4_w4
-    return u5, error_norm(u4, u5), None
+# the third chain acts on F(u) - 2 F(a) + F(b) = db - 2 da; the embedded
+# solution takes the columns at G32_EMBEDDED and G33_EMBEDDED
+_EPIRK5P1 = ((({0: 1.0}, ((1, EPIRK_G11), (1, EPIRK_G21), (1, EPIRK_G31))),
+              ({1: 1.0}, ((1, EPIRK_G22), (1, EPIRK_G32), (1, EPIRK_G32_EMBEDDED))),
+              ({2: 1.0, 1: -2.0}, ((3, EPIRK_G33), (3, EPIRK_G33_EMBEDDED)))),
+             ((None, ((EPIRK_A11, {0: 1.0}),)),
+              (None, ((EPIRK_A21, {1: 1.0}), (EPIRK_A22, {3: 1.0}))),
+              (None, ((EPIRK_B1, {2: 1.0}), (EPIRK_B2, {5: 1.0}), (EPIRK_B3, {7: 1.0}))),
+              (None, ((EPIRK_B1, {2: 1.0}), (EPIRK_B2, {4: 1.0}), (EPIRK_B3, {6: 1.0})))))
 
 
-def _step_epirk5p1(lin, broker, dt):
-    u, fu = lin.base_state, lin.base_rhs
-    phi1_fu_a, phi1_fu_b, phi1_fu = broker.apply(1, (EPIRK_G11, EPIRK_G21, EPIRK_G31), fu,
-                                                 (EPIRK_A11, EPIRK_A21, EPIRK_B1))
+def _column_weights(table):
+    """Each column's weight w_k, its largest |c w| over the sums of `table`."""
+    weights = [0.0] * sum(len(columns) for _, columns in table[0])
+    for c, terms in (group for _, groups in table[1] for group in groups):
+        for k, w in terms.items():
+            weights[k] = max(weights[k], abs(c * w))
+    return weights
 
-    a = u + EPIRK_A11 * dt * phi1_fu_a
-    da = _stage_difference(lin, a)
 
-    phi1_da_b, phi1_da, phi1_da_emb = broker.apply(
-        1, (EPIRK_G22, EPIRK_G32, EPIRK_G32_EMBEDDED), da, (EPIRK_A22, EPIRK_B2, EPIRK_B2))
-    b = u + EPIRK_A21 * dt * phi1_fu_b + EPIRK_A22 * dt * phi1_da_b
-    db = _stage_difference(lin, b)
-    # F(u) - 2 F(a) + F(b)
-    w = db - 2.0 * da
+def _combination(terms, vectors):
+    # sum_k w_k vectors[k] over {k: w_k}, left to right; a unit weight takes
+    # its vector as it is
+    first, *rest = (vectors[k] if w == 1.0 else w * vectors[k] for k, w in terms.items())
+    return sum(rest, first)
 
-    phi3_w, phi3_w_emb = broker.apply(3, (EPIRK_G33, EPIRK_G33_EMBEDDED), w,
-                                      (EPIRK_B3, EPIRK_B3))
-    u5 = (u + EPIRK_B1 * dt * phi1_fu + EPIRK_B2 * dt * phi1_da
-          + EPIRK_B3 * dt * phi3_w)
-    # embedded 4th-order solution: same structure with G32, G33 replaced
-    u4 = (u + EPIRK_B1 * dt * phi1_fu + EPIRK_B2 * dt * phi1_da_emb
-          + EPIRK_B3 * dt * phi3_w_emb)
-    return u5, error_norm(u4, u5), None
+
+def _step_exponential(table, lin, broker, dt):
+    # the groups keep the grouping and the order of the scheme's formula: a
+    # flat u + dt sum_k b_k col_k rounds differently and moves the step
+    chains, sums = table
+    weights = _column_weights(table)
+    sources, cols, values = [lin.base_rhs], [], []
+    for i, (inputs, columns) in enumerate(chains):
+        if i:
+            sources.append(_stage_difference(lin, values[-1]))
+        orders, fractions = zip(*columns)
+        cols += broker.apply(orders, fractions, _combination(inputs, sources),
+                             weights[len(cols):len(cols) + len(columns)])
+        # stage i after each chain but the last, every sum left after the last
+        for base, groups in sums[i:i + 1] if i < len(chains) - 1 else sums[i:]:
+            values.append(sum(((c * dt) * _combination(terms, cols) for c, terms in groups),
+                              lin.base_state if base is None else values[base]))
+    err = error_norm(values[-2], values[-1]) if len(sums) > len(chains) else 0.0
+    return values[-1], err, None
 
 
 # Zonneveld's 4(3) pair: classical RK4 plus one extra stage for the
@@ -290,10 +286,10 @@ _TABLEAUS = {
 }
 
 
-def _step_explicit(tableau, lin, broker, dt):
-    # never applies the phi broker.  A stage input is built in the row of k
-    # its stage then occupies.  When the last row of A is b (first same as
-    # last), the last stage is f(unew), handed on.
+def _step_explicit(tableau, lin, dt):
+    # a stage input is built in the row of k its stage then occupies.  When
+    # the last row of A is b (first same as last), the last stage is f(unew),
+    # handed on.
     a, b, bhat = tableau
     u, rhs = lin.base_state, lin.rhs
     fsal = list(a[-1]) == list(b[:-1])
@@ -314,14 +310,14 @@ def _step_explicit(tableau, lin, broker, dt):
     return unew, err if scale == 0.0 else err / scale, k[-1].copy() if fsal else None
 
 
-#: scheme -> (order, embedded order, step function)
+#: scheme -> (order, embedded order, scheme table or explicit tableau)
 _SCHEMES = {
-    Scheme.ROS_EULER: (2, None, _step_euler),
-    Scheme.EXPRB43: (4, 3, _step_exprb43),
-    Scheme.EXPRB54S4: (5, 4, _step_exprb54s4),
-    Scheme.EPIRK5P1: (5, 4, _step_epirk5p1),
-    Scheme.RK43: (4, 3, partial(_step_explicit, _TABLEAUS[Scheme.RK43])),
-    Scheme.DOPRI54: (5, 4, partial(_step_explicit, _TABLEAUS[Scheme.DOPRI54])),
+    Scheme.ROS_EULER: (2, None, _ROS_EULER),
+    Scheme.EXPRB43: (4, 3, _EXPRB43),
+    Scheme.EXPRB54S4: (5, 4, _EXPRB54S4),
+    Scheme.EPIRK5P1: (5, 4, _EPIRK5P1),
+    Scheme.RK43: (4, 3, _TABLEAUS[Scheme.RK43]),
+    Scheme.DOPRI54: (5, 4, _TABLEAUS[Scheme.DOPRI54]),
 }
 
 
@@ -355,9 +351,11 @@ def step(scheme, lin, dt, method="leja", alpha=None, tol=1e-8):
         raise ValueError(f"exponential scheme {scheme.value} needs the spectral "
                          "magnitude alpha on the Leja engine")
     broker = _PhiBroker(lin, dt, alpha, tol, method)
+    table = _SCHEMES[scheme][2]
     try:
         with fp_policy():
-            unew, err, new_rhs = _SCHEMES[scheme][2](lin, broker, dt)
+            unew, err, new_rhs = (_step_exponential(table, lin, broker, dt)
+                                  if scheme.is_exponential else _step_explicit(table, lin, dt))
         ok = bool(np.all(np.isfinite(unew)) and np.isfinite(err))
     except ArithmeticError:
         ok = False

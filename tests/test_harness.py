@@ -186,20 +186,34 @@ def test_run_maps_no_openssl():
 # combined run takes the traditional proposal at every step.  The
 # ids name only the mode and scheme, so a changed value fails the test
 # instead of renaming it.
+# (controller, scheme, phi engine, checksum, counts): every exponential
+# scheme on each engine, so that a change to a scheme's arithmetic moves a
+# checksum; an id names the engine only when it is not Leja, the default
 _GOLDEN_RUNS = [
-    (ControllerMode.TRADITIONAL, Scheme.EXPRB43,
+    (ControllerMode.TRADITIONAL, Scheme.EXPRB43, "leja",
      "a1fd83247a51901e", (7, 2, 524, 319)),
-    (ControllerMode.TRADITIONAL, Scheme.RK43,
+    (ControllerMode.TRADITIONAL, Scheme.EXPRB43, "krylov",
+     "fc857962b41319c4", (7, 1, 299, 210)),
+    (ControllerMode.TRADITIONAL, Scheme.EXPRB54S4, "leja",
+     "c29752097993734f", (7, 0, 444, 383)),
+    (ControllerMode.TRADITIONAL, Scheme.EXPRB54S4, "krylov",
+     "1cceb51b30538ff0", (7, 0, 305, 256)),
+    (ControllerMode.TRADITIONAL, Scheme.EPIRK5P1, "leja",
+     "1a0015c4776b2ba3", (5, 0, 338, 301)),
+    (ControllerMode.TRADITIONAL, Scheme.EPIRK5P1, "krylov",
+     "aa756572c3eeb68a", (5, 0, 207, 182)),
+    (ControllerMode.TRADITIONAL, Scheme.RK43, "leja",
      "ef8168139704c474", (19, 2, 103, 0)),
-    (ControllerMode.COMBINED, Scheme.RK43,
+    (ControllerMode.COMBINED, Scheme.RK43, "leja",
      "ef8168139704c474", (19, 2, 103, 0)),
 ]
 
 
-@pytest.mark.parametrize("mode,scheme,checksum,counts", _GOLDEN_RUNS,
-                         ids=[f"{mode}-{scheme}" for mode, scheme, *_ in _GOLDEN_RUNS])
-def test_controller_mode_golden_run(mode, scheme, checksum, counts):
-    rep = run(replace(small_khi(t_final=0.2), scheme=scheme, controller=mode))
+@pytest.mark.parametrize("mode,scheme,method,checksum,counts", _GOLDEN_RUNS,
+                         ids=[f"{mode}-{scheme}" + ("" if method == "leja" else f"-{method}")
+                              for mode, scheme, method, *_ in _GOLDEN_RUNS])
+def test_controller_mode_golden_run(mode, scheme, method, checksum, counts):
+    rep = run(replace(small_khi(t_final=0.2), scheme=scheme, method=method, controller=mode))
     assert rep.status == "ok"
     assert rep.checksum == checksum
     assert (rep.accepted, rep.rejected, rep.rhs_evals, rep.phi_iterations) == counts

@@ -6,8 +6,9 @@ import pytest
 from xmhd.integrators import (EPIRK_A11, EPIRK_A21, EPIRK_A22, EPIRK_B1, EPIRK_B2,
                                EPIRK_B3, EPIRK_G11, EPIRK_G21, EPIRK_G22, EPIRK_G31,
                                EPIRK_G32, EPIRK_G32_EMBEDDED, EPIRK_G33,
-                               EPIRK_G33_EMBEDDED, KAPPA, _TABLEAUS, Scheme, _PhiBroker,
-                               _stage_difference, error_norm, step)
+                               EPIRK_G33_EMBEDDED, KAPPA, _SCHEMES, _TABLEAUS, Scheme,
+                               _PhiBroker, _column_weights, _stage_difference, error_norm,
+                               step)
 from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.mhd import RhsBlowupError, mhd_rhs
 from xmhd.scenarios import initialize, make_scenario
@@ -283,6 +284,41 @@ def test_stage_counts(scheme, expected):
     assert res.phi_applications == expected
 
 
+def _counting(counts, name, original):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+def test_scheme_table_gives_the_ledger_of_a_counted_step(monkeypatch, scheme):
+    # an attempt runs one engine chain per chain of the table, applies each
+    # of its columns once, builds one Newton table per distinct fraction and
+    # evaluates the rhs 1 + 2 (chains - 1) + phi_iterations times: f(u), one
+    # f and one jvp per stage difference, one per matvec.  A column that no
+    # sum reads would get weight 0 and divide its tolerance by zero
+    import xmhd.integrators
+    import xmhd.leja
+    table = _SCHEMES[scheme][2]
+    chains = table[0]
+    columns = [column for _, chain_columns in chains for column in chain_columns]
+    assert all(w > 0 for w in _column_weights(table))
+    counts = {"chains": 0, "tables": 0}
+    monkeypatch.setattr(xmhd.integrators, "apply_phi_leja",
+                        _counting(counts, "chains", xmhd.integrators.apply_phi_leja))
+    monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs",
+                        _counting(counts, "tables", xmhd.leja._phi_divided_diffs))
+    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
+    res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, alpha=2.0,
+               tol=1e-10)
+    assert res.converged
+    assert counts["chains"] == len(chains)
+    assert res.phi_applications == len(columns)
+    assert counts["tables"] == len({fraction for _, fraction in columns})
+    assert op.calls == 1 + 2 * (len(chains) - 1) + res.phi_iterations
+
+
 def test_exprb43_rhs_call_accounting():
     # base f(u), two stages with one f and one jvp each, plus one rhs
     # evaluation per phi matvec
@@ -521,11 +557,22 @@ def _khi3(n):
     return RhsOperator(lambda f: mhd_rhs(state.with_flat(f), spec.params)), state.flat().copy()
 
 
+# each scheme's column weights, one tuple per chain, as README lists them
+_LITERAL_WEIGHTS = [
+    (Scheme.EXPRB43, ((0.5, 1.0), (1.0, 16.0, 48.0), (2.0, 12.0))),
+    (Scheme.EXPRB54S4, ((0.25, 0.5, 0.9, 1.0), (4.0, 64.0, 60.0), (729.0 / 125.0, 18.0, 60.0),
+                        (250.0 / 81.0, 500.0 / 27.0))),
+    (Scheme.EPIRK5P1, ((EPIRK_A11, EPIRK_A21, EPIRK_B1), (EPIRK_A22, EPIRK_B2, EPIRK_B2),
+                       (EPIRK_B3, EPIRK_B3))),
+]
+
+
 @pytest.mark.parametrize("method", ["leja", "krylov"])
 def test_each_column_gets_the_step_scaled_tolerance(monkeypatch, method):
-    # an EXPRB43 step's chains on f(u), da and db hand each column its own
+    # the chains of a step hand each column its own
     # max(tol, KAPPA tol max(1, ||u||) / (dt w_k max(1, ||vec||))), where
-    # w_k is the largest |coefficient| with which the column enters the step
+    # w_k, derived from the scheme's table, is the literal largest
+    # |coefficient| with which the column enters the step
     import xmhd.integrators
     binding = f"apply_phi_{method}"
     original = getattr(xmhd.integrators, binding)
@@ -539,20 +586,22 @@ def test_each_column_gets_the_step_scaled_tolerance(monkeypatch, method):
     monkeypatch.setattr(xmhd.integrators, binding, recorded)
     op, u = _khi3(16)
     lin = FrozenLinearization(op, u)
-    dt, tol = 0.005, 1e-6
-    res = step(Scheme.EXPRB43, lin, dt, method=method, alpha=estimate_alpha(lin).alpha, tol=tol)
-    assert res.converged
-    weights = ((0.5, 1.0), (1.0, 16.0, 48.0), (2.0, 12.0))
-    assert [len(got) for _, got in chains] == [len(w) for w in weights]
-    for (vnorm, got), chain_weights in zip(chains, weights):
-        for tol_k, w in zip(got, chain_weights):
-            assert tol_k == max(tol, KAPPA * tol * max(1.0, np.linalg.norm(u))
-                                / (dt * w * max(1.0, vnorm)))
-            assert tol_k >= tol
-    # the stage remainders are small next to u: their columns are loosened,
-    # a column with a smaller weight more
-    assert chains[1][1][0] > chains[1][1][1] > chains[1][1][2] > tol
-    assert chains[2][1][0] > chains[2][1][1] > tol
+    dt, tol, alpha = 0.005, 1e-6, estimate_alpha(lin).alpha
+    for scheme, weights in _LITERAL_WEIGHTS:
+        chains.clear()
+        res = step(scheme, FrozenLinearization(op, u), dt, method=method, alpha=alpha, tol=tol)
+        assert res.converged, scheme
+        assert [len(got) for _, got in chains] == [len(w) for w in weights], scheme
+        for (vnorm, got), chain_weights in zip(chains, weights):
+            for tol_k, w in zip(got, chain_weights):
+                assert tol_k == max(tol, KAPPA * tol * max(1.0, np.linalg.norm(u))
+                                    / (dt * w * max(1.0, vnorm))), scheme
+                assert tol_k >= tol
+        if scheme is Scheme.EXPRB43:
+            # the stage remainders are small next to u: their columns are
+            # loosened, a column with a smaller weight more
+            assert chains[1][1][0] > chains[1][1][1] > chains[1][1][2] > tol
+            assert chains[2][1][0] > chains[2][1][1] > tol
 
 
 _CHAIN_COUNTS = [(Scheme.EXPRB43, 3), (Scheme.EXPRB54S4, 4), (Scheme.EPIRK5P1, 3)]

@@ -87,11 +87,9 @@ def unread_parameters(tree):
     return found
 
 
-#: (function, parameter) pairs allowed to go unread: the explicit pairs take
-#: the phi broker for the one signature of every _SCHEMES step function, and
-#: estimate_alpha keeps prev and rng for the benchmark's callers
-UNREAD_PARAMETERS = {("_step_explicit", "broker"), ("estimate_alpha", "prev"),
-                     ("estimate_alpha", "rng")}
+#: (function, parameter) pairs allowed to go unread: estimate_alpha keeps
+#: prev and rng for the benchmark's callers
+UNREAD_PARAMETERS = {("estimate_alpha", "prev"), ("estimate_alpha", "rng")}
 
 
 def test_scan_flags_an_unused_import():
