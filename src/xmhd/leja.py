@@ -131,7 +131,13 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, fractions=(1.0,)):
     phi_l(c J dt).
 
     A column's error estimate is the larger of its last two terms
-    |c_m| ||y_m|| / max(1, ||column||).  The basis escapes, raising
+    |c_m| ||y_m|| / max(1, ||column||), and at the first matvec that term
+    alone: the leading term c_0 v is the column, not an error, so a column
+    may stop after one matvec.  From the second on, the two-term max
+    guards against a term that dips before the next rises, as on a
+    spectrum off the real interval: on the phi_4 advection cases of
+    tests/test_advection_oracle.py the last term alone lets the error reach
+    1.8 tol.  The basis escapes, raising
     FloatingPointError into phi._drive_columns as a Krylov chain does, when
     ||y_m|| is not finite or exceeds 1e120 max(1, ||v||), which happens
     only when the spectrum left the interval.  The chain makes at most
@@ -150,7 +156,7 @@ def apply_phi_leja(l, matvec, v, dt, shift, tol, fractions=(1.0,)):
     blowup = 1e120 * max(1.0, norm_v)
     out = np.array([y * c[0] for c in coeffs])
     buf = np.empty_like(y)
-    last = np.full(len(fractions), np.inf)
+    last = np.zeros(len(fractions))
 
     def extend(m, live):
         # y <- dt w / theta + (2 - xi_{m-1}) y, without temporaries; w is

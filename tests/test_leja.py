@@ -330,3 +330,48 @@ def test_shared_chain_that_cannot_converge_fails():
                          fractions=(0.5, 1.0))
     assert not res.converged
     assert res.iterations <= LEJA_MAX and res.vector.shape == (2, 2)
+
+
+def _newton_stop(a, v, dt, shift, l, tol):
+    """The first m >= 1 at which the chain stops, and p_m, the sum of the
+    terms up to it: the chain written out term by term.  At m = 1 the
+    estimate is the term |c_1| ||y_1||, from m = 2 on the larger of the last
+    two terms, each over max(1, ||p_m||)."""
+    xi, c = leja_points(64), shift.coeffs(1.0, l, 64)
+    y = np.array(v, dtype=float)
+    p, last = c[0] * y, 0.0
+    for m in range(1, 64):
+        y = dt / shift.theta * (a @ y) + (2.0 - xi[m - 1]) * y
+        p = p + c[m] * y
+        term = abs(c[m]) * np.linalg.norm(y) / max(1.0, np.linalg.norm(p))
+        if max(term, last) <= tol:
+            return m, p
+        last = term
+    raise AssertionError("no term met the tolerance within 64 terms")
+
+
+# a fixed diagonal matrix, and inputs of norm 0.16 and 16, whose columns the
+# max(1, ||column||) scale measures on 1 and on their own norm
+_DIAGONAL = np.diag(-np.linspace(0.5, 16.0, 10))
+
+
+@pytest.mark.parametrize("size", [0.05, 5.0])
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_column_stops_where_the_rule_written_out_stops(l, size):
+    shift, tol, v = shift_and_scale(16.0), 1e-6, np.full(10, size)
+    res = apply_phi_leja(l, lambda w: _DIAGONAL @ w, v, 1.0, shift, tol)
+    m, p = _newton_stop(_DIAGONAL, v, 1.0, shift, l, tol)
+    assert res.converged and res.iterations == m
+    assert np.allclose(res.vector[0], p, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("l", [0, 2, 4])
+def test_chain_can_stop_after_one_matvec(l):
+    # a spectrum of size 3e-9 at tol 1e-8: the first Newton term is within
+    # tolerance, so the chain ends on it
+    a = np.diag([-1e-9, -2e-9, -3e-9])
+    v = np.array([1.0, -0.5, 2.0])
+    res = apply_phi_leja(l, lambda w: a @ w, v, 1.0, shift_and_scale(3.75e-9), 1e-8)
+    assert res.converged and res.iterations == 1
+    expect = np.array([phi_scalar(l, lam) for lam in np.diag(a)]) * v
+    assert np.allclose(res.vector[0], expect, rtol=1e-8, atol=0.0)

@@ -111,6 +111,20 @@ def test_discrete_div_b_reconnection_truncation():
     assert np.abs(div).max() <= 1e-3 * bnorm
 
 
+@pytest.mark.parametrize("bc_x", list(Boundary))
+@pytest.mark.parametrize("bc_y", list(Boundary))
+def test_discrete_div_b_equals_the_stencil_on_the_full_pad(bc_x, bc_y):
+    # ghosting only B_x along x and B_y along y reads the same cells as the
+    # eight-field pad, bit for bit
+    g = random_state(np.random.default_rng(47), nx=12, ny=10, dy=0.15)
+    params = MHDParams(mu=0, eta=0, kappa=0, bc_x=bc_x, bc_y=bc_y)
+    p = _pad(g.data, 1, params)
+    bx, by = p[BX], p[BY]
+    expect = ((bx[1:-1, 2:] - bx[1:-1, :-2]) / (2.0 * g.dx)
+              + (by[2:, 1:-1] - by[:-2, 1:-1]) / (2.0 * g.dy))
+    assert np.array_equal(discrete_div_b(g, params), expect)
+
+
 def test_rhs_preserves_discrete_div_b_identity():
     # d/dt of the centered divergence is zero for the induction rhs itself
     rng = np.random.default_rng(17)
