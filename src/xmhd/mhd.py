@@ -32,6 +32,7 @@ GAMMA = 5.0 / 3.0
 
 _MAGIC = b"XMHD"
 _FORMAT_VERSION = 1
+_HEADER = struct.Struct("<4sIIIIddd")
 
 
 class RhsBlowupError(ArithmeticError):
@@ -329,24 +330,12 @@ def pressure(state):
     return (GAMMA - 1.0) * (d[EN] - kin - 0.5 * b2)
 
 
-def _ghost_pair(plane, axis, bc, sign):
-    """`plane` with one ghost cell each side along `axis`, as _pad fills it."""
-    first, last = np.take(plane, [0], axis), np.take(plane, [-1], axis)
-    if bc is Boundary.PERIODIC:
-        first, last = last, first
-    else:
-        first, last = sign * first, sign * last
-    return np.concatenate((first, plane, last), axis=axis)
-
-
 def discrete_div_b(state, params):
-    """Centered-difference divergence of (bx, by) at every interior cell.
-
-    Only B_x's x ghosts and B_y's y ghosts are read, so only those are made.
-    """
-    bx = _ghost_pair(state.data[BX], 1, params.bc_x, _SIGNS_X[BX])
-    by = _ghost_pair(state.data[BY], 0, params.bc_y, _SIGNS_Y[BY])
-    return (bx[:, 2:] - bx[:, :-2]) / (2.0 * state.dx) + (by[2:] - by[:-2]) / (2.0 * state.dy)
+    """Centered-difference divergence of (bx, by) at every interior cell."""
+    p = _pad(state.data, 1, params)
+    bx, by = p[BX], p[BY]
+    return ((bx[1:-1, 2:] - bx[1:-1, :-2]) / (2.0 * state.dx)
+            + (by[2:, 1:-1] - by[:-2, 1:-1]) / (2.0 * state.dy))
 
 
 def conserved_totals(state):
@@ -362,8 +351,8 @@ def write_checkpoint(path, state, time):
     The directory of `path` is created if it does not exist.
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    header = struct.pack("<4sIIIIddd", _MAGIC, _FORMAT_VERSION,
-                         state.nx, state.ny, NVAR, time, state.dx, state.dy)
+    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION,
+                          state.nx, state.ny, NVAR, time, state.dx, state.dy)
     with open(path, "wb") as fh:
         fh.write(header)
         for idx in range(NVAR):
@@ -372,13 +361,13 @@ def write_checkpoint(path, state, time):
 
 def read_checkpoint(path):
     """Read a checkpoint written by write_checkpoint; returns (StateGrid, time)."""
-    header_size = struct.calcsize("<4sIIIIddd")
+    header_size = _HEADER.size
     with open(path, "rb") as fh:
         header = fh.read(header_size)
         if len(header) != header_size:
             raise ValueError(f"truncated checkpoint header: expected {header_size} "
                              f"bytes, got {len(header)}")
-        magic, version, nx, ny, nvar, time, dx, dy = struct.unpack("<4sIIIIddd", header)
+        magic, version, nx, ny, nvar, time, dx, dy = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
         if version != _FORMAT_VERSION:

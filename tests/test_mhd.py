@@ -114,8 +114,8 @@ def test_discrete_div_b_reconnection_truncation():
 @pytest.mark.parametrize("bc_x", list(Boundary))
 @pytest.mark.parametrize("bc_y", list(Boundary))
 def test_discrete_div_b_equals_the_stencil_on_the_full_pad(bc_x, bc_y):
-    # ghosting only B_x along x and B_y along y reads the same cells as the
-    # eight-field pad, bit for bit
+    # the divergence is the centered stencil on _pad's one ghost layer, the
+    # same ghost cells the rhs reads, bit for bit
     g = random_state(np.random.default_rng(47), nx=12, ny=10, dy=0.15)
     params = MHDParams(mu=0, eta=0, kappa=0, bc_x=bc_x, bc_y=bc_y)
     p = _pad(g.data, 1, params)

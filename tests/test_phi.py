@@ -319,6 +319,47 @@ def test_a_bad_per_column_tolerance_raises_before_any_matvec(tol):
             _unserved(norm, 2, 4, tol)
 
 
+def _act(engine, l, matvec, v, dt, tol, reach, **kwargs):
+    """The phi action of either engine.  `reach` (alpha dt) sizes the Leja
+    interval; Krylov needs no spectral estimate and does not read it."""
+    if engine == "leja":
+        return apply_phi_leja(l, matvec, v, dt, shift_and_scale(reach), tol, **kwargs)
+    return apply_phi_krylov(l, matvec, v, dt, tol, **kwargs)
+
+
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_diagonal_example(engine):
+    a = np.diag([-1.0, -10.0])
+    res = _act(engine, 1, lambda w: a @ w, np.ones(2), 0.1, 1e-10, 10.0)
+    assert res.converged
+    expect = np.array([phi_scalar(1, -0.1), phi_scalar(1, -1.0)])
+    assert np.allclose(res.vector[0], expect, rtol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_rejects_non_positive_tolerance(engine, tol):
+    calls = []
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        _act(engine, 1, lambda w: calls.append(None) or -w, np.ones(4), 1.0, tol, 1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("engine", ["leja", "krylov"])
+def test_orders_must_pair_with_fractions(engine):
+    a = np.diag([-2.0, -1.0])
+
+    def action(orders, **kwargs):
+        return _act(engine, orders, lambda w: a @ w, np.ones(2), 1.0, 1e-10, 4.0, **kwargs)
+
+    with pytest.raises(ValueError, match="3 phi orders for 2"):
+        action((1, 3, 4), fractions=(0.5, 1.0))
+    with pytest.raises(ValueError, match="2 phi orders for 1"):
+        action((1, 3))
+    with pytest.raises(ValueError, match="phi order"):
+        action((1, 5), fractions=(0.5, 1.0))
+
+
 @pytest.mark.parametrize("fault", [1, 3])
 @pytest.mark.parametrize("engine", ["leja", "krylov"])
 def test_a_matvec_that_raises_fails_the_action_without_raising(engine, fault):
@@ -335,10 +376,7 @@ def test_a_matvec_that_raises_fails_the_action_without_raising(engine, fault):
             raise FloatingPointError("overflow encountered in divide")
         return a @ w
 
-    if engine == "leja":
-        res = apply_phi_leja(1, matvec, v, 0.5, shift_and_scale(12.5), 1e-12)
-    else:
-        res = apply_phi_krylov((1, 3), matvec, v, 0.5, 1e-12, fractions=(0.5, 1.0))
+    res = _act(engine, (1, 3), matvec, v, 0.5, 1e-12, 12.5, fractions=(0.5, 1.0))
     assert not res.converged
     assert res.iterations == fault == len(calls)
     assert res.residual == np.inf
@@ -361,10 +399,7 @@ def test_an_input_whose_norm_overflows_fails_the_action_without_raising(engine, 
         return -w
 
     with fp_policy() if policy else nullcontext():
-        if engine == "leja":
-            res = apply_phi_leja(1, matvec, v, 0.1, shift_and_scale(1.25), 1e-8)
-        else:
-            res = apply_phi_krylov(1, matvec, v, 0.1, 1e-8)
+        res = _act(engine, 1, matvec, v, 0.1, 1e-8, 1.25)
     assert not res.converged
     assert res.iterations == 0 == len(calls)
     assert res.residual == np.inf
@@ -386,11 +421,7 @@ def test_both_engines_answer_an_input_no_chain_serves_alike(monkeypatch, engine)
         return -w
 
     def action(v, tol=1e-8):
-        orders, fractions = (0, 1, 4), (0.5, 1.0, 1.0)
-        if engine == "leja":
-            return apply_phi_leja(orders, matvec, v, 0.1, shift_and_scale(5.0), tol,
-                                  fractions=fractions)
-        return apply_phi_krylov(orders, matvec, v, 0.1, tol, fractions=fractions)
+        return _act(engine, (0, 1, 4), matvec, v, 0.1, tol, 5.0, fractions=(0.5, 1.0, 1.0))
 
     zero = action(np.zeros(6))
     assert zero.converged and zero.iterations == 0 and zero.residual == 0.0
@@ -415,10 +446,7 @@ def test_a_request_with_no_column_raises_before_any_matvec(engine):
         return -w
 
     with pytest.raises(ValueError, match="at least one output column"):
-        if engine == "leja":
-            apply_phi_leja(1, matvec, np.ones(4), 0.1, shift_and_scale(5.0), 1e-8, fractions=())
-        else:
-            apply_phi_krylov(1, matvec, np.ones(4), 0.1, 1e-8, fractions=())
+        _act(engine, 1, matvec, np.ones(4), 0.1, 1e-8, 5.0, fractions=())
     assert calls == []
 
 
@@ -456,9 +484,7 @@ def test_the_stop_rule_ignores_the_scale_of_the_input(engine):
     v = rng.standard_normal(48)
 
     def action(u):
-        if engine == "leja":
-            return apply_phi_leja(1, lambda w: a @ w, u, 1.0, shift_and_scale(20.0), 1e-10)
-        return apply_phi_krylov(1, lambda w: a @ w, u, 1.0, 1e-10)
+        return _act(engine, 1, lambda w: a @ w, u, 1.0, 1e-10, 20.0)
 
     base = action(v)
     assert base.converged and np.linalg.norm(base.vector) > 1.0
