@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -31,17 +32,6 @@ def test_epirk5p1_table_digits():
     assert EPIRK_G32_EMBEDDED == 0.5 and EPIRK_G33_EMBEDDED == 1.0
 
 
-def test_scheme_orders_table():
-    assert Scheme.ROS_EULER.order == 2 and Scheme.ROS_EULER.embedded_order is None
-    assert Scheme.EXPRB43.order == 4 and Scheme.EXPRB43.embedded_order == 3
-    assert Scheme.EXPRB54S4.order == 5 and Scheme.EXPRB54S4.embedded_order == 4
-    assert Scheme.EPIRK5P1.order == 5 and Scheme.EPIRK5P1.embedded_order == 4
-    assert Scheme.RK43.order == 4 and Scheme.RK43.embedded_order == 3
-    assert Scheme.DOPRI54.order == 5 and Scheme.DOPRI54.embedded_order == 4
-    exponential = {s for s in Scheme if s.is_exponential}
-    assert exponential == {Scheme.ROS_EULER, Scheme.EXPRB43, Scheme.EXPRB54S4, Scheme.EPIRK5P1}
-
-
 def test_error_norm_basics():
     b = np.array([3.0, 4.0])
     assert error_norm(b, b) == 0.0
@@ -60,6 +50,7 @@ def test_error_norm_matches_componentwise_oracle():
 
 
 EXPLICIT = [Scheme.RK43, Scheme.DOPRI54]
+EXPONENTIAL = [s for s in Scheme if s.is_exponential]
 EPS = np.finfo(float).eps
 
 
@@ -192,7 +183,7 @@ def _handed_over(op):
     return FrozenLinearization(op, np.array([1.0]), np.array([-1.0]))
 
 
-@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
 def test_exponential_step_without_alpha_names_the_scheme(scheme):
     op = RhsOperator(lambda u: -u)
     with pytest.raises(ValueError, match=scheme.value):
@@ -200,7 +191,7 @@ def test_exponential_step_without_alpha_names_the_scheme(scheme):
     assert op.calls == 0
 
 
-@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
 def test_krylov_step_needs_no_alpha(scheme):
     op = RhsOperator(lambda u: -u)
     res = step(scheme, FrozenLinearization(op, np.array([1.0])), 0.5, method="krylov", tol=1e-12)
@@ -255,64 +246,71 @@ def test_exprb43_embedded_error_vanishes_on_linear():
     assert res.error_estimate <= 1e-6
 
 
-# (order, fraction) columns per step of the explicit pairs; criterion 4 of
-# the acceptance suite counts the exponential schemes'.  The ids name only
-# the scheme, so a changed count fails the test instead of renaming it
-_STAGE_COUNTS = [(Scheme.RK43, 0), (Scheme.DOPRI54, 0)]
+# each scheme's order, embedded order, the literal weight of each column
+# with one tuple per chain as README lists them (the explicit pairs have no
+# chain), and the number of distinct stage fractions; the chain and column
+# counts are read from the weights.  A new scheme adds one row
+_Row = namedtuple("_Row", "order embedded_order weights fractions")
+_LEDGER = {
+    Scheme.ROS_EULER: _Row(2, None, ((1.0,),), 1),
+    Scheme.EXPRB43: _Row(4, 3, ((0.5, 1.0), (1.0, 16.0, 48.0), (2.0, 12.0)), 2),
+    Scheme.EXPRB54S4: _Row(5, 4, ((0.25, 0.5, 0.9, 1.0), (4.0, 64.0, 60.0),
+                                  (729.0 / 125.0, 18.0, 60.0), (250.0 / 81.0, 500.0 / 27.0)), 4),
+    Scheme.EPIRK5P1: _Row(5, 4, ((EPIRK_A11, EPIRK_A21, EPIRK_B1),
+                                 (EPIRK_A22, EPIRK_B2, EPIRK_B2), (EPIRK_B3, EPIRK_B3)), 6),
+    Scheme.RK43: _Row(4, 3, (), 0),
+    Scheme.DOPRI54: _Row(5, 4, (), 0),
+}
 
 
-@pytest.mark.parametrize("scheme,expected", _STAGE_COUNTS,
-                         ids=[str(scheme) for scheme, _ in _STAGE_COUNTS])
-def test_stage_counts(scheme, expected):
-    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, alpha=2.0,
-               tol=1e-10)
-    assert res.converged
-    assert res.phi_applications == expected
+def _recorded(log, original):
+    def recorded(*args, **kwargs):
+        log.append(original(*args, **kwargs))
+        return log[-1]
+    return recorded
 
 
-def _counting(counts, name, original):
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
-    return counted
-
-
-@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
-def test_scheme_table_gives_the_ledger_of_a_counted_step(monkeypatch, scheme):
-    # an attempt runs one engine chain per chain of the table, applies each
-    # of its columns once, builds one Newton table per distinct fraction and
-    # evaluates the rhs 1 + 2 (chains - 1) + phi_iterations times: f(u), one
-    # f and one jvp per stage difference, one per matvec.  A column that no
-    # sum reads would get weight 0 and divide its tolerance by zero
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scheme_ledger(monkeypatch, scheme, method):
+    # w_k, derived from the table, is the largest |coefficient| with which
+    # column k enters the step; a column that no sum reads would get weight 0
+    # and divide its tolerance by zero.  An attempt runs one engine chain per
+    # chain of the table, applies each of its columns once, builds one Newton
+    # table per distinct fraction, afresh in the next attempt, and evaluates
+    # the rhs 1 + 2 (chains - 1) + phi_iterations times: f(u), one f and one
+    # jvp per stage difference, one per matvec.  An explicit pair evaluates
+    # it once per row of its tableau
     import xmhd.integrators
     import xmhd.leja
-    table = _SCHEMES[scheme][2]
-    chains = table[0]
-    columns = [column for _, chain_columns in chains for column in chain_columns]
-    assert all(w > 0 for w in _column_weights(table))
-    counts = {"chains": 0, "tables": 0}
-    monkeypatch.setattr(xmhd.integrators, "apply_phi_leja",
-                        _counting(counts, "chains", xmhd.integrators.apply_phi_leja))
+    row = _LEDGER[scheme]
+    assert (scheme.order, scheme.embedded_order) == (row.order, row.embedded_order)
+    assert scheme.is_exponential == bool(row.weights)
+    if scheme.is_exponential:
+        table = _SCHEMES[scheme][2]
+        derived = iter(_column_weights(table))
+        assert tuple(tuple(next(derived) for _ in columns) for _, columns in table[0]) \
+            == row.weights
+    chains, tables = [], []
+    binding = f"apply_phi_{method}"
+    monkeypatch.setattr(xmhd.integrators, binding,
+                        _recorded(chains, getattr(xmhd.integrators, binding)))
     monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs",
-                        _counting(counts, "tables", xmhd.leja._phi_divided_diffs))
+                        _recorded(tables, xmhd.leja._phi_divided_diffs))
     op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, alpha=2.0,
-               tol=1e-10)
-    assert res.converged
-    assert counts["chains"] == len(chains)
-    assert res.phi_applications == len(columns)
-    assert counts["tables"] == len({fraction for _, fraction in columns})
-    assert op.calls == 1 + 2 * (len(chains) - 1) + res.phi_iterations
-
-
-def test_exprb43_rhs_call_accounting():
-    # base f(u), two stages with one f and one jvp each, plus one rhs
-    # evaluation per phi matvec
-    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    res = step(Scheme.EXPRB43, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05,
-               alpha=2.0, tol=1e-10)
-    assert op.calls == 5 + res.phi_iterations
+    for _ in range(2):
+        chains.clear()
+        tables.clear()
+        before = op.calls
+        res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05,
+                   method=method, alpha=2.0, tol=1e-10)
+        assert res.converged
+        assert len(chains) == len(row.weights)
+        assert res.phi_applications == sum(map(len, row.weights))
+        assert res.phi_iterations == sum(chain.iterations for chain in chains)
+        assert len(tables) == (row.fractions if method == "leja" else 0)
+        assert op.calls - before == (1 + 2 * (len(chains) - 1) + res.phi_iterations
+                                     if scheme.is_exponential else len(_TABLEAUS[scheme][0]))
 
 
 def test_linear_invariant_preservation():
@@ -376,7 +374,7 @@ def test_every_failed_attempt_returns_its_base_state(scheme, cause):
     assert res.error_estimate == np.inf and res.new_rhs is None
 
 
-@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
 def test_a_failed_phi_action_ends_the_attempt(scheme):
     # the first action, on f(u), does not converge: the attempt builds no
     # stage, so its matvecs are the only evaluations after the base one
@@ -384,72 +382,11 @@ def test_a_failed_phi_action_ends_the_attempt(scheme):
     res = step(scheme, FrozenLinearization(op, np.array([1.0, 1.0])), 1.0, alpha=1.0, tol=1e-10)
     assert not res.converged and res.phi_iterations > 0
     assert op.calls == 1 + res.phi_iterations
-    first_action = {Scheme.ROS_EULER: 1, Scheme.EXPRB43: 2, Scheme.EXPRB54S4: 4,
-                    Scheme.EPIRK5P1: 3}
-    assert res.phi_applications == first_action[scheme]
-
-
-_TABLES_PER_ATTEMPT = [(Scheme.EXPRB43, 2, 7), (Scheme.EXPRB54S4, 4, 12),
-                       (Scheme.EPIRK5P1, 6, 8)]
-
-
-@pytest.mark.parametrize("scheme,tables,applications", _TABLES_PER_ATTEMPT,
-                         ids=[str(scheme) for scheme, *_ in _TABLES_PER_ATTEMPT])
-def test_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch, scheme, tables,
-                                                             applications):
-    # the (order, fraction) columns of an attempt share one table per
-    # distinct fraction: c = 1/2, 1 on EXPRB43; 1/4, 1/2, 9/10, 1 on
-    # EXPRB54S4; six gammas on EPIRK5P1, whose 1/2 and 1 serve two columns
-    # each.  The next attempt starts afresh
-    import xmhd.leja
-    builds = []
-    original = xmhd.leja._phi_divided_diffs
-
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs", counted)
-    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    u = np.array([0.5, 0.8, 1.1])
-    for attempt in (1, 2):
-        res = step(scheme, FrozenLinearization(op, u), 0.05, alpha=2.0, tol=1e-10)
-        assert res.converged and res.phi_applications == applications
-        assert len(builds) == tables * attempt
-
-
-_CHAINS_PER_STEP = [(Scheme.EXPRB43, 3, 7), (Scheme.EXPRB54S4, 4, 12),
-                    (Scheme.EPIRK5P1, 3, 8)]
+    assert res.phi_applications == len(_LEDGER[scheme].weights[0])
 
 
 @pytest.mark.parametrize("method", ["leja", "krylov"])
-@pytest.mark.parametrize("scheme,chains,applications", _CHAINS_PER_STEP,
-                         ids=[str(scheme) for scheme, *_ in _CHAINS_PER_STEP])
-def test_one_engine_chain_per_vector(monkeypatch, method, scheme, chains, applications):
-    # every (order, fraction) column on one vector shares one chain: f(u) at
-    # all its fractions, then one chain per stage remainder da, db (, dc) or w
-    import xmhd.integrators
-    binding = f"apply_phi_{method}"
-    iterations = []
-    original = getattr(xmhd.integrators, binding)
-
-    def counted(*args, **kwargs):
-        res = original(*args, **kwargs)
-        iterations.append(res.iterations)
-        return res
-
-    monkeypatch.setattr(xmhd.integrators, binding, counted)
-    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, method=method,
-               alpha=2.0, tol=1e-10)
-    assert res.converged
-    assert len(iterations) == chains
-    assert res.phi_applications == applications
-    assert res.phi_iterations == sum(iterations)
-
-
-@pytest.mark.parametrize("method", ["leja", "krylov"])
-@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
 def test_steady_state_is_a_fixed_point(scheme, method):
     # f(u) = 0 with J != 0: every phi action acts on the zero vector, which
     # each engine answers with zeros and no matvec
@@ -463,7 +400,7 @@ def test_steady_state_is_a_fixed_point(scheme, method):
 
 
 @pytest.mark.parametrize("method", ["leja", "krylov"])
-@pytest.mark.parametrize("scheme", [s for s in Scheme if s.is_exponential])
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
 def test_zero_spectrum_gives_the_explicit_euler_update(scheme, method):
     # a constant rhs has J = 0, so phi_l(0) v = v / l! and the step is
     # u + dt f: on Leja the broker answers alpha = 0 exactly and without a
@@ -517,22 +454,11 @@ def _khi3(n):
     return RhsOperator(lambda f: mhd_rhs(state.with_flat(f), spec.params)), state.flat().copy()
 
 
-# each scheme's column weights, one tuple per chain, as README lists them
-_LITERAL_WEIGHTS = [
-    (Scheme.EXPRB43, ((0.5, 1.0), (1.0, 16.0, 48.0), (2.0, 12.0))),
-    (Scheme.EXPRB54S4, ((0.25, 0.5, 0.9, 1.0), (4.0, 64.0, 60.0), (729.0 / 125.0, 18.0, 60.0),
-                        (250.0 / 81.0, 500.0 / 27.0))),
-    (Scheme.EPIRK5P1, ((EPIRK_A11, EPIRK_A21, EPIRK_B1), (EPIRK_A22, EPIRK_B2, EPIRK_B2),
-                       (EPIRK_B3, EPIRK_B3))),
-]
-
-
 @pytest.mark.parametrize("method", ["leja", "krylov"])
 def test_each_column_gets_the_step_scaled_tolerance(monkeypatch, method):
     # the chains of a step hand each column its own
     # max(tol, KAPPA tol max(1, ||u||) / (dt w_k max(1, ||vec||))), where
-    # w_k, derived from the scheme's table, is the literal largest
-    # |coefficient| with which the column enters the step
+    # w_k is the column's weight in _LEDGER
     import xmhd.integrators
     binding = f"apply_phi_{method}"
     original = getattr(xmhd.integrators, binding)
@@ -547,7 +473,8 @@ def test_each_column_gets_the_step_scaled_tolerance(monkeypatch, method):
     op, u = _khi3(16)
     lin = FrozenLinearization(op, u)
     dt, tol, alpha = 0.005, 1e-6, estimate_alpha(lin).alpha
-    for scheme, weights in _LITERAL_WEIGHTS:
+    for scheme in EXPONENTIAL:
+        weights = _LEDGER[scheme].weights
         chains.clear()
         res = step(scheme, FrozenLinearization(op, u), dt, method=method, alpha=alpha, tol=tol)
         assert res.converged, scheme
@@ -564,9 +491,6 @@ def test_each_column_gets_the_step_scaled_tolerance(monkeypatch, method):
             assert chains[2][1][0] > chains[2][1][1] > tol
 
 
-_CHAIN_COUNTS = [(Scheme.EXPRB43, 3), (Scheme.EXPRB54S4, 4), (Scheme.EPIRK5P1, 3)]
-
-
 @pytest.fixture(scope="module")
 def khi3_64():
     op, u = _khi3(64)
@@ -574,9 +498,8 @@ def khi3_64():
 
 
 @pytest.mark.parametrize("method", ["leja", "krylov"])
-@pytest.mark.parametrize("scheme,chains", _CHAIN_COUNTS,
-                         ids=[str(scheme) for scheme, _ in _CHAIN_COUNTS])
-def test_step_scaled_chains_keep_the_step_within_kappa_tol_u(khi3_64, scheme, chains, method):
+@pytest.mark.parametrize("scheme", [s for s in EXPONENTIAL if s.embedded_order is not None])
+def test_step_scaled_chains_keep_the_step_within_kappa_tol_u(khi3_64, scheme, method):
     # a loosened chain's error reaches the new state weighted by dt and its
     # coefficients, which its tolerance divides out: each step lies within
     # KAPPA tol ||u|| per chain of the same step taken with every chain
@@ -588,7 +511,7 @@ def test_step_scaled_chains_keep_the_step_within_kappa_tol_u(khi3_64, scheme, ch
                              alpha=alpha, tol=t) for t in (tol, 1e-13))
         assert loose.converged and tight.converged
         assert (np.linalg.norm(loose.new_state - tight.new_state)
-                <= chains * KAPPA * tol * np.linalg.norm(u)), dt
+                <= len(_LEDGER[scheme].weights) * KAPPA * tol * np.linalg.norm(u)), dt
 
 
 def _exprb43_w_form(f, jac, u, dt):
