@@ -57,6 +57,14 @@ def test_step_clipping_sums_to_t_final():
         assert s.t <= 0.07 + 1e-12
 
 
+def test_report_totals_match_step_records():
+    cfg = small_khi()
+    rep = run(cfg)
+    assert rep.accepted + rep.rejected == len(rep.steps)
+    assert rep.accepted == sum(1 for s in rep.steps if s.accepted)
+    assert rep.phi_iterations == sum(s.phi_iterations for s in rep.steps if s.accepted)
+
+
 def test_spectrum_refresh_schedule_golden_run(monkeypatch):
     # run() refreshes alpha on the steps that start after 0, 3, 6, ... accepted
     # steps, each refresh ARNOLDI_STEPS rhs evaluations
@@ -195,11 +203,8 @@ def test_controller_mode_golden_run(mode, scheme, method, checksum, counts):
     assert rep.checksum == checksum
     assert (rep.accepted, rep.rejected, rep.rhs_evals, rep.phi_iterations) == counts
     assert all(type(s.accepted) is bool for s in rep.steps)
-    assert rep.accepted + rep.rejected == len(rep.steps)
-    assert rep.accepted == sum(1 for s in rep.steps if s.accepted)
     # an accepted record counts its rejected attempts too, so these cover the run
     assert sum(s.rhs_calls for s in rep.steps if s.accepted) == rep.rhs_evals
-    assert rep.phi_iterations == sum(s.phi_iterations for s in rep.steps if s.accepted)
 
 
 # signature of each benchmark workload (no run depends on the rng seed):

@@ -263,6 +263,16 @@ _LEDGER = {
 }
 
 
+def _ledger_step(scheme, method="leja"):
+    """One attempt of u - 0.1 u^2 from a fresh operator (dt 0.05, alpha 2,
+    tol 1e-10); returns the result and the rhs evaluations it made."""
+    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
+    res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05, method=method,
+               alpha=2.0, tol=1e-10)
+    assert res.converged
+    return res, op.calls
+
+
 def _recorded(log, original):
     def recorded(*args, **kwargs):
         log.append(original(*args, **kwargs))
@@ -270,19 +280,28 @@ def _recorded(log, original):
     return recorded
 
 
-@pytest.mark.parametrize("method", ["leja", "krylov"])
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_scheme_ledger(monkeypatch, scheme, method):
-    # w_k, derived from the table, is the largest |coefficient| with which
-    # column k enters the step; a column that no sum reads would get weight 0
-    # and divide its tolerance by zero.  An attempt runs one engine chain per
-    # chain of the table, applies each of its columns once, builds one Newton
-    # table per distinct fraction, afresh in the next attempt, and evaluates
-    # the rhs 1 + 2 (chains - 1) + phi_iterations times: f(u), one f and one
-    # jvp per stage difference, one per matvec.  An explicit pair evaluates
-    # it once per row of its tableau
+def _record_engines(monkeypatch, method):
+    """Log the result of each engine chain and each Leja Newton table built."""
     import xmhd.integrators
     import xmhd.leja
+    chains, tables = [], []
+    binding = f"apply_phi_{method}"
+    monkeypatch.setattr(xmhd.integrators, binding,
+                        _recorded(chains, getattr(xmhd.integrators, binding)))
+    monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs",
+                        _recorded(tables, xmhd.leja._phi_divided_diffs))
+    return chains, tables
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scheme_ledger(scheme, method):
+    # w_k, derived from the table, is the largest |coefficient| with which
+    # column k enters the step; a column that no sum reads would get weight 0
+    # and divide its tolerance by zero.  An attempt applies each column once
+    # and evaluates the rhs 1 + 2 (chains - 1) + phi_iterations times: f(u),
+    # one f and one jvp per stage difference, one per matvec.  An explicit
+    # pair evaluates it once per row of its tableau
     row = _LEDGER[scheme]
     assert (scheme.order, scheme.embedded_order) == (row.order, row.embedded_order)
     assert scheme.is_exponential == bool(row.weights)
@@ -291,26 +310,55 @@ def test_scheme_ledger(monkeypatch, scheme, method):
         derived = iter(_column_weights(table))
         assert tuple(tuple(next(derived) for _ in columns) for _, columns in table[0]) \
             == row.weights
-    chains, tables = [], []
-    binding = f"apply_phi_{method}"
-    monkeypatch.setattr(xmhd.integrators, binding,
-                        _recorded(chains, getattr(xmhd.integrators, binding)))
-    monkeypatch.setattr(xmhd.leja, "_phi_divided_diffs",
-                        _recorded(tables, xmhd.leja._phi_divided_diffs))
-    op = RhsOperator(lambda u: u - 0.1 * u ** 2)
-    for _ in range(2):
-        chains.clear()
-        tables.clear()
-        before = op.calls
-        res = step(scheme, FrozenLinearization(op, np.array([0.5, 0.8, 1.1])), 0.05,
-                   method=method, alpha=2.0, tol=1e-10)
-        assert res.converged
-        assert len(chains) == len(row.weights)
-        assert res.phi_applications == sum(map(len, row.weights))
-        assert res.phi_iterations == sum(chain.iterations for chain in chains)
-        assert len(tables) == (row.fractions if method == "leja" else 0)
-        assert op.calls - before == (1 + 2 * (len(chains) - 1) + res.phi_iterations
-                                     if scheme.is_exponential else len(_TABLEAUS[scheme][0]))
+    res, calls = _ledger_step(scheme, method)
+    assert res.phi_applications == sum(map(len, row.weights))
+    assert calls == (1 + 2 * (len(row.weights) - 1) + res.phi_iterations
+                     if scheme.is_exponential else len(_TABLEAUS[scheme][0]))
+
+
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
+def test_scheme_table_gives_the_ledger_of_a_counted_step(monkeypatch, scheme):
+    # the counts read off the scheme's own table, not the typed ledger: one
+    # chain per chain of the table, one application per column, one Newton
+    # table per distinct fraction
+    chains, tables = _record_engines(monkeypatch, "leja")
+    table_chains = _SCHEMES[scheme][2][0]
+    columns = [column for _, chain_columns in table_chains for column in chain_columns]
+    res, _ = _ledger_step(scheme)
+    assert len(chains) == len(table_chains)
+    assert res.phi_applications == len(columns)
+    assert len(tables) == len({fraction for _, fraction in columns})
+
+
+def test_exprb43_rhs_call_accounting():
+    # base f(u), two stages with one f and one jvp each, plus one rhs
+    # evaluation per phi matvec
+    res, calls = _ledger_step(Scheme.EXPRB43)
+    assert calls == 5 + res.phi_iterations
+
+
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
+def test_attempt_builds_one_newton_table_per_stage_fraction(monkeypatch, scheme):
+    # the (order, fraction) columns of an attempt share one table per
+    # distinct fraction, and the next attempt starts afresh
+    _, tables = _record_engines(monkeypatch, "leja")
+    for attempt in (1, 2):
+        _ledger_step(scheme)
+        assert len(tables) == _LEDGER[scheme].fractions * attempt
+
+
+@pytest.mark.parametrize("method", ["leja", "krylov"])
+@pytest.mark.parametrize("scheme", EXPONENTIAL)
+def test_one_engine_chain_per_vector(monkeypatch, scheme, method):
+    # every (order, fraction) column on one vector shares one chain: f(u) at
+    # all its fractions, then one chain per stage remainder; Krylov builds no
+    # Newton table
+    chains, tables = _record_engines(monkeypatch, method)
+    res, _ = _ledger_step(scheme, method)
+    assert len(chains) == len(_LEDGER[scheme].weights)
+    assert res.phi_iterations == sum(chain.iterations for chain in chains)
+    if method == "krylov":
+        assert tables == []
 
 
 def test_linear_invariant_preservation():

@@ -85,6 +85,20 @@ def test_estimate_alpha_antisymmetric_operator():
     assert est.alpha / DEFAULT_SAFETY == pytest.approx(1.0, rel=0.02)
 
 
+def test_estimate_alpha_cache_contract():
+    # estimate_alpha keeps no cache: every call recomputes alpha for the
+    # linearization it is given, and `prev` is ignored
+    other = RhsOperator(lambda u: -2.0 * u)
+    prev = estimate_alpha(FrozenLinearization(other, np.zeros(4)), None)
+    op = RhsOperator(lambda u: -7.0 * u)
+    lin = FrozenLinearization(op, np.zeros(4))
+    calls = op.calls
+    est = estimate_alpha(lin, prev)
+    assert op.calls > calls                       # computed, not reused
+    assert est.alpha / DEFAULT_SAFETY == pytest.approx(7.0, rel=1e-6)
+    assert prev.alpha / DEFAULT_SAFETY == pytest.approx(2.0, rel=1e-6)
+
+
 def _nonnormal(n, seed=5):
     """A dense non-normal linear map with distinct eigenvalues."""
     rng = np.random.default_rng(seed)
@@ -92,18 +106,14 @@ def _nonnormal(n, seed=5):
 
 
 def test_estimate_alpha_ignores_rng_and_prev():
-    # estimate_alpha keeps no cache: every call recomputes alpha for the
-    # linearization it is given, whatever `prev` and `rng`
     a = _nonnormal(40)
     op = RhsOperator(lambda u: a @ u + 1.0)
     lin = FrozenLinearization(op, np.linspace(0.0, 1.0, 40))
     alphas = {estimate_alpha(lin).alpha}
     for seed in range(3):
         alphas.add(estimate_alpha(lin, rng=np.random.default_rng(seed)).alpha)
-        calls = op.calls
         alphas.add(estimate_alpha(lin, SpectralEstimate(alpha=float(seed)),
                                   rng=np.random.default_rng(seed)).alpha)
-        assert op.calls > calls                       # computed, not reused
     assert len(alphas) == 1
 
 
@@ -172,12 +182,17 @@ def _refresh_points(monkeypatch, spectrum_interval):
     return rep, points
 
 
+def test_estimate_alpha_refreshes_at_interval(monkeypatch):
+    # run() refreshes on the steps that start after 0, 3, 6, ... accepted steps
+    rep, points = _refresh_points(monkeypatch, 3)
+    assert rep.accepted > 6
+    assert points == list(range(0, rep.accepted, 3))
+
+
 def test_estimate_alpha_honours_the_interval_of_each_call(monkeypatch):
-    # run() refreshes on the steps that start after 0, k, 2k, ... accepted
-    # steps, k each run's own RunConfig.spectrum_interval
-    for interval in (1, 3, 4, 50):
+    # the interval is each run's own RunConfig.spectrum_interval
+    for interval in (1, 4, 50):
         rep, points = _refresh_points(monkeypatch, interval)
-        assert rep.accepted > 6
         assert points == list(range(0, rep.accepted, interval))
 
 

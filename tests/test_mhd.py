@@ -125,6 +125,20 @@ def test_discrete_div_b_equals_the_stencil_on_the_full_pad(bc_x, bc_y):
     assert np.array_equal(discrete_div_b(g, params), expect)
 
 
+def test_rhs_preserves_discrete_div_b_identity():
+    # d/dt of the centered divergence is zero for the induction rhs itself
+    rng = np.random.default_rng(17)
+    params = MHDParams(mu=0.02, eta=0.04, kappa=0.05)
+    g = random_state(rng)
+    out = mhd_rhs(g, params).reshape(NVAR, 16, 16)
+    gdot = StateGrid(16, 16, 0.1, 0.1, np.zeros((NVAR, 16, 16)))
+    gdot.data[BX] = out[BX]
+    gdot.data[BY] = out[BY]
+    div_rate = discrete_div_b(gdot, params)
+    scale = max(np.abs(out[BX]).max(), np.abs(out[BY]).max()) / 0.1
+    assert np.abs(div_rate).max() <= 1e-12 * max(1.0, scale)
+
+
 IDEAL = (0.0, 0.0, 0.0)
 RESISTIVE = (0.01, 0.02, 0.5)
 
